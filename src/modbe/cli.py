@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from . import basealg, dataset as ds, evaluation as ev, funcclass as fc, mdp as mdp_mod
-from .selection import modbe, validation_loss
+from .selection import SelectionError, modbe, validation_loss
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,9 +83,7 @@ def cmd_run_fqi(args) -> int:
         loss = validation_loss(fseq.func(h), step, fseq.next_state_values(h, step.x_next))
         print(f"  h={h} validation_loss={loss:.6g}")
     if args.out:
-        c = classes[args.k]
-        S = len(c.blocks) if c.variant == "abstraction" else c.tables[0].shape[0]
-        A = c.num_actions if c.variant == "abstraction" else c.tables[0].shape[1]
+        S, A = fc.tabular_shape(classes[args.k])
         xs, as_ = np.divmod(np.arange(S * A), A)
         with open(args.out, "w") as fh:
             for h in range(1, data.horizon + 1):
@@ -113,8 +111,9 @@ def cmd_run_modbe(args) -> int:
 def cmd_run_holdout(args) -> int:
     data = _load_dataset(args.data)
     classes = _load_classes(args.classes, clip_high=float(data.horizon))
-    base = basealg.make_fqi(data.horizon)
-    k, _fseq, scores = ev.holdout_select(data, base, classes, args.seed)
+    split = ds.split_dataset(data, args.seed)
+    fseqs = ev.fit_each_class(basealg.make_fqi(data.horizon), split.train.steps, classes)
+    k, scores = ev.holdout_select(split.valid.steps, fseqs)
     print(f"selected class: {k} of {len(classes)}")
     for i, s in enumerate(scores, start=1):
         print(f"  class {i} validation loss {s:.6g}")
@@ -208,7 +207,8 @@ def main(argv=None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (mdp_mod.MDPError, ds.DatasetError, fc.FunctionClassError, ev.EvalError) as exc:
+    except (mdp_mod.MDPError, ds.DatasetError, fc.FunctionClassError, ev.EvalError,
+            SelectionError, basealg.BaseAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - CLI boundary

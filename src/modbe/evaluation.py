@@ -121,40 +121,31 @@ def diagnose(classes: NestedSequence, mdp: TabularMDP, mu: np.ndarray,
 # Baseline selectors
 
 
-def holdout_select(dataset: OfflineDataset, base: BaseAlgorithm,
-                   classes: NestedSequence, seed: int = 0):
-    """Pick the class whose base-algorithm output has the smallest summed
-    per-step validation loss; ties break to the smallest k."""
-    split = split_dataset(dataset, seed)
-    H = dataset.horizon
+def fit_each_class(base: BaseAlgorithm, train_steps: Sequence[StepData],
+                   classes: NestedSequence) -> list[QSequence]:
+    """The base algorithm's output for every class, in class order."""
+    return [base.fit(train_steps, classes[k]) for k in range(1, len(classes) + 1)]
+
+
+def holdout_select(valid_steps: Sequence[StepData], fseqs: Sequence[QSequence]):
+    """Pick the fitted sequence with the smallest summed per-step validation
+    loss; ties break to the smallest k. Returns (k, per-class scores)."""
     scores = []
-    seqs = []
-    for k in range(1, len(classes) + 1):
-        fseq = base.fit(split.train.steps, classes[k])
-        seqs.append(fseq)
+    for fseq in fseqs:
         total = 0.0
-        for h in range(1, H + 1):
-            step = split.valid.steps[h - 1]
+        for h, step in enumerate(valid_steps, start=1):
             total += validation_loss(fseq.func(h), step, fseq.next_state_values(h, step.x_next))
         scores.append(total)
-    best = int(np.argmin(scores)) + 1
-    return best, seqs[best - 1], scores
+    return int(np.argmin(scores)) + 1, scores
 
 
-def oracle_select(dataset: OfflineDataset, base: BaseAlgorithm,
-                  classes: NestedSequence, mdp: TabularMDP, seed: int = 0):
-    """Hindsight-best baseline: the class whose learned greedy policy has the
-    smallest true regret; needs the ground-truth MDP."""
-    split = split_dataset(dataset, seed)
+def oracle_select(mdp: TabularMDP, fseqs: Sequence[QSequence]):
+    """Hindsight-best baseline: the fitted sequence whose greedy policy has
+    the smallest true regret; needs the ground-truth MDP. Returns
+    (k, per-class regrets)."""
     S, A = mdp.num_states, mdp.num_actions
-    regrets = []
-    seqs = []
-    for k in range(1, len(classes) + 1):
-        fseq = base.fit(split.train.steps, classes[k])
-        seqs.append(fseq)
-        regrets.append(regret(mdp, greedy_policy(fseq.funcs, S, A)))
-    best = int(np.argmin(regrets)) + 1
-    return best, seqs[best - 1], regrets
+    regrets = [regret(mdp, greedy_policy(fseq.funcs, S, A)) for fseq in fseqs]
+    return int(np.argmin(regrets)) + 1, regrets
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +185,12 @@ def chain_classes(num_states: int = 4, horizon: int = 4) -> NestedSequence:
 def uniform_mu(mdp: TabularMDP) -> np.ndarray:
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
     return np.full((H, S, A), 1.0 / (S * A))
+
+
+def chain_instance():
+    """The chain MDP, its nested abstractions and the uniform data distribution."""
+    mdp = chain_mdp()
+    return mdp, chain_classes(), uniform_mu(mdp)
 
 
 def never_overshoot_instance():
@@ -318,6 +315,10 @@ class CBInstance:
 # Experiment configuration and runners
 
 
+TABULAR_INSTANCES = {"chain": chain_instance, "holdout_bias": holdout_bias_instance}
+CONFIG_KEYS = ("instance", "n_list", "seeds", "methods", "schedule", "delta", "output")
+
+
 @dataclass
 class ExperimentConfig:
     instance: str
@@ -325,7 +326,6 @@ class ExperimentConfig:
     seeds: list
     methods: list
     schedule: str = "practical"
-    gamma: float = 0.0
     delta: float = 0.1
     output: str = "results.csv"
 
@@ -347,6 +347,10 @@ def parse_config(path: str) -> ExperimentConfig:
                 raise EvalError(f"{path}:{lineno}: expected 'key = value'")
             k, v = (t.strip() for t in line.split("=", 1))
             values[k] = v
+    unknown = sorted(set(values) - set(CONFIG_KEYS))
+    if unknown:
+        raise EvalError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}; "
+                        f"accepted: {', '.join(CONFIG_KEYS)}")
     try:
         return ExperimentConfig(
             instance=values["instance"],
@@ -354,7 +358,6 @@ def parse_config(path: str) -> ExperimentConfig:
             seeds=[int(t) for t in values["seeds"].split(",")],
             methods=[t.strip() for t in values["methods"].split(",")],
             schedule=values.get("schedule", "practical"),
-            gamma=float(values.get("gamma", "0")),
             delta=float(values.get("delta", "0.1")),
             output=values.get("output", "results.csv"),
         )
@@ -362,50 +365,60 @@ def parse_config(path: str) -> ExperimentConfig:
         raise EvalError(f"{path}: missing config key {exc}") from exc
 
 
+def _tabular_instance(name: str):
+    if name not in TABULAR_INSTANCES:
+        raise EvalError(f"unknown instance family {name!r}")
+    return TABULAR_INSTANCES[name]()
+
+
 def _expand_methods(methods: Sequence[str], num_classes: int) -> list[str]:
+    """Expand 'fixed' into fixed-1..fixed-M and reject any unknown method."""
     out = []
     for m in methods:
         if m == "fixed":
             out.extend(f"fixed-{k}" for k in range(1, num_classes + 1))
-        else:
-            out.append(m)
+            continue
+        if m.startswith("fixed-"):
+            idx = m[len("fixed-"):]
+            if not (idx.isdigit() and 1 <= int(idx) <= num_classes):
+                raise EvalError(f"method {m!r}: class index outside [1, {num_classes}]")
+        elif m not in ("modbe", "holdout", "oracle"):
+            raise EvalError(f"unknown method {m!r}")
+        out.append(m)
     return out
 
 
 def run_rl_cell(n: int, seed: int, methods: Sequence[str], schedule: str,
-                delta: float) -> list[tuple]:
-    """All requested methods on one (n, seed) cell of the chain benchmark."""
-    mdp = chain_mdp()
-    classes = chain_classes()
-    mu = uniform_mu(mdp)
+                delta: float, instance: str = "chain") -> list[tuple]:
+    """All requested methods on one (n, seed) cell of a tabular instance.
+
+    Hold-out, oracle and fixed-k share one base-algorithm fit per class;
+    modbe runs its own fits. On the one-action holdout_bias instance regret
+    is uninformative: the selected class index is the quantity of interest.
+    """
+    mdp, classes, mu = _tabular_instance(instance)
+    methods = _expand_methods(methods, len(classes))
     base = make_fqi(mdp.horizon)
     S, A = mdp.num_states, mdp.num_actions
     dataset = generate_from_mu(mdp, mu, n, seed)
-    split = split_dataset(dataset, seed)
+    fseqs = None
     rows = []
-    fixed_seqs: dict[int, QSequence] = {}
-
-    def fixed_seq(k):
-        if k not in fixed_seqs:
-            fixed_seqs[k] = base.fit(split.train.steps, classes[k])
-        return fixed_seqs[k]
-
-    for method in _expand_methods(methods, len(classes)):
+    for method in methods:
         t0 = time.perf_counter()
         if method == "modbe":
             trace = modbe(dataset, base, classes, delta, schedule, seed)
             k, pol = trace.k_hat, trace.policy
-        elif method == "holdout":
-            k, fseq, _ = holdout_select(dataset, base, classes, seed)
-            pol = greedy_policy(fseq.funcs, S, A)
-        elif method == "oracle":
-            k, fseq, _ = oracle_select(dataset, base, classes, mdp, seed)
-            pol = greedy_policy(fseq.funcs, S, A)
-        elif method.startswith("fixed-"):
-            k = int(method.split("-")[1])
-            pol = greedy_policy(fixed_seq(k).funcs, S, A)
         else:
-            raise EvalError(f"unknown method {method!r}")
+            if fseqs is None:
+                split = split_dataset(dataset, seed)
+                fseqs = fit_each_class(base, split.train.steps, classes)
+            if method == "holdout":
+                k, _ = holdout_select(split.valid.steps, fseqs)
+            elif method == "oracle":
+                k, _ = oracle_select(mdp, fseqs)
+            else:
+                k = int(method.split("-")[1])
+            pol = greedy_policy(fseqs[k - 1].funcs, S, A)
         ms = (time.perf_counter() - t0) * 1000.0
         rows.append((n, seed, method, k, regret(mdp, pol), ms))
     return rows
@@ -415,7 +428,7 @@ CB_EVAL_CONTEXTS = 10_000
 
 
 def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
-                delta: float = 0.1) -> list[tuple]:
+                delta: float = 0.1, schedule: str = "practical") -> list[tuple]:
     """All requested methods on one (n, seed) cell of the contextual bandit."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0, n))))
     feats = instance.sample_features(n, rng)
@@ -424,101 +437,51 @@ def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
     rewards = means[np.arange(n), actions] + instance.noise_std * rng.standard_normal(n)
     data = StepData(np.arange(n), actions, rewards, np.zeros(n, dtype=int))
     classes = instance.classes(feats)
+    methods = _expand_methods(methods, len(classes))
 
     eval_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 1))))
     eval_feats = instance.sample_features(CB_EVAL_CONTEXTS, eval_rng)
     eval_means = instance.mean_rewards(eval_feats)
     best_mean = eval_means.max(axis=1).mean()
 
-    def policy_regret(w, dim):
-        scores = eval_feats[:, :, :dim] @ w
+    def policy_regret(f):
+        scores = eval_feats[:, :, :f.dim] @ f.weights
         chosen = eval_means[np.arange(CB_EVAL_CONTEXTS), scores.argmax(axis=1)]
         return float(best_mean - chosen.mean())
 
-    split = split_dataset(OfflineDataset((data,), {}), seed)
-    train = split.train.steps[0]
-    fixed: dict[int, object] = {}
-
-    def fixed_fit(k):
-        if k not in fixed:
-            fixed[k] = classes[k].erm(train.x, train.a, train.r)
-        return fixed[k]
-
+    fseqs = None
     rows = []
-    for method in _expand_methods(methods, len(classes)):
+    for method in methods:
         t0 = time.perf_counter()
         if method == "modbe":
             trace = modbe_discounted(data, classes, gamma=0.0, delta=delta,
-                                     schedule="practical", seed=seed)
+                                     schedule=schedule, seed=seed)
             k = trace.k_hat
             f = trace.qseq.func(1)
-        elif method == "holdout":
-            valid = split.valid.steps[0]
-            losses = []
-            for k_i in range(1, len(classes) + 1):
-                f_i = fixed_fit(k_i)
-                losses.append(float(np.mean((f_i.values(valid.x, valid.a) - valid.r) ** 2)))
-            k = int(np.argmin(losses)) + 1
-            f = fixed_fit(k)
-        elif method == "oracle":
-            regrets = [policy_regret(fixed_fit(k_i).weights, classes[k_i].dim)
-                       for k_i in range(1, len(classes) + 1)]
-            k = int(np.argmin(regrets)) + 1
-            f = fixed_fit(k)
-        elif method.startswith("fixed-"):
-            k = int(method.split("-")[1])
-            f = fixed_fit(k)
         else:
-            raise EvalError(f"unknown method {method!r}")
-        reg = policy_regret(f.weights, classes[k].dim)
+            if fseqs is None:
+                split = split_dataset(OfflineDataset((data,), {}), seed)
+                train = split.train.steps[0]
+                fseqs = [QSequence((classes[i].erm(train.x, train.a, train.r),), i)
+                         for i in range(1, len(classes) + 1)]
+            if method == "holdout":
+                k, _ = holdout_select(split.valid.steps, fseqs)
+            elif method == "oracle":
+                k = int(np.argmin([policy_regret(fseq.func(1)) for fseq in fseqs])) + 1
+            else:
+                k = int(method.split("-")[1])
+            f = fseqs[k - 1].func(1)
+        reg = policy_regret(f)
         ms = (time.perf_counter() - t0) * 1000.0
         rows.append((n, seed, method, k, reg, ms))
     return rows
 
 
-def run_bias_cell(n: int, seed: int, methods: Sequence[str], schedule: str,
-                  delta: float) -> list[tuple]:
-    """Hold-out bias instance: regret is uninformative (one action); the
-    selected class index is the quantity of interest."""
-    mdp, classes, mu = holdout_bias_instance()
-    base = make_fqi(mdp.horizon)
-    dataset = generate_from_mu(mdp, mu, n, seed)
-    rows = []
-    for method in _expand_methods(methods, len(classes)):
-        t0 = time.perf_counter()
-        if method == "modbe":
-            trace = modbe(dataset, base, classes, delta, schedule, seed)
-            k, pol = trace.k_hat, trace.policy
-        elif method == "holdout":
-            k, fseq, _ = holdout_select(dataset, base, classes, seed)
-            pol = greedy_policy(fseq.funcs, mdp.num_states, mdp.num_actions)
-        elif method == "oracle":
-            k, fseq, _ = oracle_select(dataset, base, classes, mdp, seed)
-            pol = greedy_policy(fseq.funcs, mdp.num_states, mdp.num_actions)
-        elif method.startswith("fixed-"):
-            k = int(method.split("-")[1])
-            split = split_dataset(dataset, seed)
-            pol = greedy_policy(base.fit(split.train.steps, classes[k]).funcs,
-                                mdp.num_states, mdp.num_actions)
-        else:
-            raise EvalError(f"unknown method {method!r}")
-        ms = (time.perf_counter() - t0) * 1000.0
-        rows.append((n, seed, method, k, regret(mdp, pol), ms))
-    return rows
-
-
-_CELL_RUNNERS = {
-    "chain": lambda n, seed, cfg, inst: run_rl_cell(n, seed, cfg.methods, cfg.schedule, cfg.delta),
-    "cb": lambda n, seed, cfg, inst: run_cb_cell(n, seed, cfg.methods, inst, cfg.delta),
-    "holdout_bias": lambda n, seed, cfg, inst: run_bias_cell(n, seed, cfg.methods,
-                                                             cfg.schedule, cfg.delta),
-}
-
-
 def _run_one_cell(args):
-    instance, n, seed, cfg = args
-    inst = CBInstance() if instance == "cb" else None
-    return _CELL_RUNNERS[instance](n, seed, cfg, inst)
+    n, seed, cfg = args
+    if cfg.instance == "cb":
+        return run_cb_cell(n, seed, cfg.methods, CBInstance(), cfg.delta, cfg.schedule)
+    return run_rl_cell(n, seed, cfg.methods, cfg.schedule, cfg.delta, cfg.instance)
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
@@ -528,9 +491,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
     Cells are independent and may execute in parallel; results are identical
     for any job count (runtimes excepted, which is why record_runtime exists).
     """
-    if cfg.instance not in _CELL_RUNNERS:
-        raise EvalError(f"unknown instance family {cfg.instance!r}")
-    cells = [(cfg.instance, n, seed, cfg) for n in cfg.n_list for seed in cfg.seeds]
+    # reject an unknown instance or method before any cell runs
+    num_classes = len(CB_DIMS) if cfg.instance == "cb" else len(_tabular_instance(cfg.instance)[1])
+    _expand_methods(cfg.methods, num_classes)
+    cells = [(n, seed, cfg) for n in cfg.n_list for seed in cfg.seeds]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -68,24 +68,6 @@ class TableQ(QFunction):
 
 
 @dataclass(frozen=True)
-class BlockQ(QFunction):
-    block_values: np.ndarray          # (B, A)
-    blocks: np.ndarray                # (S,) state -> block id
-    clip_high: float | None = None
-    class_index: int = 0
-
-    def raw_values(self, xs, as_):
-        return self.block_values[self.blocks[np.asarray(xs, dtype=int)], np.asarray(as_, dtype=int)]
-
-    def max_values(self, xs):
-        per_block = _clip(self.block_values, self.clip_high).max(axis=1)
-        return per_block[self.blocks[np.asarray(xs, dtype=int)]]
-
-    def as_table(self):
-        return _clip(self.block_values[self.blocks], self.clip_high)
-
-
-@dataclass(frozen=True)
 class LinearQ(QFunction):
     weights: np.ndarray               # (d,)
     feature_fn: Callable = None       # (xs, as_) -> (n, D) ambient features
@@ -206,7 +188,7 @@ class AbstractionClass(FunctionClass):
         return self.num_blocks * self.num_actions * math.log(1.0 / ABSTRACTION_QUANTUM)
 
     def zero(self):
-        return BlockQ(np.zeros((self.num_blocks, self.num_actions)), self.blocks,
+        return TableQ(np.zeros((len(self.blocks), self.num_actions)),
                       self.clip_high, self.class_index)
 
     def erm(self, xs, as_, ys):
@@ -220,7 +202,7 @@ class AbstractionClass(FunctionClass):
         counts = np.bincount(cell, minlength=B * A)
         means = np.divide(sums, counts, out=np.zeros(B * A), where=counts > 0)
         vals = _clip(means.reshape(B, A), self.clip_high)
-        return BlockQ(vals, self.blocks, self.clip_high, self.class_index)
+        return TableQ(vals[self.blocks], self.clip_high, self.class_index)
 
     def population_erm(self, weights, target):
         B, A = self.num_blocks, self.num_actions
@@ -229,7 +211,7 @@ class AbstractionClass(FunctionClass):
         np.add.at(w, self.blocks, weights)
         np.add.at(s, self.blocks, weights * target)
         vals = np.divide(s, w, out=np.zeros((B, A)), where=w > 0)
-        return BlockQ(_clip(vals, self.clip_high), self.blocks, self.clip_high, self.class_index)
+        return TableQ(_clip(vals, self.clip_high)[self.blocks], self.clip_high, self.class_index)
 
 
 @dataclass(frozen=True)
@@ -284,6 +266,15 @@ def empirical_sq_loss(f: QFunction, xs, as_, ys) -> float:
         raise FunctionClassError("empirical loss requires a nonempty sample list")
     ys = np.asarray(ys, dtype=float)
     return float(np.mean((f.values(xs, as_) - ys) ** 2))
+
+
+def tabular_shape(fclass: FunctionClass) -> tuple[int, int] | None:
+    """(S, A) of a finite or abstraction class's tables; None for a linear class."""
+    if fclass.variant == "finite":
+        return fclass.tables[0].shape
+    if fclass.variant == "abstraction":
+        return len(fclass.blocks), fclass.num_actions
+    return None
 
 
 def greedy_policy(q_funcs: Sequence[QFunction], num_states: int, num_actions: int) -> Policy:

@@ -11,8 +11,8 @@ from typing import Callable
 import numpy as np
 
 from .basealg import DELTA_MAX, BaseAlgorithm, QSequence, fitted_q_discounted
-from .dataset import OfflineDataset, StepData, split_dataset
-from .funcclass import FunctionClass, NestedSequence, QFunction, greedy_policy
+from .dataset import DataSplit, OfflineDataset, StepData, split_dataset
+from .funcclass import FunctionClass, NestedSequence, QFunction, greedy_policy, tabular_shape
 from .mdp import Policy
 
 ZETA_CONSTANT = 96.0
@@ -78,12 +78,6 @@ class ToleranceSchedule:
         return 2.0 * self.alpha(k_prime) + 2.0 * self.zeta_value + self._omega_at(k)
 
 
-def regress_to_targets(fclass: FunctionClass, step: StepData,
-                       next_values: np.ndarray) -> QFunction:
-    """ERM over fclass of ((x, a) -> r + f_{h+1}(x')) on one training slot."""
-    return fclass.erm(step.x, step.a, step.r + next_values)
-
-
 def validation_loss(f: QFunction, step: StepData, next_values: np.ndarray) -> float:
     """Mean squared residual of f against r + f_{h+1}(x') on a validation slot."""
     if len(step) == 0:
@@ -137,13 +131,64 @@ class SelectionTrace:
         return "\n".join(lines) + "\n"
 
 
-def _tabular_shape(classes: NestedSequence) -> tuple[int, int] | None:
-    c = classes[len(classes)]
-    if c.variant == "finite":
-        return c.tables[0].shape
-    if c.variant == "abstraction":
-        return len(c.blocks), c.num_actions
-    return None
+def _eliminate(split: DataSplit, classes: NestedSequence, sched: ToleranceSchedule,
+               fit: Callable[[FunctionClass], QSequence],
+               next_values: Callable[[QSequence, int, np.ndarray], np.ndarray],
+               refit_comparator: bool, seed: int) -> SelectionTrace:
+    """The elimination loop shared by both selection variants.
+
+    For the current k: fit the base learner, build each step's regression
+    targets r + next_values(f^k, h, x') and the comparator's validation loss
+    once, then test every (k', h). The comparator is f^k itself, or with
+    refit_comparator the same-class re-regression g^k onto those targets.
+    Any failing (k', h) rejects k (k += 1); all H steps of a (k, k') pair are
+    recorded even after the first failure.
+    """
+    M = len(classes)
+    events: list[TraceEvent] = []
+    base_calls = 0
+    erm_calls = 0
+    k = 1
+    fseq: QSequence | None = None
+    fitted_k = 0
+    while k < M:
+        fseq = fit(classes[k])
+        base_calls += 1
+        fitted_k = k
+        tests = []          # per step: (train slot, targets, valid slot, next values, loss_f)
+        for h, (train_step, valid_step) in enumerate(zip(split.train.steps, split.valid.steps), 1):
+            targets = train_step.r + next_values(fseq, h, train_step.x_next)
+            next_valid = next_values(fseq, h, valid_step.x_next)
+            if refit_comparator:
+                comparator = classes[k].erm(train_step.x, train_step.a, targets)
+                erm_calls += 1
+            else:
+                comparator = fseq.func(h)
+            loss_f = validation_loss(comparator, valid_step, next_valid)
+            tests.append((train_step, targets, valid_step, next_valid, loss_f))
+        rejected = False
+        for k_prime in range(k + 1, M + 1):
+            tol = sched.tol(k, k_prime)
+            for h, (train_step, targets, valid_step, next_valid, loss_f) in enumerate(tests, 1):
+                g_h = classes[k_prime].erm(train_step.x, train_step.a, targets)
+                erm_calls += 1
+                loss_g = validation_loss(g_h, valid_step, next_valid)
+                rej = generalization_test(loss_g, loss_f, tol)
+                events.append(TraceEvent(k, k_prime, h, loss_g, loss_f, tol, rej))
+                rejected = rejected or rej
+            if rejected:
+                k += 1
+                break
+        if not rejected:
+            break
+    if fitted_k != k:
+        # k reached M through a rejection (or M = 1): the returned policy must
+        # come from a class that was actually trained on.
+        fseq = fit(classes[k])
+        base_calls += 1
+    shape = tabular_shape(classes[M])
+    policy = greedy_policy(fseq.funcs, *shape) if shape is not None else None
+    return SelectionTrace(k, fseq, policy, events, base_calls, erm_calls, seed, sched.mode)
 
 
 def modbe(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequence,
@@ -158,51 +203,12 @@ def modbe(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequence,
     """
     if not 0.0 < delta <= DELTA_MAX:
         raise SelectionError(f"delta must lie in (0, 1/e], got {delta}")
-    M = len(classes)
-    H = dataset.horizon
     split = split_dataset(dataset, seed)
-    sched = ToleranceSchedule(schedule, classes, H, delta,
+    sched = ToleranceSchedule(schedule, classes, dataset.horizon, delta,
                               split.train.n, split.valid.n, dataset.n, base.omega)
-    events: list[TraceEvent] = []
-    base_calls = 0
-    erm_calls = 0
-    k = 1
-    fseq: QSequence | None = None
-    fitted_k = 0
-    while k < M:
-        fseq = base.fit(split.train.steps, classes[k])
-        base_calls += 1
-        fitted_k = k
-        rejected = False
-        for k_prime in range(k + 1, M + 1):
-            tol = sched.tol(k, k_prime)
-            any_fail = False
-            for h in range(1, H + 1):
-                train_step = split.train.steps[h - 1]
-                valid_step = split.valid.steps[h - 1]
-                g_h = regress_to_targets(classes[k_prime], train_step,
-                                         fseq.next_state_values(h, train_step.x_next))
-                erm_calls += 1
-                next_valid = fseq.next_state_values(h, valid_step.x_next)
-                loss_g = validation_loss(g_h, valid_step, next_valid)
-                loss_f = validation_loss(fseq.func(h), valid_step, next_valid)
-                rej = generalization_test(loss_g, loss_f, tol)
-                events.append(TraceEvent(k, k_prime, h, loss_g, loss_f, tol, rej))
-                any_fail = any_fail or rej
-            if any_fail:
-                k += 1
-                rejected = True
-                break
-        if not rejected:
-            break
-    if fitted_k != k:
-        # k reached M through a rejection (or M = 1): the returned policy must
-        # come from a class that was actually trained on.
-        fseq = base.fit(split.train.steps, classes[k])
-        base_calls += 1
-    shape = _tabular_shape(classes)
-    policy = greedy_policy(fseq.funcs, *shape) if shape is not None else None
-    return SelectionTrace(k, fseq, policy, events, base_calls, erm_calls, seed, schedule)
+    return _eliminate(split, classes, sched,
+                      lambda fclass: base.fit(split.train.steps, fclass),
+                      QSequence.next_state_values, refit_comparator=False, seed=seed)
 
 
 def modbe_discounted(data: StepData, classes: NestedSequence, gamma: float,
@@ -221,10 +227,8 @@ def modbe_discounted(data: StepData, classes: NestedSequence, gamma: float,
         raise SelectionError(f"gamma must lie in [0, 1), got {gamma}")
     if base_fit is None:
         base_fit = lambda step, fclass: fitted_q_discounted(step, fclass, gamma, iterations)
-    M = len(classes)
-    ds = OfflineDataset((data,), {"seed": seed, "generator": "flat"})
-    split = split_dataset(ds, seed)
-    train, valid = split.train.steps[0], split.valid.steps[0]
+    split = split_dataset(OfflineDataset((data,), {"seed": seed, "generator": "flat"}), seed)
+    train = split.train.steps[0]
     cap = 1.0 / (1.0 - gamma)
     # single-loss schedule: the discounted variant has one regression problem,
     # so the theoretical constants are used with an effective horizon of 1
@@ -233,44 +237,14 @@ def modbe_discounted(data: StepData, classes: NestedSequence, gamma: float,
         omega = lambda n, d, fclass: ALPHA_CONSTANT * (fclass.complexity
                                                        + math.log(16.0 / d)) / n
     sched = ToleranceSchedule(schedule, classes, 1, delta,
-                              len(train), len(valid), len(data), omega)
-    events: list[TraceEvent] = []
-    base_calls = 0
-    erm_calls = 0
-    k = 1
-    f_k: QFunction | None = None
-    fitted_k = 0
-    while k < M:
-        f_k = base_fit(train, classes[k])
-        base_calls += 1
-        fitted_k = k
+                              split.train.n, split.valid.n, len(data), omega)
+
+    def fit(fclass):
+        return QSequence((base_fit(train, fclass),), fclass.class_index, "fitted_q_discounted")
+
+    def next_values(fseq, _h, xs):
         if gamma == 0.0:
-            train_targets = train.r
-            valid_targets = valid.r
-        else:
-            train_targets = train.r + gamma * np.clip(f_k.max_values(train.x_next), 0.0, cap)
-            valid_targets = valid.r + gamma * np.clip(f_k.max_values(valid.x_next), 0.0, cap)
-        g_k = classes[k].erm(train.x, train.a, train_targets)
-        erm_calls += 1
-        loss_gk = float(np.mean((g_k.values(valid.x, valid.a) - valid_targets) ** 2))
-        rejected = False
-        for k_prime in range(k + 1, M + 1):
-            g_kp = classes[k_prime].erm(train.x, train.a, train_targets)
-            erm_calls += 1
-            loss_gkp = float(np.mean((g_kp.values(valid.x, valid.a) - valid_targets) ** 2))
-            tol = sched.tol(k, k_prime)
-            rej = generalization_test(loss_gkp, loss_gk, tol)
-            events.append(TraceEvent(k, k_prime, 1, loss_gkp, loss_gk, tol, rej))
-            if rej:
-                k += 1
-                rejected = True
-                break
-        if not rejected:
-            break
-    if fitted_k != k:
-        f_k = base_fit(train, classes[k])
-        base_calls += 1
-    qseq = QSequence((f_k,), k, "fitted_q_discounted")
-    shape = _tabular_shape(classes)
-    policy = greedy_policy(qseq.funcs, *shape) if shape is not None else None
-    return SelectionTrace(k, qseq, policy, events, base_calls, erm_calls, seed, schedule)
+            return np.zeros(len(xs))
+        return gamma * np.clip(fseq.func(1).max_values(xs), 0.0, cap)
+
+    return _eliminate(split, classes, sched, fit, next_values, refit_comparator=True, seed=seed)

@@ -11,8 +11,8 @@ from modbe import (AbstractionClass, FiniteClass, LinearClass, NestedSequence,
                    generate_from_mu, make_fqi, modbe)
 from modbe.basealg import fqi, fqi_oracle, omega_fqi
 from modbe.evaluation import (CBInstance, ExperimentConfig, chain_classes,
-                              chain_mdp, never_overshoot_instance, run_bias_cell,
-                              run_cb_cell, run_experiment, run_rl_cell, uniform_mu,
+                              chain_mdp, never_overshoot_instance, run_cb_cell,
+                              run_experiment, run_rl_cell, uniform_mu,
                               write_results_csv)
 from modbe.mdp import (concentrability, greedy_policy_from_tables, max_reach,
                        optimal_q, perf_diff_bound, policy_value, regret)
@@ -150,8 +150,8 @@ def test_criterion_7_holdout_failure_mode(capsys):
     holdout_picks_biased = 0
     modbe_picks_biased = 0
     for seed in range(20):
-        for _n, _s, method, k, _reg, _ms in run_bias_cell(
-                2000, seed, ["modbe", "holdout"], "practical", 0.1):
+        for _n, _s, method, k, _reg, _ms in run_rl_cell(
+                2000, seed, ["modbe", "holdout"], "practical", 0.1, "holdout_bias"):
             if method == "holdout" and k == 1:
                 holdout_picks_biased += 1
             if method == "modbe" and k == 1:

@@ -139,6 +139,14 @@ class TestRunModBE:
         assert rc == 1
 
 
+    def test_delta_out_of_range_is_usage_error(self, chain_data, capsys):
+        _, cls_path, data_path = chain_data
+        rc = cli.main(["run-modbe", "--data", data_path, "--classes", cls_path,
+                       "--delta", "0.9"])
+        assert rc == 1
+        assert "error: delta must lie in (0, 1/e]" in capsys.readouterr().err
+
+
 class TestRunHoldout:
     def test_prints_all_scores(self, chain_data, capsys):
         _, cls_path, data_path = chain_data
@@ -204,6 +212,15 @@ class TestBench:
         rc = cli.main(["bench", "--config", str(cfg)])
         assert rc == 1
         assert "unknown instance" in capsys.readouterr().err
+
+    def test_bad_fixed_index(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("instance = chain\nn_list = 40\nseeds = 0\nmethods = modbe, fixed-9\n"
+                       f"output = {tmp_path / 'x.csv'}\n")
+        rc = cli.main(["bench", "--config", str(cfg)])
+        assert rc == 1
+        assert "'fixed-9': class index outside [1, 3]" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from modbe import (AbstractionClass, FiniteClass, NestedSequence, TabularMDP,
-                   generate_from_mu, make_fqi, modbe)
+                   generate_from_mu, make_fqi, modbe, split_dataset)
+from modbe import evaluation
 from modbe.basealg import fqi_oracle
 from modbe.mdp import squared_bellman_errors
 from modbe.evaluation import (CBInstance, EvalError, ExperimentConfig, approx_error,
-                              chain_classes, chain_mdp, diagnose, global_xi,
+                              chain_classes, chain_mdp, diagnose, fit_each_class, global_xi,
                               holdout_bias_instance, holdout_select,
                               never_overshoot_instance, oracle_select, parse_config,
                               run_cb_cell, run_experiment, run_rl_cell, summarize,
@@ -105,7 +106,9 @@ class TestBaselines:
         mdp = random_mdp(rng, 2, 2, 2)
         ds = generate_from_mu(mdp, np.full((2, 2, 2), 0.25), 50, seed=0)
         classes = NestedSequence((AbstractionClass(np.arange(2), 2, clip_high=2.0),))
-        k, _seq, scores = holdout_select(ds, make_fqi(2), classes)
+        split = split_dataset(ds, 0)
+        k, scores = holdout_select(split.valid.steps,
+                                   fit_each_class(make_fqi(2), split.train.steps, classes))
         assert k == 1 and len(scores) == 1
 
     def test_holdout_tie_breaks_to_smallest(self, rng):
@@ -113,13 +116,17 @@ class TestBaselines:
         ds = generate_from_mu(mdp, np.full((2, 2, 2), 0.25), 50, seed=1)
         cls = AbstractionClass(np.arange(2), 2, clip_high=2.0)
         classes = NestedSequence((cls, AbstractionClass(np.arange(2), 2, clip_high=2.0)))
-        k, _seq, scores = holdout_select(ds, make_fqi(2), classes)
+        split = split_dataset(ds, 0)
+        k, scores = holdout_select(split.valid.steps,
+                                   fit_each_class(make_fqi(2), split.train.steps, classes))
         assert k == 1 and scores[0] == scores[1]
 
     def test_oracle_picks_min_regret(self):
         mdp = chain_mdp()
         ds = generate_from_mu(mdp, uniform_mu(mdp), 2000, seed=2)
-        k, _seq, regrets = oracle_select(ds, make_fqi(4), chain_classes(), mdp)
+        split = split_dataset(ds, 0)
+        k, regrets = oracle_select(mdp, fit_each_class(make_fqi(4), split.train.steps,
+                                                       chain_classes()))
         assert regrets[k - 1] == min(regrets)
 
     def test_holdout_bias_instance_margins(self):
@@ -191,6 +198,25 @@ class TestExperimentPlumbing:
         path.write_text("instance = chain\n")
         with pytest.raises(EvalError):
             parse_config(str(path))
+
+    def test_unknown_keys_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("instance = chain\nn_list = 100\nseeds = 0\nmethods = modbe\n"
+                        "gamma = 0.5\nshedule = theoretical\n")
+        with pytest.raises(EvalError, match="'gamma', 'shedule'"):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("instance, method", [
+        ("chain", "magic"), ("chain", "fixed-0"), ("chain", "fixed-4"),
+        ("holdout_bias", "fixed-3"), ("cb", "fixed-11")])
+    def test_bad_method_rejected_before_any_cell(self, monkeypatch, instance, method):
+        def no_cell(*_args, **_kwargs):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(evaluation, "run_rl_cell", no_cell)
+        monkeypatch.setattr(evaluation, "run_cb_cell", no_cell)
+        cfg = ExperimentConfig(instance, [100], [0], ["modbe", method])
+        with pytest.raises(EvalError):
+            run_experiment(cfg)
 
     def test_jobs_do_not_change_results(self):
         cfg = ExperimentConfig("chain", [100], [0, 1, 2, 3], ["modbe", "fixed"],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from modbe import (AbstractionClass, FiniteClass, LinearClass, NestedSequence,
                    empirical_sq_loss, greedy_policy, load_sequence, save_sequence)
-from modbe.funcclass import ABSTRACTION_QUANTUM, FunctionClassError, TableQ
+from modbe.funcclass import ABSTRACTION_QUANTUM, FunctionClassError, TableQ, tabular_shape
 
 
 def simple_finite(clip=None):
@@ -72,12 +72,12 @@ class TestERM:
     def test_abstraction_single_block_mean(self):
         cls = AbstractionClass(np.zeros(3, dtype=int), num_actions=1)
         f = cls.erm([0, 1, 2], [0, 0, 0], [0.0, 1.0, 2.0])
-        assert f.block_values[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert f.table[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_abstraction_clip_applies(self):
         cls = AbstractionClass(np.zeros(2, dtype=int), num_actions=1, clip_high=1.0)
         f = cls.erm([0, 1], [0, 0], [3.0, 5.0])
-        assert f.block_values[0, 0] == 1.0
+        assert f.table[0, 0] == 1.0
 
     def test_empty_samples_rejected(self):
         with pytest.raises(FunctionClassError):
@@ -126,7 +126,14 @@ class TestERM:
         weights = np.array([[0.25], [0.75]])
         target = np.array([[0.0], [1.0]])
         f = cls.population_erm(weights, target)
-        assert f.block_values[0, 0] == pytest.approx(0.75, abs=1e-12)
+        assert f.table[0, 0] == pytest.approx(0.75, abs=1e-12)
+
+
+class TestTabularShape:
+    def test_shape_per_variant(self):
+        assert tabular_shape(FiniteClass((np.zeros((3, 2)),))) == (3, 2)
+        assert tabular_shape(AbstractionClass(np.array([0, 0, 1]), num_actions=2)) == (3, 2)
+        assert tabular_shape(LinearClass(ident_features(1), dim=1)) is None
 
 
 class TestComplexity:

@@ -10,7 +10,7 @@ from modbe.dataset import StepData, split_dataset
 from modbe.funcclass import TableQ
 from modbe.mdp import occupancy, optimal_q
 from modbe.selection import (SelectionError, ToleranceSchedule, generalization_test,
-                             regress_to_targets, validation_loss)
+                             validation_loss)
 from modbe.evaluation import chain_classes, chain_mdp, uniform_mu
 
 from conftest import random_mdp
@@ -109,8 +109,8 @@ class TestLossPieces:
         ds = generate_from_mu(mdp, np.full((2, 3, 2), 1 / 6), 40, seed=0)
         cls = AbstractionClass(np.arange(3), 2, clip_high=2.0)
         fseq = fqi(ds.steps, cls)
-        g = regress_to_targets(cls, ds.steps[0],
-                               fseq.next_state_values(1, ds.steps[0].x_next))
+        step = ds.steps[0]
+        g = cls.erm(step.x, step.a, step.r + fseq.next_state_values(1, step.x_next))
         xs, as_ = np.divmod(np.arange(6), 2)
         assert np.array_equal(g.values(xs, as_), fseq.func(1).values(xs, as_))
 
@@ -253,6 +253,21 @@ class TestModbeDiscounted:
                                      schedule="practical", seed=seed)
             hits += trace.k_hat == 2
         assert hits >= 8
+
+    def test_gamma_zero_matches_modbe_at_horizon_one(self):
+        # at H = 1 the re-regression g^k solves the same problem as the FQI
+        # fit f^k, so both variants take the same decisions on the same data
+        classes = chain_classes(4, 1)
+        rejections = 0
+        for seed in range(20):
+            mdp = random_mdp(np.random.default_rng(seed), 4, 2, 1)
+            ds = generate_from_mu(mdp, uniform_mu(mdp), 300, seed=seed)
+            a = modbe(ds, make_fqi(1), classes, 0.1, "practical", seed)
+            b = modbe_discounted(ds.steps[0], classes, 0.0, 0.1, "practical", seed)
+            assert a.events == b.events
+            assert a.k_hat == b.k_hat
+            rejections += sum(e.reject for e in a.events)
+        assert rejections > 0              # the reject path is exercised too
 
     def test_gamma_validated(self):
         data = StepData([0], [0], [0.5], [0])
