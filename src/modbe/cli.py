@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run a benchmark sweep from a config file")
     b.add_argument("--config", required=True, help="plain-text key=value config file")
-    b.add_argument("--jobs", type=int, default=1, help="parallel cell workers (default: 1)")
+    b.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers, one seed each (default: 1)")
     b.add_argument("--no-runtime", action="store_true",
                    help="leave runtime_ms empty for byte-stable output")
     b.set_defaults(func=cmd_bench)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basealg import BaseAlgorithm, QSequence, make_fqi
+from .basealg import DELTA_MAX, BaseAlgorithm, QSequence, make_fqi
 from .dataset import OfflineDataset, StepData, generate_from_mu, split_dataset
 from .funcclass import (ABSTRACTION_QUANTUM, AbstractionClass, FiniteClass, FunctionClass,
                         LinearClass, NestedSequence, greedy_policy)
@@ -298,7 +298,8 @@ class CBInstance:
     def sample_features(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """(n, num_actions, ambient_dim) independent Gaussian features."""
         z = rng.standard_normal((n, self.num_actions, self.ambient_dim))
-        return z * self.scales[None, :, :]
+        z *= self.scales
+        return z
 
     def mean_rewards(self, features: np.ndarray) -> np.ndarray:
         return features @ self.theta
@@ -334,6 +335,10 @@ class ExperimentConfig:
             raise EvalError("all n values must be at least 5")
         if len(set(self.seeds)) != len(self.seeds):
             raise EvalError("seeds must be distinct")
+        if self.schedule not in ("practical", "theoretical"):
+            raise EvalError(f"schedule must be practical or theoretical, got {self.schedule!r}")
+        if not 0.0 < self.delta <= DELTA_MAX:     # NaN fails the comparison too
+            raise EvalError(f"delta must lie in (0, 1/e], got {self.delta}")
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -351,14 +356,25 @@ def parse_config(path: str) -> ExperimentConfig:
     if unknown:
         raise EvalError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}; "
                         f"accepted: {', '.join(CONFIG_KEYS)}")
+
+    def number(key, convert, default=None):
+        text = values[key] if default is None else values.get(key, default)
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise EvalError(f"{path}: config key {key!r}: {exc}") from exc
+
+    def int_list(text):
+        return [int(t) for t in text.split(",")]
+
     try:
         return ExperimentConfig(
             instance=values["instance"],
-            n_list=[int(t) for t in values["n_list"].split(",")],
-            seeds=[int(t) for t in values["seeds"].split(",")],
+            n_list=number("n_list", int_list),
+            seeds=number("seeds", int_list),
             methods=[t.strip() for t in values["methods"].split(",")],
             schedule=values.get("schedule", "practical"),
-            delta=float(values.get("delta", "0.1")),
+            delta=number("delta", float, "0.1"),
             output=values.get("output", "results.csv"),
         )
     except KeyError as exc:
@@ -427,9 +443,22 @@ def run_rl_cell(n: int, seed: int, methods: Sequence[str], schedule: str,
 CB_EVAL_CONTEXTS = 10_000
 
 
+def cb_eval_set(instance: CBInstance, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A seed's regret-evaluation contexts and their mean rewards.
+
+    Drawn from the stream (seed, 1), which does not depend on n, so every
+    cell of one seed shares the same set.
+    """
+    eval_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 1))))
+    eval_feats = instance.sample_features(CB_EVAL_CONTEXTS, eval_rng)
+    return eval_feats, instance.mean_rewards(eval_feats)
+
+
 def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
-                delta: float = 0.1, schedule: str = "practical") -> list[tuple]:
-    """All requested methods on one (n, seed) cell of the contextual bandit."""
+                eval_set: tuple[np.ndarray, np.ndarray], delta: float = 0.1,
+                schedule: str = "practical") -> list[tuple]:
+    """All requested methods on one (n, seed) cell of the contextual bandit;
+    eval_set is cb_eval_set(instance, seed)."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0, n))))
     feats = instance.sample_features(n, rng)
     means = instance.mean_rewards(feats)
@@ -439,9 +468,7 @@ def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
     classes = instance.classes(feats)
     methods = _expand_methods(methods, len(classes))
 
-    eval_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 1))))
-    eval_feats = instance.sample_features(CB_EVAL_CONTEXTS, eval_rng)
-    eval_means = instance.mean_rewards(eval_feats)
+    eval_feats, eval_means = eval_set
     best_mean = eval_means.max(axis=1).mean()
 
     def policy_regret(f):
@@ -477,30 +504,39 @@ def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
     return rows
 
 
-def _run_one_cell(args):
-    n, seed, cfg = args
+def _run_one_seed(args):
+    """Every n of one seed. A CB seed's evaluation set is drawn here, once,
+    and freed before the next seed's is drawn."""
+    seed, cfg = args
     if cfg.instance == "cb":
-        return run_cb_cell(n, seed, cfg.methods, CBInstance(), cfg.delta, cfg.schedule)
-    return run_rl_cell(n, seed, cfg.methods, cfg.schedule, cfg.delta, cfg.instance)
+        instance = CBInstance()
+        eval_set = cb_eval_set(instance, seed)
+        return [row for n in cfg.n_list
+                for row in run_cb_cell(n, seed, cfg.methods, instance, eval_set,
+                                       cfg.delta, cfg.schedule)]
+    return [row for n in cfg.n_list
+            for row in run_rl_cell(n, seed, cfg.methods, cfg.schedule, cfg.delta, cfg.instance)]
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
                    record_runtime: bool = True) -> list[tuple]:
     """Run every (n, seed) cell; output rows sorted deterministically.
 
-    Cells are independent and may execute in parallel; results are identical
-    for any job count (runtimes excepted, which is why record_runtime exists).
+    The seed is the unit of work: one task runs all of a seed's n values, so
+    more jobs than seeds leaves workers idle. Seeds are independent and may
+    execute in parallel; results are identical for any job count (runtimes
+    excepted, which is why record_runtime exists).
     """
     # reject an unknown instance or method before any cell runs
     num_classes = len(CB_DIMS) if cfg.instance == "cb" else len(_tabular_instance(cfg.instance)[1])
     _expand_methods(cfg.methods, num_classes)
-    cells = [(n, seed, cfg) for n in cfg.n_list for seed in cfg.seeds]
+    tasks = [(seed, cfg) for seed in cfg.seeds]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_run_one_cell, cells))
+            chunks = list(pool.map(_run_one_seed, tasks))
     else:
-        chunks = [_run_one_cell(c) for c in cells]
+        chunks = [_run_one_seed(t) for t in tasks]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     if not record_runtime:

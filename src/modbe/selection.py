@@ -225,6 +225,8 @@ def modbe_discounted(data: StepData, classes: NestedSequence, gamma: float,
     """
     if not 0.0 <= gamma < 1.0:
         raise SelectionError(f"gamma must lie in [0, 1), got {gamma}")
+    if not 0.0 < delta <= DELTA_MAX:
+        raise SelectionError(f"delta must lie in (0, 1/e], got {delta}")
     if base_fit is None:
         base_fit = lambda step, fclass: fitted_q_discounted(step, fclass, gamma, iterations)
     split = split_dataset(OfflineDataset((data,), {"seed": seed, "generator": "flat"}), seed)

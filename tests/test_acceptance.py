@@ -10,7 +10,7 @@ import pytest
 from modbe import (AbstractionClass, FiniteClass, LinearClass, NestedSequence,
                    generate_from_mu, make_fqi, modbe)
 from modbe.basealg import fqi, fqi_oracle, omega_fqi
-from modbe.evaluation import (CBInstance, ExperimentConfig, chain_classes,
+from modbe.evaluation import (CBInstance, ExperimentConfig, cb_eval_set, chain_classes,
                               chain_mdp, never_overshoot_instance, run_cb_cell,
                               run_experiment, run_rl_cell, uniform_mu,
                               write_results_csv)
@@ -128,14 +128,17 @@ def test_criterion_6_cb_replication(capsys):
     inst = CBInstance()
     n_list = (200, 500, 1000, 2000, 5000)
     means: dict[str, dict] = {"modbe": {}, "oracle": {}, "fixed-1": {}}
-    for n in n_list:
-        cells: dict[str, list] = {m: [] for m in means}
-        for seed in range(10):
+    # seed-major, so each seed's evaluation set is drawn once for all n
+    cells: dict[tuple, list] = {(m, n): [] for m in means for n in n_list}
+    for seed in range(10):
+        eval_set = cb_eval_set(inst, seed)
+        for n in n_list:
             for _n, _s, method, _k, reg, _ms in run_cb_cell(
-                    n, seed, ["modbe", "oracle", "fixed-1"], inst, 0.1):
-                cells[method].append(reg)
-        for m in means:
-            means[m][n] = float(np.mean(cells[m]))
+                    n, seed, ["modbe", "oracle", "fixed-1"], inst, eval_set, 0.1):
+                cells[method, n].append(reg)
+    for m in means:
+        for n in n_list:
+            means[m][n] = float(np.mean(cells[m, n]))
     curve = [means["modbe"][n] for n in n_list]
     monotone = all(b <= a for a, b in zip(curve, curve[1:]))
     near_oracle = means["modbe"][5000] <= 2.0 * means["oracle"][5000]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modbe import cli
+from modbe import evaluation as ev
 from modbe.dataset import load_dataset_csv
 from modbe.evaluation import chain_classes, chain_mdp
 from modbe.funcclass import FiniteClass, NestedSequence, save_sequence
@@ -220,6 +221,35 @@ class TestBench:
         rc = cli.main(["bench", "--config", str(cfg)])
         assert rc == 1
         assert "'fixed-9': class index outside [1, 3]" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("key, text", [
+        ("n_list", "abc"), ("seeds", "1.5"), ("delta", "x")])
+    def test_malformed_number(self, tmp_path, capsys, key, text):
+        values = {"instance": "chain", "n_list": "40", "seeds": "0", "methods": "modbe",
+                  "output": str(tmp_path / "x.csv"), key: text}
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        rc = cli.main(["bench", "--config", str(cfg)])
+        assert rc == 1
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        ("instance = cb\nmethods = modbe\ndelta = 0.9\n", "delta must"),
+        ("instance = chain\nmethods = holdout\nschedule = magic\n", "schedule must"),
+        ("instance = chain\nmethods = modbe\ndelta = nan\n", "delta must")])
+    def test_bad_schedule_or_delta_rejected_before_any_cell(self, tmp_path, capsys,
+                                                            monkeypatch, lines, message):
+        def no_cell(*_args, **_kwargs):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(ev, "run_rl_cell", no_cell)
+        monkeypatch.setattr(ev, "run_cb_cell", no_cell)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"n_list = 200\nseeds = 0\noutput = {tmp_path / 'x.csv'}\n" + lines)
+        rc = cli.main(["bench", "--config", str(cfg), "--no-runtime"])
+        assert rc == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_config_key(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from modbe import (AbstractionClass, FiniteClass, NestedSequence, TabularMDP,
 from modbe import evaluation
 from modbe.basealg import fqi_oracle
 from modbe.mdp import squared_bellman_errors
-from modbe.evaluation import (CBInstance, EvalError, ExperimentConfig, approx_error,
+from modbe.evaluation import (CBInstance, EvalError, ExperimentConfig, approx_error, cb_eval_set,
                               chain_classes, chain_mdp, diagnose, fit_each_class, global_xi,
                               holdout_bias_instance, holdout_select,
                               never_overshoot_instance, oracle_select, parse_config,
@@ -170,7 +170,8 @@ class TestCBInstance:
 
     def test_fixed_15_regret_floor(self):
         # missing active features: regret cannot vanish no matter the n
-        rows = run_cb_cell(5000, 0, ["fixed-1"], CBInstance())
+        inst = CBInstance()
+        rows = run_cb_cell(5000, 0, ["fixed-1"], inst, cb_eval_set(inst, 0))
         assert rows[0][4] > 0.1
 
     def test_class_dims_match_spec_family(self):
@@ -224,6 +225,24 @@ class TestExperimentPlumbing:
         a = run_experiment(cfg, jobs=1, record_runtime=False)
         b = run_experiment(cfg, jobs=4, record_runtime=False)
         assert a == b
+
+    def test_cb_jobs_do_not_change_results(self):
+        cfg = ExperimentConfig("cb", [200, 500], [0, 1], ["modbe", "oracle", "fixed-1"])
+        a = run_experiment(cfg, jobs=1, record_runtime=False)
+        b = run_experiment(cfg, jobs=2, record_runtime=False)
+        assert a == b
+
+    def test_cb_eval_set_drawn_once_per_seed(self, monkeypatch):
+        seeds = []
+
+        def counting(instance, seed):
+            seeds.append(seed)
+            return cb_eval_set(instance, seed)
+        monkeypatch.setattr(evaluation, "cb_eval_set", counting)
+        cfg = ExperimentConfig("cb", [200, 500], [0, 1], ["fixed-1"])
+        rows = run_experiment(cfg, jobs=1, record_runtime=False)
+        assert seeds == [0, 1]
+        assert len(rows) == 4
 
     def test_rows_sorted_and_regret_in_range(self):
         cfg = ExperimentConfig("chain", [100, 200], [1, 0], ["modbe"],

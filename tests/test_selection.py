@@ -275,6 +275,13 @@ class TestModbeDiscounted:
         with pytest.raises(SelectionError):
             modbe_discounted(data, classes, gamma=1.0)
 
+    @pytest.mark.parametrize("schedule", ["practical", "theoretical"])
+    def test_delta_validated(self, schedule):
+        data = StepData([0], [0], [0.5], [0])
+        classes = NestedSequence((AbstractionClass(np.zeros(1, dtype=int), 1),))
+        with pytest.raises(SelectionError, match="delta"):
+            modbe_discounted(data, classes, gamma=0.0, delta=0.9, schedule=schedule)
+
 
 class TestTraceSerialization:
     def test_event_lines_and_summary(self):
