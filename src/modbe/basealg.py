@@ -27,8 +27,6 @@ class QSequence:
     """Value approximators f_1..f_H with the implicit f_{H+1} = 0."""
 
     funcs: tuple
-    class_index: int = 0
-    algorithm: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "funcs", tuple(self.funcs))
@@ -57,7 +55,6 @@ class BaseAlgorithm:
     be monotone in class complexity and decreasing in n.
     """
 
-    name: str
     fit: Callable[[Sequence[StepData], FunctionClass], QSequence]
     omega: Callable[[int, float, FunctionClass], float]
 
@@ -80,7 +77,7 @@ def fqi(train_steps: Sequence[StepData], fclass: FunctionClass) -> QSequence:
         else:
             next_vals = np.zeros(len(step))
         funcs[h - 1] = fclass.erm(step.x, step.a, step.r + next_vals)
-    return QSequence(tuple(funcs), fclass.class_index, "fqi")
+    return QSequence(tuple(funcs))
 
 
 def omega_fqi(n: int, delta: float, fclass: FunctionClass, horizon: int) -> float:
@@ -98,11 +95,8 @@ def omega_fqi(n: int, delta: float, fclass: FunctionClass, horizon: int) -> floa
 
 
 def make_fqi(horizon: int) -> BaseAlgorithm:
-    return BaseAlgorithm(
-        name="fqi",
-        fit=fqi,
-        omega=lambda n, delta, fclass: omega_fqi(n, delta, fclass, horizon),
-    )
+    return BaseAlgorithm(fit=fqi,
+                         omega=lambda n, delta, fclass: omega_fqi(n, delta, fclass, horizon))
 
 
 def fqi_oracle(mdp: TabularMDP, mu: np.ndarray, fclass: FunctionClass) -> QSequence:
@@ -121,7 +115,7 @@ def fqi_oracle(mdp: TabularMDP, mu: np.ndarray, fclass: FunctionClass) -> QSeque
         target = bellman_backup(mdp, h, next_table)
         funcs[h - 1] = fclass.population_erm(mu[h - 1], target)
         next_table = funcs[h - 1].values(xs_grid, as_grid).reshape(S, A)
-    return QSequence(tuple(funcs), fclass.class_index, "fqi_oracle")
+    return QSequence(tuple(funcs))
 
 
 def fitted_q_discounted(data: StepData, fclass: FunctionClass, gamma: float,

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -18,6 +19,17 @@ EXIT_RUNTIME = 2
 
 class CLIError(Exception):
     """Input-validation failure: bad flag value or malformed file."""
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"      # argparse names the type in its "invalid int value" message
+    return parse
 
 
 def _load_mdp(path: str) -> mdp_mod.TabularMDP:
@@ -134,6 +146,9 @@ def cmd_bench(args) -> int:
         cfg = ev.parse_config(args.config)
     except (OSError, ev.EvalError) as exc:
         raise CLIError(f"--config: {exc}") from exc
+    out_dir = os.path.dirname(cfg.output) or "."
+    if not os.path.isdir(out_dir):
+        raise CLIError(f"--config: output directory {out_dir!r} does not exist")
     rows = ev.run_experiment(cfg, jobs=args.jobs, record_runtime=not args.no_runtime)
     ev.write_results_csv(rows, cfg.output)
     print(ev.summarize(rows), end="")
@@ -151,8 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--mdp", required=True, help="MDP file (plain-text format)")
     g.add_argument("--behavior", default="uniform",
                    help="'uniform' or a whitespace policy file of H*S*A probabilities")
-    g.add_argument("--n", type=int, required=True, help="samples per step (>= 5)")
-    g.add_argument("--seed", type=int, default=0, help="generation seed")
+    g.add_argument("--n", type=_int_at_least(ds.MIN_SAMPLES), required=True,
+                   help=f"samples per step (>= {ds.MIN_SAMPLES})")
+    g.add_argument("--seed", type=_int_at_least(0), default=0, help="generation seed (>= 0)")
     g.add_argument("--out", required=True, help="output dataset CSV path")
     g.set_defaults(func=cmd_gen_data)
 
@@ -160,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--data", required=True, help="dataset CSV")
     f.add_argument("--classes", required=True, help="nested-sequence description file")
     f.add_argument("--k", type=int, default=1, help="1-based class index (default: 1)")
-    f.add_argument("--seed", type=int, default=0, help="split seed")
+    f.add_argument("--seed", type=_int_at_least(0), default=0, help="split seed (>= 0)")
     f.add_argument("--out", default=None, help="optional output path for Q tables")
     f.set_defaults(func=cmd_run_fqi)
 
@@ -170,14 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--delta", type=float, default=0.1, help="failure probability (<= 1/e)")
     m.add_argument("--schedule", choices=["theoretical", "practical"],
                    default="theoretical", help="tolerance schedule (default: theoretical)")
-    m.add_argument("--seed", type=int, default=0, help="split seed")
+    m.add_argument("--seed", type=_int_at_least(0), default=0, help="split seed (>= 0)")
     m.add_argument("--trace", default=None, help="optional output path for the full trace")
     m.set_defaults(func=cmd_run_modbe)
 
     h = sub.add_parser("run-holdout", help="hold-out baseline selection")
     h.add_argument("--data", required=True, help="dataset CSV")
     h.add_argument("--classes", required=True, help="nested-sequence description file")
-    h.add_argument("--seed", type=int, default=0, help="split seed")
+    h.add_argument("--seed", type=_int_at_least(0), default=0, help="split seed (>= 0)")
     h.set_defaults(func=cmd_run_holdout)
 
     d = sub.add_parser("diagnose", help="ground-truth diagnostics for an instance")
@@ -189,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run a benchmark sweep from a config file")
     b.add_argument("--config", required=True, help="plain-text key=value config file")
-    b.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers, one seed each (default: 1)")
+    b.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="parallel workers (>= 1), one seed each (default: 1)")
     b.add_argument("--no-runtime", action="store_true",
                    help="leave runtime_ms empty for byte-stable output")
     b.set_defaults(func=cmd_bench)

@@ -81,7 +81,6 @@ class OfflineDataset:
 class DataSplit:
     train: OfflineDataset
     valid: OfflineDataset
-    seed: int
 
 
 def generate_from_mu(mdp: TabularMDP, mu: np.ndarray, n: int, seed: int) -> OfflineDataset:
@@ -131,8 +130,7 @@ def split_dataset(dataset: OfflineDataset, seed: int) -> DataSplit:
         train_steps.append(step.take(perm[:n_train]))
         valid_steps.append(step.take(perm[n_train:]))
     return DataSplit(OfflineDataset(tuple(train_steps), dict(dataset.meta)),
-                     OfflineDataset(tuple(valid_steps), dict(dataset.meta)),
-                     seed)
+                     OfflineDataset(tuple(valid_steps), dict(dataset.meta)))
 
 
 def save_dataset_csv(dataset: OfflineDataset, path: str) -> None:

@@ -8,7 +8,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .dataset import OfflineDataset, StepData, generate_from_mu, split_dataset
 from .funcclass import (ABSTRACTION_QUANTUM, AbstractionClass, FiniteClass, FunctionClass,
                         LinearClass, NestedSequence, greedy_policy)
 from .mdp import TabularMDP, bellman_backup, concentrability, regret
-from .selection import modbe, modbe_discounted, validation_loss
+from .selection import SelectionTrace, modbe, modbe_discounted, validation_loss
 
 ENUMERATION_CAP = 200_000   # largest member set enumerated for Approx / xi
 
@@ -139,12 +139,11 @@ def holdout_select(valid_steps: Sequence[StepData], fseqs: Sequence[QSequence]):
     return int(np.argmin(scores)) + 1, scores
 
 
-def oracle_select(mdp: TabularMDP, fseqs: Sequence[QSequence]):
-    """Hindsight-best baseline: the fitted sequence whose greedy policy has
-    the smallest true regret; needs the ground-truth MDP. Returns
+def oracle_select(regret_of: Callable[[QSequence], float], fseqs: Sequence[QSequence]):
+    """Hindsight-best baseline: the fitted sequence with the smallest true
+    regret, as scored by regret_of, which needs the ground truth. Returns
     (k, per-class regrets)."""
-    S, A = mdp.num_states, mdp.num_actions
-    regrets = [regret(mdp, greedy_policy(fseq.funcs, S, A)) for fseq in fseqs]
+    regrets = [regret_of(fseq) for fseq in fseqs]
     return int(np.argmin(regrets)) + 1, regrets
 
 
@@ -404,40 +403,61 @@ def _expand_methods(methods: Sequence[str], num_classes: int) -> list[str]:
     return out
 
 
+def _method_rows(n: int, seed: int, methods: Sequence[str],
+                 select: Callable[[], SelectionTrace],
+                 fit_all: Callable[[], tuple[Sequence[StepData], list[QSequence]]],
+                 regret_of: Callable[[QSequence], float]) -> list[tuple]:
+    """One row (n, seed, method, k, regret, runtime_ms) per expanded method.
+
+    Every method ends in one fitted sequence whose greedy policy regret_of
+    scores. select() runs ModBE, which fits on its own; fit_all() returns the
+    validation steps and one fit per class, made once, on the first method
+    that needs them, and shared by hold-out, oracle and fixed-k. runtime_ms
+    times the selection, not the scoring.
+    """
+    fitted = None
+    rows = []
+    for method in methods:
+        t0 = time.perf_counter()
+        if method == "modbe":
+            trace = select()
+            k, fseq = trace.k_hat, trace.qseq
+        else:
+            if fitted is None:
+                fitted = fit_all()
+            valid_steps, fseqs = fitted
+            if method == "holdout":
+                k, _ = holdout_select(valid_steps, fseqs)
+            elif method == "oracle":
+                k, _ = oracle_select(regret_of, fseqs)
+            else:
+                k = int(method.split("-")[1])
+            fseq = fseqs[k - 1]
+        ms = (time.perf_counter() - t0) * 1000.0
+        rows.append((n, seed, method, k, regret_of(fseq), ms))
+    return rows
+
+
 def run_rl_cell(n: int, seed: int, methods: Sequence[str], schedule: str,
                 delta: float, instance: str = "chain") -> list[tuple]:
     """All requested methods on one (n, seed) cell of a tabular instance.
 
-    Hold-out, oracle and fixed-k share one base-algorithm fit per class;
-    modbe runs its own fits. On the one-action holdout_bias instance regret
-    is uninformative: the selected class index is the quantity of interest.
+    On the one-action holdout_bias instance regret is uninformative: the
+    selected class index is the quantity of interest.
     """
     mdp, classes, mu = _tabular_instance(instance)
     methods = _expand_methods(methods, len(classes))
     base = make_fqi(mdp.horizon)
     S, A = mdp.num_states, mdp.num_actions
     dataset = generate_from_mu(mdp, mu, n, seed)
-    fseqs = None
-    rows = []
-    for method in methods:
-        t0 = time.perf_counter()
-        if method == "modbe":
-            trace = modbe(dataset, base, classes, delta, schedule, seed)
-            k, pol = trace.k_hat, trace.policy
-        else:
-            if fseqs is None:
-                split = split_dataset(dataset, seed)
-                fseqs = fit_each_class(base, split.train.steps, classes)
-            if method == "holdout":
-                k, _ = holdout_select(split.valid.steps, fseqs)
-            elif method == "oracle":
-                k, _ = oracle_select(mdp, fseqs)
-            else:
-                k = int(method.split("-")[1])
-            pol = greedy_policy(fseqs[k - 1].funcs, S, A)
-        ms = (time.perf_counter() - t0) * 1000.0
-        rows.append((n, seed, method, k, regret(mdp, pol), ms))
-    return rows
+
+    def fit_all():
+        split = split_dataset(dataset, seed)
+        return split.valid.steps, fit_each_class(base, split.train.steps, classes)
+
+    return _method_rows(n, seed, methods,
+                        lambda: modbe(dataset, base, classes, delta, schedule, seed),
+                        fit_all, lambda fseq: regret(mdp, greedy_policy(fseq.funcs, S, A)))
 
 
 CB_EVAL_CONTEXTS = 10_000
@@ -471,37 +491,22 @@ def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
     eval_feats, eval_means = eval_set
     best_mean = eval_means.max(axis=1).mean()
 
-    def policy_regret(f):
+    def policy_regret(fseq):
+        f = fseq.func(1)
         scores = eval_feats[:, :, :f.dim] @ f.weights
         chosen = eval_means[np.arange(CB_EVAL_CONTEXTS), scores.argmax(axis=1)]
         return float(best_mean - chosen.mean())
 
-    fseqs = None
-    rows = []
-    for method in methods:
-        t0 = time.perf_counter()
-        if method == "modbe":
-            trace = modbe_discounted(data, classes, gamma=0.0, delta=delta,
-                                     schedule=schedule, seed=seed)
-            k = trace.k_hat
-            f = trace.qseq.func(1)
-        else:
-            if fseqs is None:
-                split = split_dataset(OfflineDataset((data,), {}), seed)
-                train = split.train.steps[0]
-                fseqs = [QSequence((classes[i].erm(train.x, train.a, train.r),), i)
-                         for i in range(1, len(classes) + 1)]
-            if method == "holdout":
-                k, _ = holdout_select(split.valid.steps, fseqs)
-            elif method == "oracle":
-                k = int(np.argmin([policy_regret(fseq.func(1)) for fseq in fseqs])) + 1
-            else:
-                k = int(method.split("-")[1])
-            f = fseqs[k - 1].func(1)
-        reg = policy_regret(f)
-        ms = (time.perf_counter() - t0) * 1000.0
-        rows.append((n, seed, method, k, reg, ms))
-    return rows
+    def fit_all():
+        split = split_dataset(OfflineDataset((data,), {}), seed)
+        train = split.train.steps[0]
+        return split.valid.steps, [QSequence((classes[k].erm(train.x, train.a, train.r),))
+                                   for k in range(1, len(classes) + 1)]
+
+    return _method_rows(n, seed, methods,
+                        lambda: modbe_discounted(data, classes, gamma=0.0, delta=delta,
+                                                 schedule=schedule, seed=seed),
+                        fit_all, policy_regret)
 
 
 def _run_one_seed(args):

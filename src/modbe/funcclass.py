@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -33,8 +34,6 @@ class QFunction:
     outputs are restricted to [0, clip_high].
     """
 
-    class_index: int = 0
-
     def raw_values(self, xs, as_) -> np.ndarray:
         raise NotImplementedError
 
@@ -50,7 +49,6 @@ class QFunction:
 class TableQ(QFunction):
     table: np.ndarray                 # (S, A)
     clip_high: float | None = None
-    class_index: int = 0
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=float)
@@ -63,9 +61,6 @@ class TableQ(QFunction):
     def max_values(self, xs):
         return _clip(self.table, self.clip_high).max(axis=1)[np.asarray(xs, dtype=int)]
 
-    def as_table(self):
-        return _clip(self.table, self.clip_high)
-
 
 @dataclass(frozen=True)
 class LinearQ(QFunction):
@@ -74,7 +69,6 @@ class LinearQ(QFunction):
     dim: int = 0                      # coordinate prefix actually used
     num_actions: int = 0
     clip_high: float | None = None
-    class_index: int = 0
 
     def raw_values(self, xs, as_):
         phi = self.feature_fn(xs, as_)[:, : self.dim]
@@ -116,7 +110,6 @@ class FunctionClass:
 class FiniteClass(FunctionClass):
     tables: tuple                     # member (S, A) tables, index order fixed
     clip_high: float | None = None
-    class_index: int = 0
     variant: str = field(default="finite", init=False)
 
     def __post_init__(self):
@@ -139,7 +132,7 @@ class FiniteClass(FunctionClass):
     def zero(self):
         for t in self.tables:
             if np.all(t == 0.0):
-                return TableQ(t, self.clip_high, self.class_index)
+                return TableQ(t, self.clip_high)
         raise AssertionError("validated at construction")
 
     def erm(self, xs, as_, ys):
@@ -149,12 +142,12 @@ class FiniteClass(FunctionClass):
         ys = np.asarray(ys, dtype=float)
         losses = [float(np.mean((t[xs, as_] - ys) ** 2)) for t in self.tables]
         best = int(np.argmin(losses))
-        return TableQ(self.tables[best], self.clip_high, self.class_index)
+        return TableQ(self.tables[best], self.clip_high)
 
     def population_erm(self, weights, target):
         losses = [float((weights * (t - target) ** 2).sum()) for t in self.tables]
         best = int(np.argmin(losses))
-        return TableQ(self.tables[best], self.clip_high, self.class_index)
+        return TableQ(self.tables[best], self.clip_high)
 
 
 @dataclass(frozen=True)
@@ -169,7 +162,6 @@ class AbstractionClass(FunctionClass):
     blocks: np.ndarray                # (S,) state -> block id in [0, B)
     num_actions: int = 1
     clip_high: float | None = None
-    class_index: int = 0
     variant: str = field(default="abstraction", init=False)
 
     def __post_init__(self):
@@ -188,8 +180,7 @@ class AbstractionClass(FunctionClass):
         return self.num_blocks * self.num_actions * math.log(1.0 / ABSTRACTION_QUANTUM)
 
     def zero(self):
-        return TableQ(np.zeros((len(self.blocks), self.num_actions)),
-                      self.clip_high, self.class_index)
+        return TableQ(np.zeros((len(self.blocks), self.num_actions)), self.clip_high)
 
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)
@@ -202,7 +193,7 @@ class AbstractionClass(FunctionClass):
         counts = np.bincount(cell, minlength=B * A)
         means = np.divide(sums, counts, out=np.zeros(B * A), where=counts > 0)
         vals = _clip(means.reshape(B, A), self.clip_high)
-        return TableQ(vals[self.blocks], self.clip_high, self.class_index)
+        return TableQ(vals[self.blocks], self.clip_high)
 
     def population_erm(self, weights, target):
         B, A = self.num_blocks, self.num_actions
@@ -211,7 +202,7 @@ class AbstractionClass(FunctionClass):
         np.add.at(w, self.blocks, weights)
         np.add.at(s, self.blocks, weights * target)
         vals = np.divide(s, w, out=np.zeros((B, A)), where=w > 0)
-        return TableQ(_clip(vals, self.clip_high)[self.blocks], self.clip_high, self.class_index)
+        return TableQ(_clip(vals, self.clip_high)[self.blocks], self.clip_high)
 
 
 @dataclass(frozen=True)
@@ -228,7 +219,6 @@ class LinearClass(FunctionClass):
     num_actions: int = 1
     ridge_scale: float = DEFAULT_RIDGE_SCALE
     clip_high: float | None = None
-    class_index: int = 0
     variant: str = field(default="linear", init=False)
 
     @property
@@ -237,7 +227,7 @@ class LinearClass(FunctionClass):
 
     def zero(self):
         return LinearQ(np.zeros(self.dim), self.feature_fn, self.dim,
-                       self.num_actions, self.clip_high, self.class_index)
+                       self.num_actions, self.clip_high)
 
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)
@@ -246,8 +236,7 @@ class LinearClass(FunctionClass):
         lam = self.ridge_scale * len(ys)
         gram = phi.T @ phi + lam * np.eye(self.dim)
         w = np.linalg.solve(gram, phi.T @ ys)
-        return LinearQ(w, self.feature_fn, self.dim, self.num_actions,
-                       self.clip_high, self.class_index)
+        return LinearQ(w, self.feature_fn, self.dim, self.num_actions, self.clip_high)
 
     def population_erm(self, weights, target):
         S, A = weights.shape
@@ -256,8 +245,7 @@ class LinearClass(FunctionClass):
         w_flat = weights.reshape(-1)
         gram = phi.T @ (w_flat[:, None] * phi) + self.ridge_scale * np.eye(self.dim)
         w = np.linalg.solve(gram, phi.T @ (w_flat * target.reshape(-1)))
-        return LinearQ(w, self.feature_fn, self.dim, self.num_actions,
-                       self.clip_high, self.class_index)
+        return LinearQ(w, self.feature_fn, self.dim, self.num_actions, self.clip_high)
 
 
 def empirical_sq_loss(f: QFunction, xs, as_, ys) -> float:
@@ -305,8 +293,6 @@ class NestedSequence:
             raise FunctionClassError("complexity must be non-decreasing along the sequence")
         for small, large in zip(cls, cls[1:]):
             _check_nested_pair(small, large)
-        for i, c in enumerate(cls):
-            object.__setattr__(c, "class_index", i + 1)
         object.__setattr__(self, "classes", cls)
 
     def __len__(self):
@@ -343,7 +329,8 @@ def _check_nested_pair(small: FunctionClass, large: FunctionClass) -> None:
 #   class finite S A members m      followed by m lines of S*A table values
 #   class abstraction S A blocks B  followed by one line of S block ids
 #   class linear dim d              (feature map bound programmatically)
-# '#' lines are comments. clip_high is supplied by the loader.
+# Every count (M, S, A, m, B, d) is a positive integer. '#' lines are
+# comments. clip_high is supplied by the loader.
 
 
 def save_sequence(seq: NestedSequence, path: str) -> None:
@@ -363,46 +350,64 @@ def save_sequence(seq: NestedSequence, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_COUNT = r"([1-9][0-9]*)"
+_HEADER = re.compile(rf"classes {_COUNT}")
+_FINITE = re.compile(rf"class finite {_COUNT} {_COUNT} members {_COUNT}")
+_ABSTRACTION = re.compile(rf"class abstraction {_COUNT} {_COUNT} blocks {_COUNT}")
+_LINEAR = re.compile(rf"class linear dim {_COUNT}")
+
+
 def load_sequence(path: str, clip_high: float | None = None,
                   feature_fn: Callable | None = None,
                   num_actions: int | None = None) -> NestedSequence:
     with open(path) as fh:
-        rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not rows or rows[0].split()[0] != "classes":
-        raise FunctionClassError(f"{path}:1: expected 'classes M' header")
-    m = int(rows[0].split()[1])
+        rows = [(lineno, " ".join(ln.split())) for lineno, ln in enumerate(fh, start=1)
+                if ln.strip() and not ln.startswith("#")]
+    header = _HEADER.fullmatch(rows[0][1]) if rows else None
+    if header is None:
+        raise FunctionClassError(f"{path}:{rows[0][0] if rows else 1}: "
+                                 "expected 'classes M' header")
+    m = int(header.group(1))
+
+    def values(i: int, convert, count: int, what: str) -> list:
+        if i >= len(rows):
+            raise FunctionClassError(f"{path}:{rows[-1][0]}: file ends here, "
+                                     f"expected a line of {count} {what} after it")
+        lineno, text = rows[i]
+        try:
+            vals = [convert(t) for t in text.split()]
+        except ValueError as exc:
+            raise FunctionClassError(f"{path}:{lineno}: expected {count} {what}: {exc}") from exc
+        if len(vals) != count:
+            raise FunctionClassError(f"{path}:{lineno}: expected {count} {what}")
+        return vals
+
     classes: list[FunctionClass] = []
     i = 1
     for _ in range(m):
         if i >= len(rows):
-            raise FunctionClassError(f"{path}: truncated file, expected {m} classes")
-        head = rows[i].split()
-        if head[0] != "class":
-            raise FunctionClassError(f"{path}: line {i + 1}: expected a 'class' stanza")
-        if head[1] == "finite":
-            S, A, nm = int(head[2]), int(head[3]), int(head[5])
-            tabs = []
-            for j in range(nm):
-                vals = [float(t) for t in rows[i + 1 + j].split()]
-                if len(vals) != S * A:
-                    raise FunctionClassError(f"{path}: line {i + 2 + j}: expected {S * A} values")
-                tabs.append(np.array(vals).reshape(S, A))
+            raise FunctionClassError(f"{path}:{rows[-1][0]}: file ends here, expected {m} classes")
+        lineno, text = rows[i]
+        if stanza := _FINITE.fullmatch(text):
+            S, A, nm = (int(g) for g in stanza.groups())
+            tabs = [np.array(values(i + 1 + j, float, S * A, "table values")).reshape(S, A)
+                    for j in range(nm)]
             classes.append(FiniteClass(tuple(tabs), clip_high))
             i += 1 + nm
-        elif head[1] == "abstraction":
-            S, A = int(head[2]), int(head[3])
-            blocks = np.array([int(t) for t in rows[i + 1].split()])
-            if len(blocks) != S:
-                raise FunctionClassError(f"{path}: line {i + 2}: expected {S} block ids")
-            classes.append(AbstractionClass(blocks, A, clip_high))
+        elif stanza := _ABSTRACTION.fullmatch(text):
+            S, A = int(stanza.group(1)), int(stanza.group(2))
+            classes.append(AbstractionClass(np.array(values(i + 1, int, S, "block ids")),
+                                            A, clip_high))
             i += 2
-        elif head[1] == "linear":
+        elif stanza := _LINEAR.fullmatch(text):
             if feature_fn is None or num_actions is None:
                 raise FunctionClassError(
-                    f"{path}: linear classes need a feature map bound at load time")
-            classes.append(LinearClass(feature_fn, int(head[3]), num_actions,
+                    f"{path}:{lineno}: linear classes need a feature map bound at load time")
+            classes.append(LinearClass(feature_fn, int(stanza.group(1)), num_actions,
                                        clip_high=clip_high))
             i += 1
         else:
-            raise FunctionClassError(f"{path}: line {i + 1}: unknown variant {head[1]!r}")
+            raise FunctionClassError(
+                f"{path}:{lineno}: expected 'class finite S A members m', "
+                "'class abstraction S A blocks B' or 'class linear dim d'")
     return NestedSequence(tuple(classes))

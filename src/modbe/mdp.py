@@ -252,30 +252,38 @@ def save_mdp(mdp: TabularMDP, path: str) -> None:
 
 def load_mdp(path: str) -> TabularMDP:
     with open(path) as fh:
-        rows = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
+        rows = [(lineno, ln.split()) for lineno, ln in enumerate(fh, start=1)
+                if ln.strip() and not ln.startswith("#")]
     try:
-        S, A, H = (int(t) for t in rows[0])
+        S, A, H = (int(t) for t in rows[0][1])
     except (ValueError, IndexError) as exc:
         raise MDPError(f"{path}:1: malformed header, expected 'S A H'") from exc
+    if min(S, A, H) < 1:
+        raise MDPError(f"{path}:{rows[0][0]}: S, A and H must be at least 1")
     need = 1 + 1 + H * S * A + S
     if len(rows) != need:
         raise MDPError(f"{path}: expected {need} data lines, found {len(rows)}")
-    rho = np.array([float(t) for t in rows[1]])
+
+    def floats(i: int, count: int, what: str) -> list[float]:
+        lineno, tokens = rows[i]
+        try:
+            vals = [float(t) for t in tokens]
+        except ValueError as exc:
+            raise MDPError(f"{path}:{lineno}: expected {count} {what}: {exc}") from exc
+        if len(vals) != count:
+            raise MDPError(f"{path}:{lineno}: expected {count} {what}")
+        return vals
+
+    rho = np.array(floats(1, S, "initial probabilities"))
     P = np.zeros((H, S, A, S))
     i = 2
     for h in range(H):
         for x in range(S):
             for a in range(A):
-                vals = [float(t) for t in rows[i]]
-                if len(vals) != S:
-                    raise MDPError(f"{path}: line {i + 1}: expected {S} probabilities")
-                P[h, x, a] = vals
+                P[h, x, a] = floats(i, S, "probabilities")
                 i += 1
     r = np.zeros((S, A))
     for x in range(S):
-        vals = [float(t) for t in rows[i]]
-        if len(vals) != A:
-            raise MDPError(f"{path}: line {i + 1}: expected {A} rewards")
-        r[x] = vals
+        r[x] = floats(i, A, "rewards")
         i += 1
     return TabularMDP(P, r, rho)

@@ -12,11 +12,11 @@ import numpy as np
 
 from .basealg import DELTA_MAX, BaseAlgorithm, QSequence, fitted_q_discounted
 from .dataset import DataSplit, OfflineDataset, StepData, split_dataset
-from .funcclass import FunctionClass, NestedSequence, QFunction, greedy_policy, tabular_shape
-from .mdp import Policy
+from .funcclass import FunctionClass, NestedSequence, QFunction
 
 ZETA_CONSTANT = 96.0
 ALPHA_CONSTANT = 200.0
+DISCOUNTED_ITERATIONS = 30   # fitted-Q sweeps of the discounted variant's base fit
 
 
 class SelectionError(ValueError):
@@ -112,7 +112,6 @@ class SelectionTrace:
 
     k_hat: int
     qseq: QSequence
-    policy: Policy | None
     events: list
     base_calls: int
     erm_calls: int
@@ -182,18 +181,16 @@ def _eliminate(split: DataSplit, classes: NestedSequence, sched: ToleranceSchedu
         if not rejected:
             break
     if fitted_k != k:
-        # k reached M through a rejection (or M = 1): the returned policy must
-        # come from a class that was actually trained on.
+        # k reached M through a rejection (or M = 1): the returned sequence
+        # must come from a class that was actually trained on.
         fseq = fit(classes[k])
         base_calls += 1
-    shape = tabular_shape(classes[M])
-    policy = greedy_policy(fseq.funcs, *shape) if shape is not None else None
-    return SelectionTrace(k, fseq, policy, events, base_calls, erm_calls, seed, sched.mode)
+    return SelectionTrace(k, fseq, events, base_calls, erm_calls, seed, sched.mode)
 
 
 def modbe(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequence,
           delta: float, schedule: str = "theoretical", seed: int = 0) -> SelectionTrace:
-    """Select a class index and policy from nested classes on offline data.
+    """Select a class index and its fitted sequence from nested classes.
 
     Starting from k = 1, runs the base algorithm on the training split, then
     retrains every larger class k' on the same per-step regression targets and
@@ -212,10 +209,8 @@ def modbe(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequence,
 
 
 def modbe_discounted(data: StepData, classes: NestedSequence, gamma: float,
-                     delta: float = 0.1, schedule: str = "practical", seed: int = 0,
-                     iterations: int = 30,
-                     base_fit: Callable[[StepData, FunctionClass], QFunction] | None = None,
-                     ) -> SelectionTrace:
+                     delta: float = 0.1, schedule: str = "practical",
+                     seed: int = 0) -> SelectionTrace:
     """Discounted single-loss variant on a flat transition list.
 
     The comparator for class k is the same-class re-regression g^k (not the
@@ -227,8 +222,6 @@ def modbe_discounted(data: StepData, classes: NestedSequence, gamma: float,
         raise SelectionError(f"gamma must lie in [0, 1), got {gamma}")
     if not 0.0 < delta <= DELTA_MAX:
         raise SelectionError(f"delta must lie in (0, 1/e], got {delta}")
-    if base_fit is None:
-        base_fit = lambda step, fclass: fitted_q_discounted(step, fclass, gamma, iterations)
     split = split_dataset(OfflineDataset((data,), {"seed": seed, "generator": "flat"}), seed)
     train = split.train.steps[0]
     cap = 1.0 / (1.0 - gamma)
@@ -242,7 +235,7 @@ def modbe_discounted(data: StepData, classes: NestedSequence, gamma: float,
                               split.train.n, split.valid.n, len(data), omega)
 
     def fit(fclass):
-        return QSequence((base_fit(train, fclass),), fclass.class_index, "fitted_q_discounted")
+        return QSequence((fitted_q_discounted(train, fclass, gamma, DISCOUNTED_ITERATIONS),))
 
     def next_values(fseq, _h, xs):
         if gamma == 0.0:

@@ -30,6 +30,10 @@ def chain_data(chain_files, tmp_path):
     return mdp_path, cls_path, data_path
 
 
+def _no_cell(*_args, **_kwargs):
+    raise AssertionError("a cell ran")
+
+
 class TestGenData:
     def test_writes_loadable_csv(self, chain_files, tmp_path, capsys):
         mdp_path, _ = chain_files
@@ -241,16 +245,31 @@ class TestBench:
         ("instance = chain\nmethods = modbe\ndelta = nan\n", "delta must")])
     def test_bad_schedule_or_delta_rejected_before_any_cell(self, tmp_path, capsys,
                                                             monkeypatch, lines, message):
-        def no_cell(*_args, **_kwargs):
-            raise AssertionError("a cell ran")
-        monkeypatch.setattr(ev, "run_rl_cell", no_cell)
-        monkeypatch.setattr(ev, "run_cb_cell", no_cell)
+        monkeypatch.setattr(ev, "run_rl_cell", _no_cell)
+        monkeypatch.setattr(ev, "run_cb_cell", _no_cell)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"n_list = 200\nseeds = 0\noutput = {tmp_path / 'x.csv'}\n" + lines)
         rc = cli.main(["bench", "--config", str(cfg), "--no-runtime"])
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(ev, "run_experiment", _no_cell)
+        rc = cli.main(["bench", "--config", self._config(tmp_path, "x.csv"), "--jobs", jobs])
+        assert rc == 1
+        assert "argument --jobs: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_missing_output_directory_rejected_before_any_cell(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setattr(ev, "run_rl_cell", _no_cell)
+        monkeypatch.setattr(ev, "run_cb_cell", _no_cell)
+        cfg = self._config(tmp_path, "nonexistent/dir/out.csv")
+        rc = cli.main(["bench", "--config", cfg, "--no-runtime"])
+        assert rc == 1
+        assert "output directory" in capsys.readouterr().err
 
     def test_missing_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -272,3 +291,21 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, flag, low", [
+        (["gen-data", "--mdp", "{mdp}", "--n", "50", "--seed", "-1", "--out", "{out}"],
+         "--seed", 0),
+        (["run-fqi", "--data", "{data}", "--classes", "{cls}", "--seed", "-1"], "--seed", 0),
+        (["run-modbe", "--data", "{data}", "--classes", "{cls}", "--seed", "-2"], "--seed", 0),
+        (["run-holdout", "--data", "{data}", "--classes", "{cls}", "--seed", "-1"], "--seed", 0),
+        (["gen-data", "--mdp", "{mdp}", "--n", "4", "--out", "{out}"], "--n", 5),
+        (["gen-data", "--mdp", "{mdp}", "--n", "0", "--out", "{out}"], "--n", 5)],
+        ids=["gen-data-seed", "run-fqi-seed", "run-modbe-seed", "run-holdout-seed",
+             "gen-data-n4", "gen-data-n0"])
+    def test_out_of_range_flag(self, chain_data, tmp_path, capsys, argv, flag, low):
+        mdp_path, cls_path, data_path = chain_data
+        out = tmp_path / "out.csv"
+        argv = [a.format(mdp=mdp_path, cls=cls_path, data=data_path, out=out) for a in argv]
+        assert cli.main(argv) == 1
+        assert f"argument {flag}: must be at least {low}" in capsys.readouterr().err
+        assert not out.exists()

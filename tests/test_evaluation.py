@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modbe import (AbstractionClass, FiniteClass, NestedSequence, TabularMDP,
-                   generate_from_mu, make_fqi, modbe, split_dataset)
+                   generate_from_mu, greedy_policy, make_fqi, modbe, regret, split_dataset)
 from modbe import evaluation
 from modbe.basealg import fqi_oracle
 from modbe.mdp import squared_bellman_errors
@@ -125,8 +125,8 @@ class TestBaselines:
         mdp = chain_mdp()
         ds = generate_from_mu(mdp, uniform_mu(mdp), 2000, seed=2)
         split = split_dataset(ds, 0)
-        k, regrets = oracle_select(mdp, fit_each_class(make_fqi(4), split.train.steps,
-                                                       chain_classes()))
+        k, regrets = oracle_select(lambda fseq: regret(mdp, greedy_policy(fseq.funcs, 4, 2)),
+                                   fit_each_class(make_fqi(4), split.train.steps, chain_classes()))
         assert regrets[k - 1] == min(regrets)
 
     def test_holdout_bias_instance_margins(self):

@@ -264,3 +264,16 @@ class TestPersistence:
         path.write_text("klasses 1\n")
         with pytest.raises(FunctionClassError):
             load_sequence(str(path))
+
+    @pytest.mark.parametrize("text, line", [
+        ("classes 1\nclass finite 2 2\n", 2),
+        ("classes 1\nclass abstraction 4 2 blocks 1\n", 2),
+        ("classes abc\n", 1),
+        ("# comment\nclasses 1\nclass finite 1 2 members 1\n0 zap\n", 4),
+        ("classes 1\nclass abstraction 3 1 blocks 2\n0 1\n", 3),
+        ("classes 2\nclass linear dim 0\n", 2)])
+    def test_garbled_stanza_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(FunctionClassError, match=rf"bad\.txt:{line}: "):
+            load_sequence(str(path))

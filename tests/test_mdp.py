@@ -296,6 +296,17 @@ class TestPersistence:
         with pytest.raises(MDPError):
             load_mdp(str(path))
 
+    @pytest.mark.parametrize("line, tokens", [
+        (1, "2 2 -1"), (2, "0.5 zap"), (4, "0.5 0.5 0.5"), (11, "nope 0.1")])
+    def test_bad_value_names_its_line(self, rng, tmp_path, line, tokens):
+        path = tmp_path / "bad.txt"
+        save_mdp(random_mdp(rng, 2, 2, 2), str(path))
+        lines = path.read_text().splitlines()
+        lines[line - 1] = tokens
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MDPError, match=rf"bad\.txt:{line}: "):
+            load_mdp(str(path))
+
     def test_truncated_file_rejected(self, rng, tmp_path):
         mdp = random_mdp(rng, 2, 2, 2)
         path = tmp_path / "trunc.txt"
