@@ -16,6 +16,7 @@ from .mdp import TabularMDP, bellman_backup, check_data_distribution
 
 OMEGA_CONSTANT = 200.0
 DELTA_MAX = 1.0 / math.e
+DISCOUNTED_ITERATIONS = 30   # fitted-Q sweeps of make_discounted's fit
 
 
 class BaseAlgError(ValueError):
@@ -142,3 +143,12 @@ def fitted_q_discounted(data: StepData, fclass: FunctionClass, gamma: float,
         if gamma == 0.0:
             break
     return f
+
+
+def make_discounted(gamma: float) -> BaseAlgorithm:
+    """Discounted FQI on the single slot of a one-step dataset; omega is FQI's
+    at horizon 1, since the discounted variant has one regression problem."""
+    def fit(train_steps, fclass):
+        return QSequence((fitted_q_discounted(train_steps[0], fclass, gamma,
+                                              DISCOUNTED_ITERATIONS),))
+    return BaseAlgorithm(fit=fit, omega=lambda n, delta, fclass: omega_fqi(n, delta, fclass, 1))

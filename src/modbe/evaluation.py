@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basealg import DELTA_MAX, BaseAlgorithm, QSequence, make_fqi
+from .basealg import DELTA_MAX, BaseAlgorithm, QSequence, make_discounted, make_fqi
 from .dataset import OfflineDataset, StepData, generate_from_mu, split_dataset
 from .funcclass import (ABSTRACTION_QUANTUM, AbstractionClass, FiniteClass, FunctionClass,
                         LinearClass, NestedSequence, greedy_policy)
@@ -403,19 +403,19 @@ def _expand_methods(methods: Sequence[str], num_classes: int) -> list[str]:
     return out
 
 
-def _method_rows(n: int, seed: int, methods: Sequence[str],
+def _method_rows(n: int, seed: int, methods: Sequence[str], dataset: OfflineDataset,
+                 base: BaseAlgorithm, classes: NestedSequence,
                  select: Callable[[], SelectionTrace],
-                 fit_all: Callable[[], tuple[Sequence[StepData], list[QSequence]]],
                  regret_of: Callable[[QSequence], float]) -> list[tuple]:
     """One row (n, seed, method, k, regret, runtime_ms) per expanded method.
 
     Every method ends in one fitted sequence whose greedy policy regret_of
-    scores. select() runs ModBE, which fits on its own; fit_all() returns the
-    validation steps and one fit per class, made once, on the first method
-    that needs them, and shared by hold-out, oracle and fixed-k. runtime_ms
-    times the selection, not the scoring.
+    scores. select() runs ModBE on dataset, which splits and fits on its own;
+    hold-out, oracle and fixed-k share one split of dataset and one base fit
+    per class, made on the first method that needs them. runtime_ms times the
+    selection, not the scoring.
     """
-    fitted = None
+    split = fseqs = None
     rows = []
     for method in methods:
         t0 = time.perf_counter()
@@ -423,11 +423,11 @@ def _method_rows(n: int, seed: int, methods: Sequence[str],
             trace = select()
             k, fseq = trace.k_hat, trace.qseq
         else:
-            if fitted is None:
-                fitted = fit_all()
-            valid_steps, fseqs = fitted
+            if fseqs is None:
+                split = split_dataset(dataset, seed)
+                fseqs = fit_each_class(base, split.train.steps, classes)
             if method == "holdout":
-                k, _ = holdout_select(valid_steps, fseqs)
+                k, _ = holdout_select(split.valid.steps, fseqs)
             elif method == "oracle":
                 k, _ = oracle_select(regret_of, fseqs)
             else:
@@ -450,14 +450,9 @@ def run_rl_cell(n: int, seed: int, methods: Sequence[str], schedule: str,
     base = make_fqi(mdp.horizon)
     S, A = mdp.num_states, mdp.num_actions
     dataset = generate_from_mu(mdp, mu, n, seed)
-
-    def fit_all():
-        split = split_dataset(dataset, seed)
-        return split.valid.steps, fit_each_class(base, split.train.steps, classes)
-
-    return _method_rows(n, seed, methods,
+    return _method_rows(n, seed, methods, dataset, base, classes,
                         lambda: modbe(dataset, base, classes, delta, schedule, seed),
-                        fit_all, lambda fseq: regret(mdp, greedy_policy(fseq.funcs, S, A)))
+                        lambda fseq: regret(mdp, greedy_policy(fseq.funcs, S, A)))
 
 
 CB_EVAL_CONTEXTS = 10_000
@@ -497,16 +492,10 @@ def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
         chosen = eval_means[np.arange(CB_EVAL_CONTEXTS), scores.argmax(axis=1)]
         return float(best_mean - chosen.mean())
 
-    def fit_all():
-        split = split_dataset(OfflineDataset((data,), {}), seed)
-        train = split.train.steps[0]
-        return split.valid.steps, [QSequence((classes[k].erm(train.x, train.a, train.r),))
-                                   for k in range(1, len(classes) + 1)]
-
-    return _method_rows(n, seed, methods,
+    return _method_rows(n, seed, methods, OfflineDataset((data,)), make_discounted(0.0), classes,
                         lambda: modbe_discounted(data, classes, gamma=0.0, delta=delta,
                                                  schedule=schedule, seed=seed),
-                        fit_all, policy_regret)
+                        policy_regret)
 
 
 def _run_one_seed(args):

@@ -10,13 +10,12 @@ from typing import Callable
 
 import numpy as np
 
-from .basealg import DELTA_MAX, BaseAlgorithm, QSequence, fitted_q_discounted
-from .dataset import DataSplit, OfflineDataset, StepData, split_dataset
+from .basealg import DELTA_MAX, BaseAlgorithm, QSequence, make_discounted
+from .dataset import OfflineDataset, StepData, split_dataset
 from .funcclass import FunctionClass, NestedSequence, QFunction
 
 ZETA_CONSTANT = 96.0
 ALPHA_CONSTANT = 200.0
-DISCOUNTED_ITERATIONS = 30   # fitted-Q sweeps of the discounted variant's base fit
 
 
 class SelectionError(ValueError):
@@ -130,19 +129,24 @@ class SelectionTrace:
         return "\n".join(lines) + "\n"
 
 
-def _eliminate(split: DataSplit, classes: NestedSequence, sched: ToleranceSchedule,
-               fit: Callable[[FunctionClass], QSequence],
+def _eliminate(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequence,
+               delta: float, schedule: str, seed: int,
                next_values: Callable[[QSequence, int, np.ndarray], np.ndarray],
-               refit_comparator: bool, seed: int) -> SelectionTrace:
-    """The elimination loop shared by both selection variants.
+               refit_comparator: bool) -> SelectionTrace:
+    """The split, schedule and elimination loop shared by both selection variants.
 
-    For the current k: fit the base learner, build each step's regression
-    targets r + next_values(f^k, h, x') and the comparator's validation loss
-    once, then test every (k', h). The comparator is f^k itself, or with
-    refit_comparator the same-class re-regression g^k onto those targets.
-    Any failing (k', h) rejects k (k += 1); all H steps of a (k, k') pair are
-    recorded even after the first failure.
+    For the current k: fit the base learner on the training split, build each
+    step's regression targets r + next_values(f^k, h, x') and the comparator's
+    validation loss once, then test every (k', h). The comparator is f^k
+    itself, or with refit_comparator the same-class re-regression g^k onto
+    those targets. Any failing (k', h) rejects k (k += 1); all H steps of a
+    (k, k') pair are recorded even after the first failure.
     """
+    if not 0.0 < delta <= DELTA_MAX:
+        raise SelectionError(f"delta must lie in (0, 1/e], got {delta}")
+    split = split_dataset(dataset, seed)
+    sched = ToleranceSchedule(schedule, classes, dataset.horizon, delta,
+                              split.train.n, split.valid.n, dataset.n, base.omega)
     M = len(classes)
     events: list[TraceEvent] = []
     base_calls = 0
@@ -151,7 +155,7 @@ def _eliminate(split: DataSplit, classes: NestedSequence, sched: ToleranceSchedu
     fseq: QSequence | None = None
     fitted_k = 0
     while k < M:
-        fseq = fit(classes[k])
+        fseq = base.fit(split.train.steps, classes[k])
         base_calls += 1
         fitted_k = k
         tests = []          # per step: (train slot, targets, valid slot, next values, loss_f)
@@ -183,7 +187,7 @@ def _eliminate(split: DataSplit, classes: NestedSequence, sched: ToleranceSchedu
     if fitted_k != k:
         # k reached M through a rejection (or M = 1): the returned sequence
         # must come from a class that was actually trained on.
-        fseq = fit(classes[k])
+        fseq = base.fit(split.train.steps, classes[k])
         base_calls += 1
     return SelectionTrace(k, fseq, events, base_calls, erm_calls, seed, sched.mode)
 
@@ -198,14 +202,8 @@ def modbe(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequence,
     functions' validation loss by more than Tol(k, k'). All H comparisons for
     a (k, k') pair are recorded even after the first failure.
     """
-    if not 0.0 < delta <= DELTA_MAX:
-        raise SelectionError(f"delta must lie in (0, 1/e], got {delta}")
-    split = split_dataset(dataset, seed)
-    sched = ToleranceSchedule(schedule, classes, dataset.horizon, delta,
-                              split.train.n, split.valid.n, dataset.n, base.omega)
-    return _eliminate(split, classes, sched,
-                      lambda fclass: base.fit(split.train.steps, fclass),
-                      QSequence.next_state_values, refit_comparator=False, seed=seed)
+    return _eliminate(dataset, base, classes, delta, schedule, seed,
+                      QSequence.next_state_values, refit_comparator=False)
 
 
 def modbe_discounted(data: StepData, classes: NestedSequence, gamma: float,
@@ -213,33 +211,20 @@ def modbe_discounted(data: StepData, classes: NestedSequence, gamma: float,
                      seed: int = 0) -> SelectionTrace:
     """Discounted single-loss variant on a flat transition list.
 
-    The comparator for class k is the same-class re-regression g^k (not the
-    base algorithm's own output): reject k iff
+    The base learner is make_discounted(gamma), and the schedule uses an
+    effective horizon of 1. The comparator for class k is the same-class
+    re-regression g^k (not the base learner's own output): reject k iff
     L(g^{k'}) < L(g^k) - Tol(k, k') on the validation split, where both sides
     regress onto the shared targets r + gamma * f^k(x').
     """
     if not 0.0 <= gamma < 1.0:
         raise SelectionError(f"gamma must lie in [0, 1), got {gamma}")
-    if not 0.0 < delta <= DELTA_MAX:
-        raise SelectionError(f"delta must lie in (0, 1/e], got {delta}")
-    split = split_dataset(OfflineDataset((data,), {"seed": seed, "generator": "flat"}), seed)
-    train = split.train.steps[0]
     cap = 1.0 / (1.0 - gamma)
-    # single-loss schedule: the discounted variant has one regression problem,
-    # so the theoretical constants are used with an effective horizon of 1
-    omega = None
-    if schedule == "theoretical":
-        omega = lambda n, d, fclass: ALPHA_CONSTANT * (fclass.complexity
-                                                       + math.log(16.0 / d)) / n
-    sched = ToleranceSchedule(schedule, classes, 1, delta,
-                              split.train.n, split.valid.n, len(data), omega)
-
-    def fit(fclass):
-        return QSequence((fitted_q_discounted(train, fclass, gamma, DISCOUNTED_ITERATIONS),))
 
     def next_values(fseq, _h, xs):
         if gamma == 0.0:
             return np.zeros(len(xs))
         return gamma * np.clip(fseq.func(1).max_values(xs), 0.0, cap)
 
-    return _eliminate(split, classes, sched, fit, next_values, refit_comparator=True, seed=seed)
+    return _eliminate(OfflineDataset((data,)), make_discounted(gamma), classes, delta,
+                      schedule, seed, next_values, refit_comparator=True)

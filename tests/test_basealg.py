@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from modbe import (AbstractionClass, FiniteClass, TabularMDP, fitted_q_discounted, fqi,
-                   fqi_oracle, generate_from_mu, make_fqi, omega_fqi, optimal_q)
-from modbe.basealg import DELTA_MAX, BaseAlgError
+                   fqi_oracle, generate_from_mu, make_discounted, make_fqi, omega_fqi,
+                   optimal_q)
+from modbe.basealg import DELTA_MAX, DISCOUNTED_ITERATIONS, BaseAlgError
 from modbe.dataset import StepData
 from modbe.evaluation import chain_classes, chain_mdp, uniform_mu
 
@@ -164,6 +165,21 @@ class TestDiscounted:
         cls = tabular_class(1, 1, clip=None)
         with pytest.raises(BaseAlgError):
             fitted_q_discounted(data, cls, gamma=1.0, iterations=1)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
+    def test_make_discounted_is_one_step_fqi(self, rng, gamma):
+        data = StepData(rng.integers(0, 3, 50), rng.integers(0, 2, 50),
+                        rng.random(50), rng.integers(0, 3, 50))
+        cls = tabular_class(3, 2, clip=None)
+        base = make_discounted(gamma)
+        fseq = base.fit((data,), cls)
+        f = fitted_q_discounted(data, cls, gamma, DISCOUNTED_ITERATIONS)
+        xs, as_ = np.divmod(np.arange(6), 2)
+        assert fseq.horizon == 1
+        assert np.array_equal(fseq.func(1).values(xs, as_), f.values(xs, as_))
+        # omega is FQI's at horizon 1: 200 (complexity + ln(16 / delta)) / n
+        assert base.omega(40, 0.01, cls) == omega_fqi(40, 0.01, cls, 1) == \
+            200.0 * (cls.complexity + math.log(16.0 / 0.01)) / 40
 
 
 class TestEmpiricalConvergence:
