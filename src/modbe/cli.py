@@ -35,22 +35,32 @@ def _int_at_least(low: int):
 def _load_mdp(path: str) -> mdp_mod.TabularMDP:
     try:
         return mdp_mod.load_mdp(path)
-    except (OSError, mdp_mod.MDPError) as exc:
+    except (OSError, UnicodeDecodeError, mdp_mod.MDPError) as exc:
         raise CLIError(f"--mdp: {exc}") from exc
 
 
 def _load_classes(path: str, clip_high: float | None) -> fc.NestedSequence:
     try:
         return fc.load_sequence(path, clip_high=clip_high)
-    except (OSError, fc.FunctionClassError) as exc:
+    except (OSError, UnicodeDecodeError, fc.FunctionClassError) as exc:
         raise CLIError(f"--classes: {exc}") from exc
 
 
-def _load_dataset(path: str) -> ds.OfflineDataset:
+def _load_data_and_classes(args) -> tuple[ds.OfflineDataset, fc.NestedSequence]:
+    """The --data dataset and the --classes sequence clipped to its horizon,
+    with every x and x_next in [0, S) and every a in [0, A) of the classes."""
     try:
-        return ds.load_dataset_csv(path)
-    except (OSError, ds.DatasetError) as exc:
+        data = ds.load_dataset_csv(args.data)
+    except (OSError, UnicodeDecodeError, ds.DatasetError) as exc:
         raise CLIError(f"--data: {exc}") from exc
+    classes = _load_classes(args.classes, clip_high=float(data.horizon))
+    S, A = fc.tabular_shape(classes[len(classes)])
+    for h, step in enumerate(data.steps, start=1):
+        for name, col, size in (("x", step.x, S), ("a", step.a, A), ("x_next", step.x_next, S)):
+            if col.max() >= size:
+                raise CLIError(f"--data: step {h} has {name} = {col.max()}, outside [0, {size}) "
+                               f"of the --classes tables")
+    return data, classes
 
 
 def _behavior_policy(spec: str, mdp: mdp_mod.TabularMDP) -> mdp_mod.Policy:
@@ -83,8 +93,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_run_fqi(args) -> int:
-    data = _load_dataset(args.data)
-    classes = _load_classes(args.classes, clip_high=float(data.horizon))
+    data, classes = _load_data_and_classes(args)
     if not 1 <= args.k <= len(classes):
         raise CLIError(f"--k: class index {args.k} outside [1, {len(classes)}]")
     split = ds.split_dataset(data, args.seed)
@@ -106,8 +115,7 @@ def cmd_run_fqi(args) -> int:
 
 
 def cmd_run_modbe(args) -> int:
-    data = _load_dataset(args.data)
-    classes = _load_classes(args.classes, clip_high=float(data.horizon))
+    data, classes = _load_data_and_classes(args)
     base = basealg.make_fqi(data.horizon)
     trace = modbe(data, base, classes, args.delta, args.schedule, args.seed)
     if args.trace:
@@ -121,8 +129,7 @@ def cmd_run_modbe(args) -> int:
 
 
 def cmd_run_holdout(args) -> int:
-    data = _load_dataset(args.data)
-    classes = _load_classes(args.classes, clip_high=float(data.horizon))
+    data, classes = _load_data_and_classes(args)
     split = ds.split_dataset(data, args.seed)
     fseqs = ev.fit_each_class(basealg.make_fqi(data.horizon), split.train.steps, classes)
     k, scores = ev.holdout_select(split.valid.steps, fseqs)
@@ -135,6 +142,10 @@ def cmd_run_holdout(args) -> int:
 def cmd_diagnose(args) -> int:
     mdp = _load_mdp(args.mdp)
     classes = _load_classes(args.classes, clip_high=float(mdp.horizon))
+    shape = fc.tabular_shape(classes[len(classes)])
+    if shape != (mdp.num_states, mdp.num_actions):
+        raise CLIError(f"--classes: tables of shape {shape} do not match the MDP's "
+                       f"(S, A) = {(mdp.num_states, mdp.num_actions)}")
     mu = _mu_spec(args.mu, mdp)
     report = ev.diagnose(classes, mdp, mu)
     print(report.to_text(), end="")
@@ -144,11 +155,13 @@ def cmd_diagnose(args) -> int:
 def cmd_bench(args) -> int:
     try:
         cfg = ev.parse_config(args.config)
-    except (OSError, ev.EvalError) as exc:
+    except (OSError, UnicodeDecodeError, ev.EvalError) as exc:
         raise CLIError(f"--config: {exc}") from exc
     out_dir = os.path.dirname(cfg.output) or "."
     if not os.path.isdir(out_dir):
         raise CLIError(f"--config: output directory {out_dir!r} does not exist")
+    if not os.path.basename(cfg.output) or os.path.isdir(cfg.output):
+        raise CLIError(f"--config: output {cfg.output!r} does not name a file")
     rows = ev.run_experiment(cfg, jobs=args.jobs, record_runtime=not args.no_runtime)
     ev.write_results_csv(rows, cfg.output)
     print(ev.summarize(rows), end="")

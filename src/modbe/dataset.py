@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,7 @@ _STREAM_GENERATE = 0
 _STREAM_SPLIT = 1
 
 MIN_SAMPLES = 5    # smallest n with a nonempty validation slot
+MAX_INDEX = np.iinfo(np.int64).max   # largest state or action index an array holds
 
 
 class DatasetError(ValueError):
@@ -145,7 +147,7 @@ def save_dataset_csv(dataset: OfflineDataset, path: str) -> None:
 
 def load_dataset_csv(path: str) -> OfflineDataset:
     meta: dict = {}
-    rows: dict[int, list] = {}
+    rows: dict[int, list] = defaultdict(list)
     with open(path) as fh:
         header_seen = False
         for lineno, line in enumerate(fh, start=1):
@@ -172,13 +174,17 @@ def load_dataset_csv(path: str) -> OfflineDataset:
                 raise DatasetError(f"{path}:{lineno}: malformed row: {exc}") from exc
             if h < 1:
                 raise DatasetError(f"{path}:{lineno}: step index {h} out of range")
+            if not (0 <= rec[0] <= MAX_INDEX and 0 <= rec[1] <= MAX_INDEX
+                    and 0 <= rec[3] <= MAX_INDEX):
+                raise DatasetError(f"{path}:{lineno}: x, a and x_next must lie in "
+                                   f"[0, {MAX_INDEX}]")
             if not 0.0 <= rec[2] <= 1.0:
                 raise DatasetError(f"{path}:{lineno}: reward {rec[2]} outside [0, 1]")
-            rows.setdefault(h, []).append(rec)
+            rows[h].append(rec)
     if not rows:
         raise DatasetError(f"{path}: no transition rows found")
     H = max(rows)
-    if sorted(rows) != list(range(1, H + 1)):
+    if len(rows) != H:      # the step indices are distinct and >= 1, so this means 1..H
         raise DatasetError(f"{path}: missing step slots, found {sorted(rows)}")
     counts = {h: len(v) for h, v in rows.items()}
     if len(set(counts.values())) != 1:

@@ -49,10 +49,8 @@ def _enumerate_members(fclass: FunctionClass, cap: int = ENUMERATION_CAP):
 
 
 def _projection_error(fclass: FunctionClass, target: np.ndarray, weights: np.ndarray) -> float:
-    """min_{f in class} ||f - target||^2_weights, exactly."""
-    if fclass.variant == "finite":
-        return min(float((weights * (t - target) ** 2).sum()) for t in fclass.tables)
-    if fclass.variant == "abstraction":
+    """min_{f in class} ||f - target||^2_weights over clipped values, exactly."""
+    if fclass.variant in ("finite", "abstraction"):
         proj = fclass.population_erm(weights, target)
         S, A = target.shape
         xs, as_ = np.divmod(np.arange(S * A), A)
@@ -332,8 +330,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if any(n < 5 for n in self.n_list):
             raise EvalError("all n values must be at least 5")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise EvalError("seeds must be distinct")
+        if len(set(self.seeds)) != len(self.seeds) or any(s < 0 for s in self.seeds):
+            raise EvalError("seeds must be distinct and non-negative")
         if self.schedule not in ("practical", "theoretical"):
             raise EvalError(f"schedule must be practical or theoretical, got {self.schedule!r}")
         if not 0.0 < self.delta <= DELTA_MAX:     # NaN fails the comparison too

@@ -91,8 +91,8 @@ class FunctionClass:
         raise NotImplementedError
 
     def erm(self, xs, as_, ys) -> QFunction:
-        """Member minimizing the empirical squared loss; ties break to the
-        lowest member index."""
+        """Member minimizing the empirical squared loss of its clipped values;
+        ties break to the lowest member index."""
         raise NotImplementedError
 
     def population_erm(self, weights: np.ndarray, target: np.ndarray) -> QFunction:
@@ -140,12 +140,14 @@ class FiniteClass(FunctionClass):
         xs = np.asarray(xs, dtype=int)
         as_ = np.asarray(as_, dtype=int)
         ys = np.asarray(ys, dtype=float)
-        losses = [float(np.mean((t[xs, as_] - ys) ** 2)) for t in self.tables]
+        losses = [float(np.mean((_clip(t, self.clip_high)[xs, as_] - ys) ** 2))
+                  for t in self.tables]
         best = int(np.argmin(losses))
         return TableQ(self.tables[best], self.clip_high)
 
     def population_erm(self, weights, target):
-        losses = [float((weights * (t - target) ** 2).sum()) for t in self.tables]
+        losses = [float((weights * (_clip(t, self.clip_high) - target) ** 2).sum())
+                  for t in self.tables]
         best = int(np.argmin(losses))
         return TableQ(self.tables[best], self.clip_high)
 
@@ -311,6 +313,8 @@ def _check_nested_pair(small: FunctionClass, large: FunctionClass) -> None:
             if not any(t.shape == u.shape and np.array_equal(t, u) for u in large.tables):
                 raise FunctionClassError("finite classes are not nested (missing member)")
     elif small.variant == "abstraction":
+        if tabular_shape(small) != tabular_shape(large):
+            raise FunctionClassError("abstraction classes must share one (S, A) shape")
         # the larger class's partition must refine the smaller's
         for blk in range(large.num_blocks):
             coarse = np.unique(small.blocks[large.blocks == blk])
@@ -328,9 +332,11 @@ def _check_nested_pair(small: FunctionClass, large: FunctionClass) -> None:
 #   classes M
 #   class finite S A members m      followed by m lines of S*A table values
 #   class abstraction S A blocks B  followed by one line of S block ids
+#                                   that uses each id in [0, B)
 #   class linear dim d              (feature map bound programmatically)
-# Every count (M, S, A, m, B, d) is a positive integer. '#' lines are
-# comments. clip_high is supplied by the loader.
+# Every count (M, S, A, m, B, d) is a positive integer, table values are
+# finite, and an abstraction class has S*A <= MAX_TABLE_CELLS. '#' lines
+# are comments. clip_high is supplied by the loader.
 
 
 def save_sequence(seq: NestedSequence, path: str) -> None:
@@ -350,11 +356,19 @@ def save_sequence(seq: NestedSequence, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+MAX_TABLE_CELLS = 10 ** 7   # abstraction ERM and greedy policies build dense S*A tables
 _COUNT = r"([1-9][0-9]*)"
 _HEADER = re.compile(rf"classes {_COUNT}")
 _FINITE = re.compile(rf"class finite {_COUNT} {_COUNT} members {_COUNT}")
 _ABSTRACTION = re.compile(rf"class abstraction {_COUNT} {_COUNT} blocks {_COUNT}")
 _LINEAR = re.compile(rf"class linear dim {_COUNT}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 def load_sequence(path: str, clip_high: float | None = None,
@@ -390,14 +404,20 @@ def load_sequence(path: str, clip_high: float | None = None,
         lineno, text = rows[i]
         if stanza := _FINITE.fullmatch(text):
             S, A, nm = (int(g) for g in stanza.groups())
-            tabs = [np.array(values(i + 1 + j, float, S * A, "table values")).reshape(S, A)
-                    for j in range(nm)]
+            tabs = [np.array(values(i + 1 + j, _finite_float, S * A, "table values"))
+                    .reshape(S, A) for j in range(nm)]
             classes.append(FiniteClass(tuple(tabs), clip_high))
             i += 1 + nm
         elif stanza := _ABSTRACTION.fullmatch(text):
-            S, A = int(stanza.group(1)), int(stanza.group(2))
-            classes.append(AbstractionClass(np.array(values(i + 1, int, S, "block ids")),
-                                            A, clip_high))
+            S, A, B = (int(g) for g in stanza.groups())
+            if S * A > MAX_TABLE_CELLS:     # no data line bounds A
+                raise FunctionClassError(f"{path}:{lineno}: S*A = {S * A} exceeds "
+                                         f"{MAX_TABLE_CELLS} table cells")
+            ids = values(i + 1, int, S, "block ids")
+            if len(set(ids)) != B or not all(0 <= b < B for b in ids):
+                raise FunctionClassError(f"{path}:{rows[i + 1][0]}: block ids must lie in "
+                                         f"[0, {B}) and use each of them")
+            classes.append(AbstractionClass(np.array(ids), A, clip_high))
             i += 2
         elif stanza := _LINEAR.fullmatch(text):
             if feature_fn is None or num_actions is None:

@@ -271,12 +271,85 @@ class TestBench:
         assert rc == 1
         assert "output directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines, message", [
+        ("seeds = 0, -1\n", "seeds must be distinct and non-negative"),
+        ("output = \n", "does not name a file"),
+        ("output = {tmp}\n", "does not name a file"),
+        ("output = {tmp}/\n", "does not name a file")],
+        ids=["negative-seed", "empty-output", "output-is-directory", "output-ends-in-slash"])
+    def test_bad_seeds_or_output_rejected_before_any_cell(self, tmp_path, capsys,
+                                                          monkeypatch, lines, message):
+        monkeypatch.setattr(ev, "run_rl_cell", _no_cell)
+        cfg = self._config(tmp_path, "x.csv", lines.format(tmp=tmp_path))
+        rc = cli.main(["bench", "--config", cfg, "--no-runtime"])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n_list = 40\nseeds = 0\nmethods = modbe\n")
         rc = cli.main(["bench", "--config", str(cfg)])
         assert rc == 1
         assert "missing config key" in capsys.readouterr().err
+
+
+class TestInputMismatch:
+    """Inputs that disagree with each other, or are not text, exit 1."""
+
+    @pytest.mark.parametrize("command", ["run-fqi", "run-modbe", "run-holdout"])
+    @pytest.mark.parametrize("field, value", [
+        (1, "99"), (1, "-1"), (2, "2"), (2, "-1"), (4, "4"), (1, "99999999999999999999")],
+        ids=["x=99", "x=-1", "a=2", "a=-1", "x_next=4", "x-beyond-int64"])
+    def test_dataset_index_outside_classes(self, chain_data, tmp_path, capsys,
+                                           command, field, value):
+        _, cls_path, data_path = chain_data
+        lines = open(data_path).read().splitlines()
+        i = lines.index("h,x,a,r,x_next") + 1
+        row = lines[i].split(",")
+        row[field] = value
+        lines[i] = ",".join(row)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert cli.main([command, "--data", str(bad), "--classes", cls_path]) == 1
+        assert "error: --data:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "classes 1\nclass abstraction 4 2 blocks 1\n0 0 1 1\n",
+        "classes 1\nclass abstraction 4 2 blocks 1\n0 99999999999999999999 0 0\n",
+        "classes 1\nclass abstraction 4 99999999999999999999 blocks 1\n0 0 0 0\n",
+        "classes 2\nclass abstraction 3 2 blocks 1\n0 0 0\n"
+        "class abstraction 4 2 blocks 4\n0 1 2 3\n",
+        "classes 1\nclass abstraction 3 2 blocks 1\n0 0 0\n",
+        "classes 1\nclass abstraction 4 1 blocks 1\n0 0 0 0\n"],
+        ids=["block-id-beyond-declared", "block-id-beyond-int64", "actions-beyond-int64",
+             "nested-shapes-differ", "fewer-states-than-data", "fewer-actions-than-data"])
+    def test_bad_or_mismatched_class_file(self, chain_data, tmp_path, capsys, text):
+        _, _, data_path = chain_data
+        cls = tmp_path / "bad.classes"
+        cls.write_text(text)
+        assert cli.main(["run-modbe", "--data", data_path, "--classes", str(cls)]) == 1
+        assert "error: --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 3)])
+    def test_diagnose_class_shape_must_match_mdp(self, chain_files, tmp_path, capsys, shape):
+        mdp_path, _ = chain_files
+        cls = tmp_path / "other.classes"
+        save_sequence(NestedSequence((FiniteClass((np.zeros(shape),)),)), str(cls))
+        assert cli.main(["diagnose", "--mdp", mdp_path, "--classes", str(cls)]) == 1
+        assert "do not match the MDP's (S, A) = (4, 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--mdp", "--classes", "--data", "--config"])
+    def test_binary_file(self, chain_data, tmp_path, capsys, flag):
+        mdp_path, cls_path, data_path = chain_data
+        binary = tmp_path / "binary"
+        binary.write_bytes(bytes(range(128, 256)))
+        argv = {"--mdp": ["diagnose", "--mdp", str(binary), "--classes", cls_path],
+                "--classes": ["run-modbe", "--data", data_path, "--classes", str(binary)],
+                "--data": ["run-modbe", "--data", str(binary), "--classes", cls_path],
+                "--config": ["bench", "--config", str(binary)]}[flag]
+        assert cli.main(argv) == 1
+        assert f"error: {flag}:" in capsys.readouterr().err
 
 
 class TestUsage:

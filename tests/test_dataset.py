@@ -157,6 +157,20 @@ class TestPersistence:
         with pytest.raises(DatasetError, match="missing"):
             load_dataset_csv(str(path))
 
+    @pytest.mark.parametrize("row", ["1,-1,0,0.5,0", "1,0,-2,0.5,0", "1,0,0,0.5,-1",
+                                     f"1,{2 ** 63},0,0.5,0"])
+    def test_index_outside_range_names_its_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"h,x,a,r,x_next\n1,0,0,0.5,0\n{row}\n")
+        with pytest.raises(DatasetError, match=r"bad\.csv:3: x, a and x_next must lie in"):
+            load_dataset_csv(str(path))
+
+    def test_huge_step_index_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"h,x,a,r,x_next\n1,0,0,0.5,0\n{10 ** 18},0,0,0.5,0\n")
+        with pytest.raises(DatasetError, match="missing"):
+            load_dataset_csv(str(path))
+
     def test_metadata_round_trip(self, rng, tmp_path):
         mdp = random_mdp(rng, 2, 2, 1)
         ds = generate_from_mu(mdp, np.full((1, 2, 2), 0.25), 10, seed=6)

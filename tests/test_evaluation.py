@@ -50,6 +50,12 @@ class TestApproxError:
         cls = FiniteClass((np.zeros((1, 1)), np.ones((1, 1))), clip_high=1.0)
         assert approx_error(cls, mdp, mu) == pytest.approx(0.5625, abs=1e-12)
 
+    def test_finite_projection_on_clipped_values(self):
+        # the 7.5 member evaluates to the clip bound 2, which is the target
+        cls = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 7.5)), clip_high=2.0)
+        target = np.full((1, 1), 2.0)
+        assert evaluation._projection_error(cls, target, np.ones((1, 1))) == 0.0
+
     def test_linear_not_computable(self):
         inst = CBInstance()
         feats = inst.sample_features(4, np.random.default_rng(0))
@@ -193,6 +199,8 @@ class TestExperimentPlumbing:
             ExperimentConfig("chain", [3], [0], ["modbe"])
         with pytest.raises(EvalError):
             ExperimentConfig("chain", [100], [0, 0], ["modbe"])
+        with pytest.raises(EvalError):
+            ExperimentConfig("chain", [100], [0, -1], ["modbe"])
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"

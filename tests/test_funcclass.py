@@ -63,6 +63,14 @@ class TestERM:
         f = cls.erm([0], [0], [1.0])
         assert np.array_equal(f.table, np.zeros((1, 1)))
 
+    def test_finite_ranks_clipped_values(self):
+        # 7.5 evaluates to the clip bound 2, which fits targets of 2 exactly
+        cls = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 7.5)), clip_high=2.0)
+        f = cls.erm([0, 0], [0, 0], [2.0, 2.0])
+        assert f.values([0], [0])[0] == 2.0
+        g = cls.population_erm(np.ones((1, 1)), np.full((1, 1), 2.0))
+        assert np.array_equal(g.table, np.full((1, 1), 7.5))
+
     def test_linear_constant_feature_mean(self):
         # d=1, phi == 1: ridge with tiny lambda -> near the sample mean 3
         cls = LinearClass(ident_features(1), dim=1, num_actions=1)
@@ -172,6 +180,14 @@ class TestNestedSequence:
         with pytest.raises(FunctionClassError):
             NestedSequence((fine, bad))
 
+    @pytest.mark.parametrize("blocks, num_actions", [(np.zeros(3, dtype=int), 2),
+                                                     (np.zeros(4, dtype=int), 1)])
+    def test_abstraction_shapes_must_match(self, blocks, num_actions):
+        coarse = AbstractionClass(blocks, num_actions)
+        fine = AbstractionClass(np.arange(4), 2)
+        with pytest.raises(FunctionClassError, match="share one"):
+            NestedSequence((coarse, fine))
+
     def test_linear_prefix_monotone(self):
         fn = ident_features(3)
         a = LinearClass(fn, dim=2, num_actions=1)
@@ -271,7 +287,12 @@ class TestPersistence:
         ("classes abc\n", 1),
         ("# comment\nclasses 1\nclass finite 1 2 members 1\n0 zap\n", 4),
         ("classes 1\nclass abstraction 3 1 blocks 2\n0 1\n", 3),
-        ("classes 2\nclass linear dim 0\n", 2)])
+        ("classes 2\nclass linear dim 0\n", 2),
+        ("classes 1\nclass abstraction 4 2 blocks 1\n0 0 1 1\n", 3),
+        ("classes 1\nclass abstraction 4 2 blocks 2\n0 0 0 0\n", 3),
+        ("classes 1\nclass abstraction 4 2 blocks 1\n0 99999999999999999999 0 0\n", 3),
+        ("classes 1\nclass abstraction 4 99999999999999999999 blocks 1\n0 0 0 0\n", 2),
+        ("classes 1\nclass finite 1 1 members 2\n0\nnan\n", 4)])
     def test_garbled_stanza_names_its_line(self, tmp_path, text, line):
         path = tmp_path / "bad.txt"
         path.write_text(text)
