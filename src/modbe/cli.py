@@ -131,7 +131,7 @@ def cmd_run_modbe(args) -> int:
 def cmd_run_holdout(args) -> int:
     data, classes = _load_data_and_classes(args)
     split = ds.split_dataset(data, args.seed)
-    fseqs = ev.fit_each_class(basealg.make_fqi(data.horizon), split.train.steps, classes)
+    fseqs = [basealg.fqi(split.train.steps, classes[k]) for k in range(1, len(classes) + 1)]
     k, scores = ev.holdout_select(split.valid.steps, fseqs)
     print(f"selected class: {k} of {len(classes)}")
     for i, s in enumerate(scores, start=1):

@@ -119,12 +119,6 @@ def diagnose(classes: NestedSequence, mdp: TabularMDP, mu: np.ndarray,
 # Baseline selectors
 
 
-def fit_each_class(base: BaseAlgorithm, train_steps: Sequence[StepData],
-                   classes: NestedSequence) -> list[QSequence]:
-    """The base algorithm's output for every class, in class order."""
-    return [base.fit(train_steps, classes[k]) for k in range(1, len(classes) + 1)]
-
-
 def holdout_select(valid_steps: Sequence[StepData], fseqs: Sequence[QSequence]):
     """Pick the fitted sequence with the smallest summed per-step validation
     loss; ties break to the smallest k. Returns (k, per-class scores)."""
@@ -398,6 +392,8 @@ def _expand_methods(methods: Sequence[str], num_classes: int) -> list[str]:
         elif m not in ("modbe", "holdout", "oracle"):
             raise EvalError(f"unknown method {m!r}")
         out.append(m)
+    if not out:
+        raise EvalError("no methods given")
     return out
 
 
@@ -407,32 +403,36 @@ def _method_rows(n: int, seed: int, methods: Sequence[str], dataset: OfflineData
                  regret_of: Callable[[QSequence], float]) -> list[tuple]:
     """One row (n, seed, method, k, regret, runtime_ms) per expanded method.
 
-    Every method ends in one fitted sequence whose greedy policy regret_of
-    scores. select() runs ModBE on dataset, which splits and fits on its own;
-    hold-out, oracle and fixed-k share one split of dataset and one base fit
-    per class, made on the first method that needs them. runtime_ms times the
-    selection, not the scoring.
+    ModBE (select()) runs first when requested. The baselines reuse its split
+    and fits, base fits only the classes it never tried, and each class is
+    scored once by regret_of. runtime_ms times a method's own choice (all of
+    select() for modbe); the shared split, fits and scores are charged to none.
     """
-    split = fseqs = None
+    if "modbe" in methods:
+        t0 = time.perf_counter()
+        trace = select()
+        modbe_ms = (time.perf_counter() - t0) * 1000.0
+        split, fits = trace.split, trace.fits
+    else:
+        split, fits = split_dataset(dataset, seed), {}
+    if any(method != "modbe" for method in methods):
+        fits = {k: fits[k] if k in fits else base.fit(split.train.steps, classes[k])
+                for k in range(1, len(classes) + 1)}
+    fseqs = list(fits.values())         # class order: ModBE tries 1, 2, ... in turn
+    oracle_k, regrets = oracle_select(regret_of, fseqs)
     rows = []
     for method in methods:
         t0 = time.perf_counter()
         if method == "modbe":
-            trace = select()
-            k, fseq = trace.k_hat, trace.qseq
+            k = trace.k_hat
+        elif method == "holdout":
+            k, _ = holdout_select(split.valid.steps, fseqs)
+        elif method == "oracle":
+            k = oracle_k
         else:
-            if fseqs is None:
-                split = split_dataset(dataset, seed)
-                fseqs = fit_each_class(base, split.train.steps, classes)
-            if method == "holdout":
-                k, _ = holdout_select(split.valid.steps, fseqs)
-            elif method == "oracle":
-                k, _ = oracle_select(regret_of, fseqs)
-            else:
-                k = int(method.split("-")[1])
-            fseq = fseqs[k - 1]
-        ms = (time.perf_counter() - t0) * 1000.0
-        rows.append((n, seed, method, k, regret_of(fseq), ms))
+            k = int(method.split("-")[1])
+        ms = modbe_ms if method == "modbe" else (time.perf_counter() - t0) * 1000.0
+        rows.append((n, seed, method, k, regrets[k - 1], ms))
     return rows
 
 

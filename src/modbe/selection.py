@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .basealg import DELTA_MAX, BaseAlgorithm, QSequence, make_discounted
-from .dataset import OfflineDataset, StepData, split_dataset
+from .dataset import DataSplit, OfflineDataset, StepData, split_dataset
 from .funcclass import FunctionClass, NestedSequence, QFunction
 
 ZETA_CONSTANT = 96.0
@@ -110,12 +110,20 @@ class SelectionTrace:
     """Full audit record of one selection run."""
 
     k_hat: int
-    qseq: QSequence
+    fits: dict              # class index -> base fit on split.train, for every class tried
+    split: DataSplit
     events: list
-    base_calls: int
     erm_calls: int
     seed: int
     mode: str
+
+    @property
+    def qseq(self) -> QSequence:
+        return self.fits[self.k_hat]
+
+    @property
+    def base_calls(self) -> int:
+        return len(self.fits)
 
     def to_text(self) -> str:
         lines = [e.to_line() for e in self.events]
@@ -139,7 +147,7 @@ def _eliminate(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequ
     step's regression targets r + next_values(f^k, h, x') and the comparator's
     validation loss once, then test every (k', h). The comparator is f^k
     itself, or with refit_comparator the same-class re-regression g^k onto
-    those targets. Any failing (k', h) rejects k (k += 1); all H steps of a
+    those targets. Any failing (k', h) rejects k for k + 1; all H steps of a
     (k, k') pair are recorded even after the first failure.
     """
     if not 0.0 < delta <= DELTA_MAX:
@@ -149,15 +157,12 @@ def _eliminate(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequ
                               split.train.n, split.valid.n, dataset.n, base.omega)
     M = len(classes)
     events: list[TraceEvent] = []
-    base_calls = 0
+    fits: dict[int, QSequence] = {}
     erm_calls = 0
-    k = 1
-    fseq: QSequence | None = None
-    fitted_k = 0
-    while k < M:
-        fseq = base.fit(split.train.steps, classes[k])
-        base_calls += 1
-        fitted_k = k
+    for k in range(1, M + 1):
+        fseq = fits[k] = base.fit(split.train.steps, classes[k])
+        if k == M:          # no larger class to test against
+            break
         tests = []          # per step: (train slot, targets, valid slot, next values, loss_f)
         for h, (train_step, valid_step) in enumerate(zip(split.train.steps, split.valid.steps), 1):
             targets = train_step.r + next_values(fseq, h, train_step.x_next)
@@ -180,16 +185,10 @@ def _eliminate(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequ
                 events.append(TraceEvent(k, k_prime, h, loss_g, loss_f, tol, rej))
                 rejected = rejected or rej
             if rejected:
-                k += 1
                 break
         if not rejected:
             break
-    if fitted_k != k:
-        # k reached M through a rejection (or M = 1): the returned sequence
-        # must come from a class that was actually trained on.
-        fseq = base.fit(split.train.steps, classes[k])
-        base_calls += 1
-    return SelectionTrace(k, fseq, events, base_calls, erm_calls, seed, sched.mode)
+    return SelectionTrace(k, fits, split, events, erm_calls, seed, sched.mode)
 
 
 def modbe(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequence,

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from modbe import (AbstractionClass, FiniteClass, NestedSequence, TabularMDP,
-                   generate_from_mu, greedy_policy, make_fqi, modbe, regret, split_dataset)
+                   fqi, generate_from_mu, greedy_policy, make_fqi, modbe, regret,
+                   split_dataset)
 from modbe import evaluation
 from modbe.basealg import fqi_oracle
 from modbe.mdp import squared_bellman_errors
 from modbe.evaluation import (CBInstance, EvalError, ExperimentConfig, approx_error, cb_eval_set,
-                              chain_classes, chain_mdp, diagnose, fit_each_class, global_xi,
+                              chain_classes, chain_mdp, diagnose, global_xi,
                               holdout_bias_instance, holdout_select,
                               never_overshoot_instance, oracle_select, parse_config,
                               run_cb_cell, run_experiment, run_rl_cell, summarize,
@@ -113,8 +114,7 @@ class TestBaselines:
         ds = generate_from_mu(mdp, np.full((2, 2, 2), 0.25), 50, seed=0)
         classes = NestedSequence((AbstractionClass(np.arange(2), 2, clip_high=2.0),))
         split = split_dataset(ds, 0)
-        k, scores = holdout_select(split.valid.steps,
-                                   fit_each_class(make_fqi(2), split.train.steps, classes))
+        k, scores = holdout_select(split.valid.steps, [fqi(split.train.steps, classes[1])])
         assert k == 1 and len(scores) == 1
 
     def test_holdout_tie_breaks_to_smallest(self, rng):
@@ -124,15 +124,15 @@ class TestBaselines:
         classes = NestedSequence((cls, AbstractionClass(np.arange(2), 2, clip_high=2.0)))
         split = split_dataset(ds, 0)
         k, scores = holdout_select(split.valid.steps,
-                                   fit_each_class(make_fqi(2), split.train.steps, classes))
+                                   [fqi(split.train.steps, classes[k]) for k in (1, 2)])
         assert k == 1 and scores[0] == scores[1]
 
     def test_oracle_picks_min_regret(self):
         mdp = chain_mdp()
         ds = generate_from_mu(mdp, uniform_mu(mdp), 2000, seed=2)
-        split = split_dataset(ds, 0)
+        split, classes = split_dataset(ds, 0), chain_classes()
         k, regrets = oracle_select(lambda fseq: regret(mdp, greedy_policy(fseq.funcs, 4, 2)),
-                                   fit_each_class(make_fqi(4), split.train.steps, chain_classes()))
+                                   [fqi(split.train.steps, classes[k]) for k in (1, 2, 3)])
         assert regrets[k - 1] == min(regrets)
 
     def test_holdout_bias_instance_margins(self):
