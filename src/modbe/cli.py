@@ -21,15 +21,27 @@ class CLIError(Exception):
     """Input-validation failure: bad flag value or malformed file."""
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than low."""
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than low and, if given, no larger than high."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     parse.__name__ = "int"      # argparse names the type in its "invalid int value" message
     return parse
+
+
+def _output_file(path: str) -> str:
+    """argparse type: a path in an existing directory that names a file."""
+    out_dir = os.path.dirname(path) or "."
+    if not os.path.isdir(out_dir):
+        raise argparse.ArgumentTypeError(f"output directory {out_dir!r} does not exist")
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"output {path!r} does not name a file")
+    return path
 
 
 def _load_mdp(path: str) -> mdp_mod.TabularMDP:
@@ -157,11 +169,10 @@ def cmd_bench(args) -> int:
         cfg = ev.parse_config(args.config)
     except (OSError, UnicodeDecodeError, ev.EvalError) as exc:
         raise CLIError(f"--config: {exc}") from exc
-    out_dir = os.path.dirname(cfg.output) or "."
-    if not os.path.isdir(out_dir):
-        raise CLIError(f"--config: output directory {out_dir!r} does not exist")
-    if not os.path.basename(cfg.output) or os.path.isdir(cfg.output):
-        raise CLIError(f"--config: output {cfg.output!r} does not name a file")
+    try:
+        _output_file(cfg.output)
+    except argparse.ArgumentTypeError as exc:
+        raise CLIError(f"--config: {exc}") from exc
     rows = ev.run_experiment(cfg, jobs=args.jobs, record_runtime=not args.no_runtime)
     ev.write_results_csv(rows, cfg.output)
     print(ev.summarize(rows), end="")
@@ -179,18 +190,19 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--mdp", required=True, help="MDP file (plain-text format)")
     g.add_argument("--behavior", default="uniform",
                    help="'uniform' or a whitespace policy file of H*S*A probabilities")
-    g.add_argument("--n", type=_int_at_least(ds.MIN_SAMPLES), required=True,
-                   help=f"samples per step (>= {ds.MIN_SAMPLES})")
-    g.add_argument("--seed", type=_int_at_least(0), default=0, help="generation seed (>= 0)")
-    g.add_argument("--out", required=True, help="output dataset CSV path")
+    g.add_argument("--n", type=_int_in(ds.MIN_SAMPLES, ds.MAX_SAMPLES), required=True,
+                   help=f"samples per step ({ds.MIN_SAMPLES} to {ds.MAX_SAMPLES})")
+    g.add_argument("--seed", type=_int_in(0), default=0, help="generation seed (>= 0)")
+    g.add_argument("--out", type=_output_file, required=True, help="output dataset CSV path")
     g.set_defaults(func=cmd_gen_data)
 
     f = sub.add_parser("run-fqi", help="run fitted Q-iteration with one class")
     f.add_argument("--data", required=True, help="dataset CSV")
     f.add_argument("--classes", required=True, help="nested-sequence description file")
     f.add_argument("--k", type=int, default=1, help="1-based class index (default: 1)")
-    f.add_argument("--seed", type=_int_at_least(0), default=0, help="split seed (>= 0)")
-    f.add_argument("--out", default=None, help="optional output path for Q tables")
+    f.add_argument("--seed", type=_int_in(0), default=0, help="split seed (>= 0)")
+    f.add_argument("--out", type=_output_file, default=None,
+                   help="optional output path for Q tables")
     f.set_defaults(func=cmd_run_fqi)
 
     m = sub.add_parser("run-modbe", help="run the selection loop over nested classes")
@@ -199,14 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--delta", type=float, default=0.1, help="failure probability (<= 1/e)")
     m.add_argument("--schedule", choices=["theoretical", "practical"],
                    default="theoretical", help="tolerance schedule (default: theoretical)")
-    m.add_argument("--seed", type=_int_at_least(0), default=0, help="split seed (>= 0)")
-    m.add_argument("--trace", default=None, help="optional output path for the full trace")
+    m.add_argument("--seed", type=_int_in(0), default=0, help="split seed (>= 0)")
+    m.add_argument("--trace", type=_output_file, default=None,
+                   help="optional output path for the full trace")
     m.set_defaults(func=cmd_run_modbe)
 
     h = sub.add_parser("run-holdout", help="hold-out baseline selection")
     h.add_argument("--data", required=True, help="dataset CSV")
     h.add_argument("--classes", required=True, help="nested-sequence description file")
-    h.add_argument("--seed", type=_int_at_least(0), default=0, help="split seed (>= 0)")
+    h.add_argument("--seed", type=_int_in(0), default=0, help="split seed (>= 0)")
     h.set_defaults(func=cmd_run_holdout)
 
     d = sub.add_parser("diagnose", help="ground-truth diagnostics for an instance")
@@ -218,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run a benchmark sweep from a config file")
     b.add_argument("--config", required=True, help="plain-text key=value config file")
-    b.add_argument("--jobs", type=_int_at_least(1), default=1,
+    b.add_argument("--jobs", type=_int_in(1), default=1,
                    help="parallel workers (>= 1), one seed each (default: 1)")
     b.add_argument("--no-runtime", action="store_true",
                    help="leave runtime_ms empty for byte-stable output")

@@ -16,6 +16,7 @@ _STREAM_GENERATE = 0
 _STREAM_SPLIT = 1
 
 MIN_SAMPLES = 5    # smallest n with a nonempty validation slot
+MAX_SAMPLES = 10 ** 7   # largest n per step accepted from a flag or a config
 MAX_INDEX = np.iinfo(np.int64).max   # largest state or action index an array holds
 
 

@@ -13,7 +13,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basealg import DELTA_MAX, BaseAlgorithm, QSequence, make_discounted, make_fqi
-from .dataset import OfflineDataset, StepData, generate_from_mu, split_dataset
+from .dataset import (MAX_SAMPLES, MIN_SAMPLES, OfflineDataset, StepData, generate_from_mu,
+                      split_dataset)
 from .funcclass import (ABSTRACTION_QUANTUM, AbstractionClass, FiniteClass, FunctionClass,
                         LinearClass, NestedSequence, greedy_policy)
 from .mdp import TabularMDP, bellman_backup, concentrability, regret
@@ -322,8 +323,8 @@ class ExperimentConfig:
     output: str = "results.csv"
 
     def __post_init__(self):
-        if any(n < 5 for n in self.n_list):
-            raise EvalError("all n values must be at least 5")
+        if any(not MIN_SAMPLES <= n <= MAX_SAMPLES for n in self.n_list):
+            raise EvalError(f"all n values must lie in [{MIN_SAMPLES}, {MAX_SAMPLES}]")
         if len(set(self.seeds)) != len(self.seeds) or any(s < 0 for s in self.seeds):
             raise EvalError("seeds must be distinct and non-negative")
         if self.schedule not in ("practical", "theoretical"):

@@ -5,7 +5,7 @@ import pytest
 
 from modbe import cli
 from modbe import evaluation as ev
-from modbe.dataset import load_dataset_csv
+from modbe.dataset import MAX_SAMPLES, load_dataset_csv
 from modbe.evaluation import chain_classes, chain_mdp
 from modbe.funcclass import FiniteClass, NestedSequence, save_sequence
 from modbe.mdp import save_mdp
@@ -275,8 +275,10 @@ class TestBench:
         ("seeds = 0, -1\n", "seeds must be distinct and non-negative"),
         ("output = \n", "does not name a file"),
         ("output = {tmp}\n", "does not name a file"),
-        ("output = {tmp}/\n", "does not name a file")],
-        ids=["negative-seed", "empty-output", "output-is-directory", "output-ends-in-slash"])
+        ("output = {tmp}/\n", "does not name a file"),
+        ("n_list = 40, 99999999999999999999\n", "n values must lie in")],
+        ids=["negative-seed", "empty-output", "output-is-directory", "output-ends-in-slash",
+             "n-beyond-bound"])
     def test_bad_seeds_or_output_rejected_before_any_cell(self, tmp_path, capsys,
                                                           monkeypatch, lines, message):
         monkeypatch.setattr(ev, "run_rl_cell", _no_cell)
@@ -382,3 +384,29 @@ class TestUsage:
         assert cli.main(argv) == 1
         assert f"argument {flag}: must be at least {low}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", [str(MAX_SAMPLES + 1), "99999999999999999999"])
+    def test_sample_count_above_bound(self, chain_files, tmp_path, capsys, n):
+        out = tmp_path / "out.csv"
+        assert cli.main(["gen-data", "--mdp", chain_files[0], "--n", n, "--out", str(out)]) == 1
+        assert f"argument --n: must be at most {MAX_SAMPLES}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gen-data", "--out"), ("run-fqi", "--out"), ("run-modbe", "--trace")])
+    @pytest.mark.parametrize("target, message", [
+        ("missing/dir/file.txt", "output directory"), ("", "does not name a file"),
+        (".", "does not name a file"), ("sub/", "does not name a file")],
+        ids=["missing-dir", "empty", "directory", "trailing-slash"])
+    def test_output_path_rejected_before_any_work(self, chain_data, tmp_path, capsys,
+                                                  monkeypatch, command, flag, target, message):
+        for name in ("cmd_gen_data", "cmd_run_fqi", "cmd_run_modbe"):
+            monkeypatch.setattr(cli, name, _no_cell)
+        (tmp_path / "sub").mkdir()
+        mdp_path, cls_path, data_path = chain_data
+        inputs = (["--mdp", mdp_path, "--n", "50"] if command == "gen-data"
+                  else ["--data", data_path, "--classes", cls_path])
+        path = str(tmp_path / target) if target else ""
+        assert cli.main([command, *inputs, flag, path]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: output " in err and message in err

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from modbe import (AbstractionClass, FiniteClass, NestedSequence, TabularMDP,
-                   fqi, generate_from_mu, greedy_policy, make_fqi, modbe, regret,
-                   split_dataset)
-from modbe import evaluation
+                   generate_from_mu, greedy_policy, make_fqi, modbe, regret, split_dataset)
+from modbe import basealg, evaluation, selection
+from modbe.basealg import fqi
+from modbe.dataset import MAX_SAMPLES
 from modbe.basealg import fqi_oracle
 from modbe.mdp import squared_bellman_errors
 from modbe.evaluation import (CBInstance, EvalError, ExperimentConfig, approx_error, cb_eval_set,
@@ -201,6 +202,9 @@ class TestExperimentPlumbing:
             ExperimentConfig("chain", [100], [0, 0], ["modbe"])
         with pytest.raises(EvalError):
             ExperimentConfig("chain", [100], [0, -1], ["modbe"])
+        for n in (MAX_SAMPLES + 1, 99999999999999999999):
+            with pytest.raises(EvalError, match="n values must lie in"):
+                ExperimentConfig("chain", [100, n], [0], ["modbe"])
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -279,6 +283,35 @@ class TestExperimentPlumbing:
                            "practical", 0.1)
         methods = [r[2] for r in rows]
         assert methods == ["modbe", "holdout", "oracle", "fixed-1", "fixed-2", "fixed-3"]
+
+    def test_rl_cell_splits_fits_and_scores_once(self, monkeypatch):
+        # the baselines reuse ModBE's split and fits, and every row reads its
+        # regret from one score per class
+        calls = {"split": 0, "regret": 0}
+        fitted = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def counted_fqi(train_steps, fclass):
+            fitted.append(fclass)
+            return fqi(train_steps, fclass)
+
+        monkeypatch.setattr(selection, "split_dataset", counted("split", selection.split_dataset))
+        monkeypatch.setattr(evaluation, "split_dataset", counted("split", evaluation.split_dataset))
+        monkeypatch.setattr(evaluation, "regret", counted("regret", evaluation.regret))
+        monkeypatch.setattr(basealg, "fqi", counted_fqi)
+        rows = run_rl_cell(100, 0, ["modbe", "holdout", "oracle", "fixed"], "practical", 0.1)
+        assert len(rows) == 6
+        assert calls == {"split": 1, "regret": 3}
+        assert len(fitted) == len({id(c) for c in fitted}) == 3
+
+    def test_empty_method_list_rejected(self):
+        with pytest.raises(EvalError, match="no methods"):
+            run_rl_cell(100, 0, [], "practical", 0.1)
 
     def test_unknown_instance_rejected(self):
         cfg = ExperimentConfig("chain", [100], [0], ["modbe"])

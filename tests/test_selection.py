@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from modbe import (AbstractionClass, FiniteClass, NestedSequence, TabularMDP,
-                   generate_from_mu, make_fqi, modbe, modbe_discounted, zeta)
+                   generate_from_mu, make_discounted, make_fqi, modbe, modbe_discounted, zeta)
 from modbe.basealg import BaseAlgorithm, QSequence, fqi
 from modbe.dataset import StepData, split_dataset
 from modbe.funcclass import TableQ
 from modbe.mdp import occupancy, optimal_q
 from modbe.selection import (SelectionError, ToleranceSchedule, generalization_test,
                              validation_loss)
-from modbe.evaluation import chain_classes, chain_mdp, uniform_mu
+from modbe.evaluation import CBInstance, chain_classes, chain_mdp, uniform_mu
 
 from conftest import random_mdp
 
@@ -281,6 +281,43 @@ class TestModbeDiscounted:
         classes = NestedSequence((AbstractionClass(np.zeros(1, dtype=int), 1),))
         with pytest.raises(SelectionError, match="delta"):
             modbe_discounted(data, classes, gamma=0.0, delta=0.9, schedule=schedule)
+
+
+class TestSharedFits:
+    """The sweep runners hand trace.split and trace.fits to the baselines,
+    which is valid only while a refit on that split gives the same values."""
+
+    @staticmethod
+    def assert_refits_identical(trace, base, classes):
+        assert trace.qseq is trace.fits[trace.k_hat]
+        assert trace.base_calls == len(trace.fits)
+        assert list(trace.fits) == list(range(1, trace.k_hat + 1))
+        for k, fseq in trace.fits.items():
+            again = base.fit(trace.split.train.steps, classes[k])
+            for h in range(1, fseq.horizon + 1):
+                for step in (trace.split.train.steps[h - 1], trace.split.valid.steps[h - 1]):
+                    assert np.array_equal(fseq.func(h).values(step.x, step.a),
+                                          again.func(h).values(step.x, step.a))
+
+    @pytest.mark.parametrize("n, seed", [(100, 0), (1000, 1), (10_000, 2)])
+    def test_chain_fits_match_refits(self, n, seed):
+        mdp, classes = chain_mdp(), chain_classes()
+        ds = generate_from_mu(mdp, uniform_mu(mdp), n, seed)
+        trace = modbe(ds, make_fqi(mdp.horizon), classes, 0.1, "practical", seed)
+        self.assert_refits_identical(trace, make_fqi(mdp.horizon), classes)
+
+    @pytest.mark.parametrize("n, seed", [(200, 0), (2000, 1)])
+    def test_cb_fits_match_refits(self, n, seed):
+        inst = CBInstance()
+        rng = np.random.default_rng(seed)
+        feats = inst.sample_features(n, rng)
+        actions = rng.integers(0, inst.num_actions, n)
+        rewards = inst.mean_rewards(feats)[np.arange(n), actions] + 0.5 * rng.standard_normal(n)
+        data = StepData(np.arange(n), actions, rewards, np.zeros(n, dtype=int))
+        classes = inst.classes(feats)
+        trace = modbe_discounted(data, classes, 0.0, 0.1, "practical", seed)
+        assert trace.k_hat > 1
+        self.assert_refits_identical(trace, make_discounted(0.0), classes)
 
 
 class TestTraceSerialization:
