@@ -401,13 +401,12 @@ def _expand_methods(methods: Sequence[str], num_classes: int) -> list[str]:
 def _method_rows(n: int, seed: int, methods: Sequence[str], dataset: OfflineDataset,
                  base: BaseAlgorithm, classes: NestedSequence,
                  select: Callable[[], SelectionTrace],
-                 regret_of: Callable[[QSequence], float]) -> list[tuple]:
-    """One row (n, seed, method, k, regret, runtime_ms) per expanded method.
-
-    ModBE (select()) runs first when requested. The baselines reuse its split
-    and fits, base fits only the classes it never tried, and each class is
-    scored once by regret_of. runtime_ms times a method's own choice (all of
-    select() for modbe); the shared split, fits and scores are charged to none.
+                 keep: Callable[[QSequence], object] = lambda fseq: fseq) -> list[tuple]:
+    """One row (n, seed, method, k, fits, runtime_ms) per expanded method, for
+    _scored to fill in: fits maps each fitted class to keep(its fit), and
+    oracle's k stays None. ModBE (select()) runs first when requested; the
+    baselines reuse its split and fits, and base fits only the classes it never
+    tried. runtime_ms times a method's own choice (all of select() for modbe).
     """
     if "modbe" in methods:
         t0 = time.perf_counter()
@@ -419,22 +418,30 @@ def _method_rows(n: int, seed: int, methods: Sequence[str], dataset: OfflineData
     if any(method != "modbe" for method in methods):
         fits = {k: fits[k] if k in fits else base.fit(split.train.steps, classes[k])
                 for k in range(1, len(classes) + 1)}
-    fseqs = list(fits.values())         # class order: ModBE tries 1, 2, ... in turn
-    oracle_k, regrets = oracle_select(regret_of, fseqs)
+    kept = {k: keep(fseq) for k, fseq in fits.items()}
     rows = []
     for method in methods:
         t0 = time.perf_counter()
         if method == "modbe":
             k = trace.k_hat
         elif method == "holdout":
-            k, _ = holdout_select(split.valid.steps, fseqs)
+            k, _ = holdout_select(split.valid.steps, list(fits.values()))
         elif method == "oracle":
-            k = oracle_k
+            k = None
         else:
             k = int(method.split("-")[1])
         ms = modbe_ms if method == "modbe" else (time.perf_counter() - t0) * 1000.0
-        rows.append((n, seed, method, k, regrets[k - 1], ms))
+        rows.append((n, seed, method, k, kept, ms))
     return rows
+
+
+def _scored(rows: list[tuple], regrets: dict[int, float]) -> list[tuple]:
+    """A cell's _method_rows with regrets (class index -> regret) and oracle's k filled in."""
+    scored = []
+    for n, seed, method, k, _fits, ms in rows:
+        k = k or oracle_select(regrets.get, sorted(regrets))[0]
+        scored.append((n, seed, method, k, regrets[k], ms))
+    return scored
 
 
 def run_rl_cell(n: int, seed: int, methods: Sequence[str], schedule: str,
@@ -449,30 +456,35 @@ def run_rl_cell(n: int, seed: int, methods: Sequence[str], schedule: str,
     base = make_fqi(mdp.horizon)
     S, A = mdp.num_states, mdp.num_actions
     dataset = generate_from_mu(mdp, mu, n, seed)
-    return _method_rows(n, seed, methods, dataset, base, classes,
-                        lambda: modbe(dataset, base, classes, delta, schedule, seed),
-                        lambda fseq: regret(mdp, greedy_policy(fseq.funcs, S, A)))
+    rows = _method_rows(n, seed, methods, dataset, base, classes,
+                        lambda: modbe(dataset, base, classes, delta, schedule, seed))
+    return _scored(rows, {k: regret(mdp, greedy_policy(fseq.funcs, S, A))
+                          for k, fseq in rows[0][4].items()})
 
 
 CB_EVAL_CONTEXTS = 10_000
+CB_EVAL_CHUNK = 1_000       # contexts drawn and scored at a time
 
 
-def cb_eval_set(instance: CBInstance, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """A seed's regret-evaluation contexts and their mean rewards.
-
-    Drawn from the stream (seed, 1), which does not depend on n, so every
-    cell of one seed shares the same set.
-    """
-    eval_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 1))))
-    eval_feats = instance.sample_features(CB_EVAL_CONTEXTS, eval_rng)
-    return eval_feats, instance.mean_rewards(eval_feats)
+def cb_policy_regrets(instance: CBInstance, seed: int, fits: Sequence[tuple]) -> list[float]:
+    """Policy regret of each (dim, weights) in fits on a seed's evaluation set,
+    drawn CB_EVAL_CHUNK contexts at a time from the stream (seed, 1) for any n."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 1))))
+    contexts = np.arange(CB_EVAL_CHUNK)
+    best, chosen = [], [[] for _ in fits]
+    for _ in range(CB_EVAL_CONTEXTS // CB_EVAL_CHUNK):
+        feats = instance.sample_features(CB_EVAL_CHUNK, rng)
+        means = instance.mean_rewards(feats)
+        best.append(means.max(axis=1))
+        for (dim, weights), picked in zip(fits, chosen):
+            picked.append(means[contexts, (feats[:, :, :dim] @ weights).argmax(axis=1)])
+    best_mean = np.concatenate(best).mean()
+    return [float(best_mean - np.concatenate(picked).mean()) for picked in chosen]
 
 
 def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
-                eval_set: tuple[np.ndarray, np.ndarray], delta: float = 0.1,
-                schedule: str = "practical") -> list[tuple]:
-    """All requested methods on one (n, seed) cell of the contextual bandit;
-    eval_set is cb_eval_set(instance, seed)."""
+                delta: float = 0.1, schedule: str = "practical") -> list[tuple]:
+    """One (n, seed) cell of the contextual bandit; its rows keep (dim, weights) fits."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0, n))))
     feats = instance.sample_features(n, rng)
     means = instance.mean_rewards(feats)
@@ -481,34 +493,23 @@ def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
     data = StepData(np.arange(n), actions, rewards, np.zeros(n, dtype=int))
     classes = instance.classes(feats)
     methods = _expand_methods(methods, len(classes))
-
-    eval_feats, eval_means = eval_set
-    best_mean = eval_means.max(axis=1).mean()
-
-    def policy_regret(fseq):
-        f = fseq.func(1)
-        scores = eval_feats[:, :, :f.dim] @ f.weights
-        chosen = eval_means[np.arange(CB_EVAL_CONTEXTS), scores.argmax(axis=1)]
-        return float(best_mean - chosen.mean())
-
     return _method_rows(n, seed, methods, OfflineDataset((data,)), make_discounted(0.0), classes,
                         lambda: modbe_discounted(data, classes, gamma=0.0, delta=delta,
                                                  schedule=schedule, seed=seed),
-                        policy_regret)
+                        lambda fseq: (fseq.func(1).dim, fseq.func(1).weights))
 
 
-def _run_one_seed(args):
-    """Every n of one seed. A CB seed's evaluation set is drawn here, once,
-    and freed before the next seed's is drawn."""
-    seed, cfg = args
-    if cfg.instance == "cb":
-        instance = CBInstance()
-        eval_set = cb_eval_set(instance, seed)
-        return [row for n in cfg.n_list
-                for row in run_cb_cell(n, seed, cfg.methods, instance, eval_set,
-                                       cfg.delta, cfg.schedule)]
-    return [row for n in cfg.n_list
-            for row in run_rl_cell(n, seed, cfg.methods, cfg.schedule, cfg.delta, cfg.instance)]
+def run_seed(seed: int, cfg: ExperimentConfig) -> list[tuple]:
+    """Every n of one seed. A CB seed's cells all fit first, then one pass
+    over its evaluation set scores every fit they kept."""
+    if cfg.instance != "cb":
+        return [row for n in cfg.n_list for row in
+                run_rl_cell(n, seed, cfg.methods, cfg.schedule, cfg.delta, cfg.instance)]
+    instance = CBInstance()
+    cells = [run_cb_cell(n, seed, cfg.methods, instance, cfg.delta, cfg.schedule)
+             for n in cfg.n_list]
+    regrets = iter(cb_policy_regrets(instance, seed, [f for c in cells for f in c[0][4].values()]))
+    return [row for c in cells for row in _scored(c, {k: next(regrets) for k in c[0][4]})]
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
@@ -523,13 +524,12 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
     # reject an unknown instance or method before any cell runs
     num_classes = len(CB_DIMS) if cfg.instance == "cb" else len(_tabular_instance(cfg.instance)[1])
     _expand_methods(cfg.methods, num_classes)
-    tasks = [(seed, cfg) for seed in cfg.seeds]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_run_one_seed, tasks))
+            chunks = list(pool.map(run_seed, cfg.seeds, itertools.repeat(cfg)))
     else:
-        chunks = [_run_one_seed(t) for t in tasks]
+        chunks = [run_seed(seed, cfg) for seed in cfg.seeds]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     if not record_runtime:

@@ -10,10 +10,9 @@ import pytest
 from modbe import (AbstractionClass, FiniteClass, LinearClass, NestedSequence,
                    generate_from_mu, make_fqi, modbe)
 from modbe.basealg import fqi, fqi_oracle, omega_fqi
-from modbe.evaluation import (CBInstance, ExperimentConfig, cb_eval_set, chain_classes,
-                              chain_mdp, never_overshoot_instance, run_cb_cell,
-                              run_experiment, run_rl_cell, uniform_mu,
-                              write_results_csv)
+from modbe.evaluation import (ExperimentConfig, chain_classes, chain_mdp,
+                              never_overshoot_instance, run_experiment, run_rl_cell,
+                              run_seed, uniform_mu, write_results_csv)
 from modbe.mdp import (concentrability, greedy_policy_from_tables, max_reach,
                        optimal_q, perf_diff_bound, policy_value, regret)
 from modbe.selection import ToleranceSchedule, zeta
@@ -125,17 +124,15 @@ def test_criterion_5_oracle_inequality(capsys):
 
 
 def test_criterion_6_cb_replication(capsys):
-    inst = CBInstance()
     n_list = (200, 500, 1000, 2000, 5000)
     means: dict[str, dict] = {"modbe": {}, "oracle": {}, "fixed-1": {}}
     # seed-major, so each seed's evaluation set is drawn once for all n
     cells: dict[tuple, list] = {(m, n): [] for m in means for n in n_list}
     for seed in range(10):
-        eval_set = cb_eval_set(inst, seed)
-        for n in n_list:
-            for _n, _s, method, _k, reg, _ms in run_cb_cell(
-                    n, seed, ["modbe", "oracle", "fixed-1"], inst, eval_set, 0.1):
-                cells[method, n].append(reg)
+        cfg = ExperimentConfig("cb", list(n_list), [seed], ["modbe", "oracle", "fixed-1"],
+                               delta=0.1)
+        for n, _s, method, _k, reg, _ms in run_seed(seed, cfg):
+            cells[method, n].append(reg)
     for m in means:
         for n in n_list:
             means[m][n] = float(np.mean(cells[m, n]))

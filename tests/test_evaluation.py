@@ -10,11 +10,11 @@ from modbe.basealg import fqi
 from modbe.dataset import MAX_SAMPLES
 from modbe.basealg import fqi_oracle
 from modbe.mdp import squared_bellman_errors
-from modbe.evaluation import (CBInstance, EvalError, ExperimentConfig, approx_error, cb_eval_set,
-                              chain_classes, chain_mdp, diagnose, global_xi,
+from modbe.evaluation import (CBInstance, EvalError, ExperimentConfig, approx_error,
+                              cb_policy_regrets, chain_classes, chain_mdp, diagnose, global_xi,
                               holdout_bias_instance, holdout_select,
                               never_overshoot_instance, oracle_select, parse_config,
-                              run_cb_cell, run_experiment, run_rl_cell, summarize,
+                              run_experiment, run_rl_cell, run_seed, summarize,
                               uniform_mu, write_results_csv)
 
 from conftest import random_mdp
@@ -178,7 +178,7 @@ class TestCBInstance:
     def test_fixed_15_regret_floor(self):
         # missing active features: regret cannot vanish no matter the n
         inst = CBInstance()
-        rows = run_cb_cell(5000, 0, ["fixed-1"], inst, cb_eval_set(inst, 0))
+        rows = run_seed(0, ExperimentConfig("cb", [5000], [0], ["fixed-1"]))
         assert rows[0][4] > 0.1
 
     def test_class_dims_match_spec_family(self):
@@ -247,10 +247,10 @@ class TestExperimentPlumbing:
     def test_cb_eval_set_drawn_once_per_seed(self, monkeypatch):
         seeds = []
 
-        def counting(instance, seed):
+        def counting(instance, seed, fits):
             seeds.append(seed)
-            return cb_eval_set(instance, seed)
-        monkeypatch.setattr(evaluation, "cb_eval_set", counting)
+            return cb_policy_regrets(instance, seed, fits)
+        monkeypatch.setattr(evaluation, "cb_policy_regrets", counting)
         cfg = ExperimentConfig("cb", [200, 500], [0, 1], ["fixed-1"])
         rows = run_experiment(cfg, jobs=1, record_runtime=False)
         assert seeds == [0, 1]
