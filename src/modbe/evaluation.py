@@ -335,6 +335,7 @@ class ExperimentConfig:
 
 def parse_config(path: str) -> ExperimentConfig:
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -343,7 +344,10 @@ def parse_config(path: str) -> ExperimentConfig:
             if "=" not in line:
                 raise EvalError(f"{path}:{lineno}: expected 'key = value'")
             k, v = (t.strip() for t in line.split("=", 1))
-            values[k] = v
+            if k in values:
+                raise EvalError(f"{path}:{lineno}: config key {k!r} repeats line "
+                                f"{first_line[k]}")
+            values[k], first_line[k] = v, lineno
     unknown = sorted(set(values) - set(CONFIG_KEYS))
     if unknown:
         raise EvalError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}; "
@@ -380,21 +384,26 @@ def _tabular_instance(name: str):
 
 
 def _expand_methods(methods: Sequence[str], num_classes: int) -> list[str]:
-    """Expand 'fixed' into fixed-1..fixed-M and reject any unknown method."""
+    """Expand 'fixed' into fixed-1..fixed-M, write each fixed-K index in plain
+    digits and reject an unknown or repeated method."""
     out = []
     for m in methods:
         if m == "fixed":
             out.extend(f"fixed-{k}" for k in range(1, num_classes + 1))
-            continue
-        if m.startswith("fixed-"):
+        elif m.startswith("fixed-"):
             idx = m[len("fixed-"):]
-            if not (idx.isdigit() and 1 <= int(idx) <= num_classes):
+            if not (idx.isdecimal() and 1 <= int(idx) <= num_classes):
                 raise EvalError(f"method {m!r}: class index outside [1, {num_classes}]")
-        elif m not in ("modbe", "holdout", "oracle"):
+            out.append(f"fixed-{int(idx)}")
+        elif m in ("modbe", "holdout", "oracle"):
+            out.append(m)
+        else:
             raise EvalError(f"unknown method {m!r}")
-        out.append(m)
     if not out:
         raise EvalError("no methods given")
+    repeated = sorted({m for m in out if out.count(m) > 1})
+    if repeated:
+        raise EvalError(f"method(s) given twice: {', '.join(repeated)}")
     return out
 
 
@@ -403,36 +412,40 @@ def _method_rows(n: int, seed: int, methods: Sequence[str], dataset: OfflineData
                  select: Callable[[], SelectionTrace],
                  keep: Callable[[QSequence], object] = lambda fseq: fseq) -> list[tuple]:
     """One row (n, seed, method, k, fits, runtime_ms) per expanded method, for
-    _scored to fill in: fits maps each fitted class to keep(its fit), and
-    oracle's k stays None. ModBE (select()) runs first when requested; the
-    baselines reuse its split and fits, and base fits only the classes it never
-    tried. runtime_ms times a method's own choice (all of select() for modbe).
+    _scored to fill in: fits maps each class a row reads (every class when
+    oracle runs, whose k stays None) to keep(its fit). ModBE (select()) runs
+    first when requested; the baselines reuse its split and fits, and base fits
+    only the other classes a pick reads: every class for holdout and oracle.
+    runtime_ms times a method's own choice (all of select() for modbe).
     """
     if "modbe" in methods:
         t0 = time.perf_counter()
         trace = select()
         modbe_ms = (time.perf_counter() - t0) * 1000.0
-        split, fits = trace.split, trace.fits
+        split, fits = trace.split, dict(trace.fits)
     else:
         split, fits = split_dataset(dataset, seed), {}
-    if any(method != "modbe" for method in methods):
-        fits = {k: fits[k] if k in fits else base.fit(split.train.steps, classes[k])
-                for k in range(1, len(classes) + 1)}
-    kept = {k: keep(fseq) for k, fseq in fits.items()}
+    every = range(1, len(classes) + 1)
+    compare = "holdout" in methods or "oracle" in methods
+    for k in every:
+        if k not in fits and (compare or f"fixed-{k}" in methods):
+            fits[k] = base.fit(split.train.steps, classes[k])
     rows = []
     for method in methods:
         t0 = time.perf_counter()
         if method == "modbe":
             k = trace.k_hat
         elif method == "holdout":
-            k, _ = holdout_select(split.valid.steps, list(fits.values()))
+            k, _ = holdout_select(split.valid.steps, [fits[j] for j in every])
         elif method == "oracle":
             k = None
         else:
             k = int(method.split("-")[1])
         ms = modbe_ms if method == "modbe" else (time.perf_counter() - t0) * 1000.0
-        rows.append((n, seed, method, k, kept, ms))
-    return rows
+        rows.append((n, seed, method, k, ms))
+    read = every if "oracle" in methods else sorted({row[3] for row in rows})
+    kept = {k: keep(fits[k]) for k in read}
+    return [(n, seed, method, k, kept, ms) for n, seed, method, k, ms in rows]
 
 
 def _scored(rows: list[tuple], regrets: dict[int, float]) -> list[tuple]:
@@ -517,16 +530,18 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
     """Run every (n, seed) cell; output rows sorted deterministically.
 
     The seed is the unit of work: one task runs all of a seed's n values, so
-    more jobs than seeds leaves workers idle. Seeds are independent and may
-    execute in parallel; results are identical for any job count (runtimes
-    excepted, which is why record_runtime exists).
+    the pool gets at most one worker per seed, and one seed runs in this
+    process. Seeds are independent and may execute in parallel; results are
+    identical for any job count (runtimes excepted, which is why
+    record_runtime exists).
     """
     # reject an unknown instance or method before any cell runs
     num_classes = len(CB_DIMS) if cfg.instance == "cb" else len(_tabular_instance(cfg.instance)[1])
     _expand_methods(cfg.methods, num_classes)
-    if jobs > 1:
+    workers = min(jobs, len(cfg.seeds))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_seed, cfg.seeds, itertools.repeat(cfg)))
     else:
         chunks = [run_seed(seed, cfg) for seed in cfg.seeds]

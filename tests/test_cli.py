@@ -182,15 +182,15 @@ class TestDiagnose:
 
 class TestBench:
     def _config(self, tmp_path, out_name, extra=""):
+        # each "key = value" line of extra replaces that key's default
+        values = {"instance": "chain", "n_list": "40", "seeds": "0, 1",
+                  "methods": "modbe, holdout", "schedule": "practical",
+                  "output": str(tmp_path / out_name)}
+        for line in extra.splitlines():
+            key, value = line.split("=", 1)
+            values[key.strip()] = value.strip()
         cfg = tmp_path / "bench.cfg"
-        cfg.write_text(
-            "instance = chain\n"
-            "n_list = 40\n"
-            "seeds = 0, 1\n"
-            "methods = modbe, holdout\n"
-            "schedule = practical\n"
-            f"output = {tmp_path / out_name}\n"
-            + extra)
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         return str(cfg)
 
     def test_runs_and_writes_csv(self, tmp_path, capsys):
@@ -217,6 +217,22 @@ class TestBench:
         rc = cli.main(["bench", "--config", str(cfg)])
         assert rc == 1
         assert "unknown instance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, message", [
+        ("methods = modbe\nseeds = 0, 1, 2\nseeds = 5\n",
+         "bad.cfg:5: config key 'seeds' repeats line 4"),
+        ("methods = holdout, holdout\nseeds = 0\n", "method(s) given twice: holdout"),
+        ("methods = fixed, fixed-2\nseeds = 0\n", "method(s) given twice: fixed-2")],
+        ids=["repeated-key", "repeated-method", "fixed-repeats-fixed-K"])
+    def test_repeat_rejected_before_any_cell(self, tmp_path, capsys, monkeypatch, lines,
+                                             message):
+        monkeypatch.setattr(ev, "run_rl_cell", _no_cell)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"instance = chain\nn_list = 40\n{lines}output = {tmp_path / 'x.csv'}\n")
+        rc = cli.main(["bench", "--config", str(cfg), "--no-runtime"])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_fixed_index(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from modbe.basealg import fqi
 from modbe.dataset import MAX_SAMPLES
 from modbe.basealg import fqi_oracle
 from modbe.mdp import squared_bellman_errors
-from modbe.evaluation import (CBInstance, EvalError, ExperimentConfig, approx_error,
-                              cb_policy_regrets, chain_classes, chain_mdp, diagnose, global_xi,
+from modbe.evaluation import (CB_EVAL_CHUNK, CB_EVAL_CONTEXTS, CBInstance, EvalError,
+                              ExperimentConfig, approx_error, cb_policy_regrets,
+                              chain_classes, chain_mdp, diagnose, global_xi,
                               holdout_bias_instance, holdout_select,
                               never_overshoot_instance, oracle_select, parse_config,
                               run_experiment, run_rl_cell, run_seed, summarize,
@@ -177,12 +179,104 @@ class TestCBInstance:
 
     def test_fixed_15_regret_floor(self):
         # missing active features: regret cannot vanish no matter the n
-        inst = CBInstance()
         rows = run_seed(0, ExperimentConfig("cb", [5000], [0], ["fixed-1"]))
         assert rows[0][4] > 0.1
 
     def test_class_dims_match_spec_family(self):
         assert CBInstance().class_dims == (15, 20, 25, 28, 29, 30, 50, 75, 100, 200)
+
+
+def eval_rng(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 1))))
+
+
+class TestCBEvaluationStream:
+    def test_chunked_draw_matches_one_draw(self):
+        inst = CBInstance()
+        whole = inst.sample_features(CB_EVAL_CONTEXTS, eval_rng(3))
+        whole_means = inst.mean_rewards(whole)
+        rng = eval_rng(3)
+        for start in range(0, CB_EVAL_CONTEXTS, CB_EVAL_CHUNK):
+            chunk = inst.sample_features(CB_EVAL_CHUNK, rng)
+            assert np.array_equal(chunk, whole[start:start + CB_EVAL_CHUNK])
+            assert np.array_equal(inst.mean_rewards(chunk),
+                                  whole_means[start:start + CB_EVAL_CHUNK])
+
+    def test_streamed_regrets_match_whole_set(self):
+        inst = CBInstance()
+        draw = np.random.default_rng(5)
+        fits = [(d, w) for d in (15, 30, 200)
+                for w in (inst.theta[:d].copy(), draw.standard_normal(d))]
+        feats = inst.sample_features(CB_EVAL_CONTEXTS, eval_rng(2))
+        means = inst.mean_rewards(feats)
+        best_mean = means.max(axis=1).mean()
+        expected = []
+        for d, w in fits:
+            chosen = means[np.arange(CB_EVAL_CONTEXTS), (feats[:, :, :d] @ w).argmax(axis=1)]
+            expected.append(float(best_mean - chosen.mean()))
+        del feats, means
+        assert cb_policy_regrets(inst, 2, fits) == expected
+        assert expected[2] < 1e-12 < expected[0]    # the true weights lose nothing at d = 30
+
+    def test_one_seed_peak_memory(self):
+        # the whole 10 000-context set alone is 160 MB; one chunk is 16 MB
+        cfg = ExperimentConfig("cb", [200], [0], ["oracle"])
+        tracemalloc.start()
+        try:
+            rows = run_experiment(cfg, record_runtime=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 1
+        assert peak < 64 * 2 ** 20
+
+
+class TestFitAndScoreOnlyWhatRowsRead:
+    """A cell fits every class only for holdout or oracle, and scores every
+    class only for oracle; other methods read one class each."""
+
+    @staticmethod
+    def _counted(monkeypatch, module, name, counts, key, size=lambda *args: 1):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += size(*args)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    @pytest.mark.parametrize("methods, fits, scores", [
+        (["modbe"], "k_hat", 1), (["holdout"], 3, 1), (["fixed-1"], 1, 1),
+        (["modbe", "oracle"], 3, 3)])
+    def test_tabular_cell(self, monkeypatch, methods, fits, scores):
+        counts = {"fits": 0, "scores": 0}
+        self._counted(monkeypatch, basealg, "fqi", counts, "fits")
+        self._counted(monkeypatch, evaluation, "regret", counts, "scores")
+        rows = run_rl_cell(1000, 1, methods, "practical", 0.1)
+        assert counts == {"fits": rows[0][3] if fits == "k_hat" else fits, "scores": scores}
+
+    @pytest.mark.parametrize("methods, fits, scores", [
+        (["modbe"], "k_hat", 1), (["holdout"], 10, 1), (["fixed-1"], 1, 1),
+        (["modbe", "oracle"], 10, 10)])
+    def test_cb_cell(self, monkeypatch, methods, fits, scores):
+        counts = {"fits": 0, "scores": 0}
+        self._counted(monkeypatch, basealg, "fitted_q_discounted", counts, "fits")
+        self._counted(monkeypatch, evaluation, "cb_policy_regrets", counts, "scores",
+                      lambda _inst, _seed, kept: len(kept))
+        rows = run_seed(0, ExperimentConfig("cb", [500], [0], methods))
+        assert counts == {"fits": rows[0][3] if fits == "k_hat" else fits, "scores": scores}
+
+    def test_rows_do_not_depend_on_the_other_methods(self):
+        methods = ["modbe", "holdout", "oracle", "fixed-1", "fixed-3"]
+        both = run_rl_cell(1000, 1, methods, "practical", 0.1)
+        alone = [row for m in methods for row in run_rl_cell(1000, 1, [m], "practical", 0.1)]
+        assert [r[:5] for r in alone] == [r[:5] for r in both]
+        cfg = ExperimentConfig("cb", [200], [0], ["modbe", "holdout", "oracle", "fixed-1",
+                                                 "fixed-6"])
+        both = run_seed(0, cfg)
+        alone = []
+        for m in cfg.methods:
+            alone += run_seed(0, ExperimentConfig("cb", [200], [0], [m]))
+        assert [r[:5] for r in alone] == [r[:5] for r in both]
 
 
 class TestExperimentPlumbing:
@@ -205,6 +299,29 @@ class TestExperimentPlumbing:
         for n in (MAX_SAMPLES + 1, 99999999999999999999):
             with pytest.raises(EvalError, match="n values must lie in"):
                 ExperimentConfig("chain", [100, n], [0], ["modbe"])
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("instance = chain\nn_list = 100\nseeds = 0, 1, 2\n# note\n"
+                        "methods = modbe\nseeds = 5\n")
+        with pytest.raises(EvalError, match=r"exp.cfg:6: config key 'seeds' repeats line 3"):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("methods, name", [
+        (["holdout", "holdout"], "holdout"), (["fixed", "fixed-2"], "fixed-2"),
+        (["fixed-2", "fixed-02"], "fixed-2"), (["oracle", "modbe", "fixed", "oracle"], "oracle")])
+    def test_repeated_method_rejected_before_any_cell(self, monkeypatch, methods, name):
+        def no_cell(*_args, **_kwargs):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(evaluation, "run_rl_cell", no_cell)
+        with pytest.raises(EvalError, match=f"method\\(s\\) given twice: {name}$"):
+            run_experiment(ExperimentConfig("chain", [100], [0], methods))
+
+    def test_fixed_index_written_in_plain_digits(self):
+        rows = run_rl_cell(100, 0, ["fixed-03", "fixed-\u0661"], "practical", 0.1)
+        assert [r[2:4] for r in rows] == [("fixed-3", 3), ("fixed-1", 1)]
+        with pytest.raises(EvalError, match="class index outside"):
+            run_rl_cell(100, 0, ["fixed-\u00b2"], "practical", 0.1)
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -243,6 +360,30 @@ class TestExperimentPlumbing:
         a = run_experiment(cfg, jobs=1, record_runtime=False)
         b = run_experiment(cfg, jobs=2, record_runtime=False)
         assert a == b
+
+    @pytest.mark.parametrize("seeds, jobs, workers", [
+        ([0, 1], 4, 2), ([0, 1, 2], 2, 2), ([0], 4, None), ([0, 1], 1, None)])
+    def test_pool_capped_at_seed_count(self, monkeypatch, seeds, jobs, workers):
+        import concurrent.futures
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = ExperimentConfig("chain", [100], seeds, ["modbe"])
+        rows = run_experiment(cfg, jobs=jobs, record_runtime=False)
+        assert started == ([] if workers is None else [workers])
+        assert rows == run_experiment(cfg, jobs=1, record_runtime=False)
 
     def test_cb_eval_set_drawn_once_per_seed(self, monkeypatch):
         seeds = []
