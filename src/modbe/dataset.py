@@ -4,6 +4,7 @@
 # are independent of execution order and of the other steps.
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -18,6 +19,10 @@ _STREAM_SPLIT = 1
 MIN_SAMPLES = 5    # smallest n with a nonempty validation slot
 MAX_SAMPLES = 10 ** 7   # largest n per step accepted from a flag or a config
 MAX_INDEX = np.iinfo(np.int64).max   # largest state or action index an array holds
+
+_HEADER = "h,x,a,r,x_next"
+_ROW_DTYPE = np.dtype([("h", np.int64), ("x", np.int64), ("a", np.int64),
+                       ("r", np.float64), ("x_next", np.int64)])
 
 
 class DatasetError(ValueError):
@@ -137,16 +142,72 @@ def split_dataset(dataset: OfflineDataset, seed: int) -> DataSplit:
 
 
 def save_dataset_csv(dataset: OfflineDataset, path: str) -> None:
-    lines = [f"# {k}={v}" for k, v in sorted(dataset.meta.items())]
-    lines.append("h,x,a,r,x_next")
-    for h, step in enumerate(dataset.steps, start=1):
-        for i in range(len(step)):
-            lines.append(f"{h},{step.x[i]},{step.a[i]},{float(step.r[i])!r},{step.x_next[i]}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"# {k}={v}\n" for k, v in sorted(dataset.meta.items()))
+        fh.write(_HEADER + "\n")
+        for h, step in enumerate(dataset.steps, start=1):
+            # one step's rows at a time; Python ints and float reprs print the
+            # same bytes as the numpy scalars
+            fh.write("".join(f"{h},{x},{a},{r!r},{xn}\n" for x, a, r, xn in zip(
+                step.x.tolist(), step.a.tolist(), step.r.tolist(), step.x_next.tolist())))
+
+
+def _read_meta(line: str, meta: dict) -> None:
+    if "=" in line:
+        k, v = line[1:].split("=", 1)
+        meta[k.strip()] = v.strip()
 
 
 def load_dataset_csv(path: str) -> OfflineDataset:
+    dataset = _load_table(path)
+    return dataset if dataset is not None else _load_rows(path)
+
+
+def _load_table(path: str) -> OfflineDataset | None:
+    """Parse the rows in numpy, or return None for any file that is not a
+    regular, valid one; `_load_rows` then accepts it or names the bad line."""
+    meta: dict = {}
+    header = None
+    try:
+        with open(path) as fh:
+            for line in fh:
+                text = line.strip()
+                if header is None and text.startswith("#"):
+                    _read_meta(text, meta)
+                elif header is None:
+                    header = text or None
+                elif text:
+                    break
+            else:
+                return None     # no header or no row: numpy would warn on an empty body
+            if header != _HEADER:
+                return None
+            # comments=None: a '#' line after the header fails the parse; the
+            # structured dtype rejects rows of any other width (usecols would
+            # drop extra fields); the indices never pass through float64.
+            table = np.loadtxt(itertools.chain([line], fh), delimiter=",", dtype=_ROW_DTYPE,
+                               comments=None, ndmin=1)
+    except (ValueError, OverflowError):
+        return None
+    h, r = table["h"], table["r"]
+    # h.max() is bounded before bincount allocates h.max() + 1 counters
+    if h.min() < 1 or h.max() > len(h):
+        return None
+    if min(table[name].min() for name in ("x", "a", "x_next")) < 0:
+        return None
+    if not np.all((r >= 0.0) & (r <= 1.0)):
+        return None
+    counts = np.bincount(h)[1:]
+    if np.any(counts != counts[0]):
+        return None
+    order = np.argsort(h, kind="stable")    # file order kept within a step
+    columns = [table[name][order] for name in ("x", "a", "r", "x_next")]
+    n = int(counts[0])
+    return OfflineDataset(tuple(StepData(*(col[i:i + n] for col in columns))
+                                for i in range(0, len(h), n)), meta)
+
+
+def _load_rows(path: str) -> OfflineDataset:
     meta: dict = {}
     rows: dict[int, list] = defaultdict(list)
     with open(path) as fh:
@@ -156,12 +217,10 @@ def load_dataset_csv(path: str) -> OfflineDataset:
             if not line:
                 continue
             if line.startswith("#"):
-                if "=" in line:
-                    k, v = line[1:].split("=", 1)
-                    meta[k.strip()] = v.strip()
+                _read_meta(line, meta)
                 continue
             if not header_seen:
-                if line != "h,x,a,r,x_next":
+                if line != _HEADER:
                     raise DatasetError(f"{path}:{lineno}: expected header 'h,x,a,r,x_next'")
                 header_seen = True
                 continue

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modbe import (Policy, generate_from_behavior, generate_from_mu, load_dataset_csv,
+from modbe import (Policy, dataset, generate_from_behavior, generate_from_mu, load_dataset_csv,
                    occupancy, save_dataset_csv, split_dataset)
 from modbe.dataset import MIN_SAMPLES, DatasetError, OfflineDataset, StepData
 
 from conftest import random_mdp
+from test_fuzz import NUMBERS, variants
+
+COLUMNS = ("x", "a", "r", "x_next")
+# spellings that only Python's int()/float() accept, or that both parsers read alike
+CSV_TOKENS = NUMBERS + ["1_0", "\uff11", "+1", "-0", " 2 ", "007", "0.25", "-0.0", "1e-400"]
 
 
 def point_mass_mu(H, S, A, x, a):
@@ -128,16 +133,42 @@ class TestStructures:
             StepData([0, 1], [0], [0.0], [0])
 
 
+def assert_same_steps(a: OfflineDataset, b: OfflineDataset) -> None:
+    """Equal horizon and, per step, equal column bytes (so -0.0 != 0.0) and dtypes."""
+    assert a.horizon == b.horizon
+    for sa, sb in zip(a.steps, b.steps):
+        for name in COLUMNS:
+            ca, cb = getattr(sa, name), getattr(sb, name)
+            assert ca.dtype == cb.dtype and ca.shape == cb.shape
+            assert ca.tobytes() == cb.tobytes()
+
+
+def write_csv(path, body: str) -> str:
+    path.write_text(body)
+    return str(path)
+
+
 class TestPersistence:
     def test_round_trip(self, rng, tmp_path):
-        mdp = random_mdp(rng, 3, 2, 2)
+        mdp = random_mdp(rng, 3, 2, 2)      # rewards are full-precision random floats
         ds = generate_from_mu(mdp, np.full((2, 3, 2), 1 / 6), 25, seed=4)
-        path = str(tmp_path / "data.csv")
+        path, again = str(tmp_path / "data.csv"), str(tmp_path / "again.csv")
         save_dataset_csv(ds, path)
         loaded = load_dataset_csv(path)
         assert loaded.horizon == 2 and loaded.n == 25
-        for sa, sb in zip(loaded.steps, ds.steps):
-            assert np.array_equal(sa.x, sb.x) and np.array_equal(sa.r, sb.r)
+        assert_same_steps(loaded, ds)
+        save_dataset_csv(loaded, again)
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "data.csv").read_bytes()
+
+    @pytest.mark.parametrize("H", [1, 3])
+    def test_save_matches_per_row_format(self, rng, tmp_path, H):
+        ds = generate_from_mu(random_mdp(rng, 3, 2, H), np.full((H, 3, 2), 1 / 6), 30, seed=H)
+        lines = [f"# {k}={v}" for k, v in sorted(ds.meta.items())] + ["h,x,a,r,x_next"]
+        for h, step in enumerate(ds.steps, start=1):
+            for i in range(len(step)):
+                lines.append(f"{h},{step.x[i]},{step.a[i]},{float(step.r[i])!r},{step.x_next[i]}")
+        save_dataset_csv(ds, str(tmp_path / "data.csv"))
+        assert (tmp_path / "data.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -178,3 +209,87 @@ class TestPersistence:
         save_dataset_csv(ds, path)
         loaded = load_dataset_csv(path)
         assert loaded.meta["seed"] == "6"
+
+
+class TestFastLoad:
+    """`load_dataset_csv` parses in numpy (`_load_table`) and falls back to the
+    per-line parser (`_load_rows`) for any file the numpy path declines."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        ds = generate_from_mu(random_mdp(np.random.default_rng(3), 3, 2, 2),
+                              np.full((2, 3, 2), 1 / 6), 5, seed=8)
+        path = tmp_path_factory.mktemp("valid") / "data.csv"
+        save_dataset_csv(ds, str(path))
+        return path.read_text()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_fast_path_agrees_with_per_line_parser(self, tmp_path_factory, valid, data):
+        text = data.draw(variants(valid, ",", CSV_TOKENS))
+        path = write_csv(tmp_path_factory.getbasetemp() / "fast.csv", text)
+        fast = dataset._load_table(path)
+        if fast is not None:
+            rows = dataset._load_rows(path)
+            assert fast.meta == rows.meta
+            assert_same_steps(fast, rows)
+
+    @pytest.mark.parametrize("body,error", [
+        ("1,0,0,0.5,0,1\n", r"data\.csv:3: expected 5 fields, got 6"),
+        ("1,0,0,0.5\n", r"data\.csv:3: expected 5 fields, got 4"),
+        (f"{10 ** 18},0,0,0.5,0\n", "missing step slots"),
+        (f"1,{2 ** 63},0,0.5,0\n", r"data\.csv:3: x, a and x_next must lie in"),
+        ("0,0,0,0.5,0\n", r"data\.csv:3: step index 0 out of range"),
+        ("1,0,0,nan,0\n", r"data\.csv:3: reward nan outside \[0, 1\]"),
+        ("1,0,0,-0.5,0\n", r"data\.csv:3: reward -0.5 outside \[0, 1\]"),
+    ], ids=["six-fields", "four-fields", "huge-step", "index-2**63", "step-0", "nan-reward",
+            "negative-reward"])
+    def test_declined_file_raises_the_per_line_error(self, tmp_path, body, error):
+        path = write_csv(tmp_path / "data.csv", "h,x,a,r,x_next\n1,0,0,0.5,0\n" + body)
+        assert dataset._load_table(path) is None
+        with pytest.raises(DatasetError, match=error):
+            load_dataset_csv(path)
+
+    @pytest.mark.parametrize("body,meta,x", [
+        ("# late=1\n1,4,0,0.5,0\n", {"late": "1"}, [0, 4]),
+        ("1,1_0,0,0.5,0\n", {}, [0, 10]),
+        ("1,\uff11,0,0.5,0\n", {}, [0, 1]),
+    ], ids=["comment-after-header", "underscore-digit", "full-width-digit"])
+    def test_declined_file_accepted_by_per_line_parser(self, tmp_path, body, meta, x):
+        path = write_csv(tmp_path / "data.csv", "h,x,a,r,x_next\n1,0,0,0.5,0\n" + body)
+        assert dataset._load_table(path) is None
+        loaded = load_dataset_csv(path)
+        assert loaded.meta == meta and loaded.steps[0].x.tolist() == x
+
+    @pytest.mark.parametrize("text", ["", "# seed=1\n", "# seed=1\nh,x,a,r,x_next\n",
+                                      "h,x,a,r,x_next\n\n"],
+                             ids=["empty", "comment-only", "header-only", "header-blank-lines"])
+    def test_no_rows(self, tmp_path, recwarn, text):
+        path = write_csv(tmp_path / "data.csv", text)
+        assert dataset._load_table(path) is None
+        assert not recwarn.list     # numpy's empty-input warning is never raised
+        with pytest.raises(DatasetError, match="no transition rows"):
+            load_dataset_csv(path)
+
+    @pytest.mark.parametrize("newline,fast", [("\r\n", True), ("\n\n", True), ("\n \n", False)],
+                             ids=["crlf", "blank-lines", "whitespace-lines"])
+    def test_line_endings_and_blank_lines(self, tmp_path, newline, fast):
+        text = "# seed=1\nh,x,a,r,x_next\n1,0,1,0.5,2\n1,3,0,0.25,1\n"
+        (tmp_path / "data.csv").write_bytes(text.replace("\n", newline).encode())
+        path = str(tmp_path / "data.csv")
+        assert (dataset._load_table(path) is not None) == fast
+        loaded = load_dataset_csv(path)
+        assert loaded.meta == {"seed": "1"}
+        assert_same_steps(loaded, dataset._load_rows(path))
+        assert loaded.steps[0].x.tolist() == [0, 3]
+
+    def test_interleaved_steps_keep_file_order(self, tmp_path):
+        # x numbers the rows in file order, so each step's x must come out increasing
+        hs = np.random.default_rng(0).permutation(np.repeat([1, 2, 3], 40)).tolist()
+        path = write_csv(tmp_path / "data.csv", "h,x,a,r,x_next\n" + "".join(
+            f"{h},{i},0,0.5,0\n" for i, h in enumerate(hs)))
+        fast = dataset._load_table(path)
+        assert fast is not None
+        for h, step in enumerate(fast.steps, start=1):
+            assert step.x.tolist() == [i for i, g in enumerate(hs) if g == h]
+        assert_same_steps(fast, dataset._load_rows(path))
