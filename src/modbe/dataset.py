@@ -4,8 +4,8 @@
 # are independent of execution order and of the other steps.
 from __future__ import annotations
 
-import itertools
 import math
+import os
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -21,6 +21,8 @@ MAX_SAMPLES = 10 ** 7   # largest n per step accepted from a flag or a config
 MAX_INDEX = np.iinfo(np.int64).max   # largest state or action index an array holds
 
 _HEADER = "h,x,a,r,x_next"
+# file suffixes that np.loadtxt would decompress
+_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
 _ROW_DTYPE = np.dtype([("h", np.int64), ("x", np.int64), ("a", np.int64),
                        ("r", np.float64), ("x_next", np.int64)])
 
@@ -141,15 +143,36 @@ def split_dataset(dataset: OfflineDataset, seed: int) -> DataSplit:
                      OfflineDataset(tuple(valid_steps), dict(dataset.meta)))
 
 
+def _format_rows(h: int, x, a, r, x_next) -> list:
+    # Python ints and float reprs print the same bytes as the numpy scalars
+    return [f"{h},{x},{a},{r!r},{xn}\n" for x, a, r, xn in zip(
+        x.tolist(), a.tolist(), r.tolist(), x_next.tolist())]
+
+
+def _step_text(h: int, step: StepData) -> str:
+    """One step's CSV rows. Each distinct (x, a, r, x_next) row is formatted
+    once; r is keyed on its bit pattern, so 0.0 and -0.0 stay distinct rows."""
+    codes = np.zeros(len(step), dtype=np.int64)
+    # r first: a step whose rewards are mostly distinct stops after one column
+    for col in (step.r.view(np.int64), step.x, step.a, step.x_next):
+        values, inverse = np.unique(col, return_inverse=True)
+        # codes and inverse are below n, so the chained key is below n**2
+        distinct, codes = np.unique(codes * len(values) + inverse, return_inverse=True)
+        if 2 * len(distinct) > len(step):     # mostly distinct rows: a table saves nothing
+            return "".join(_format_rows(h, step.x, step.a, step.r, step.x_next))
+    first = np.empty(len(distinct), dtype=np.intp)    # one row index per code
+    first[codes] = np.arange(len(step))
+    table = np.array(_format_rows(h, step.x[first], step.a[first], step.r[first],
+                                  step.x_next[first]), dtype=object)
+    return "".join(table[codes].tolist())
+
+
 def save_dataset_csv(dataset: OfflineDataset, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"# {k}={v}\n" for k, v in sorted(dataset.meta.items()))
         fh.write(_HEADER + "\n")
         for h, step in enumerate(dataset.steps, start=1):
-            # one step's rows at a time; Python ints and float reprs print the
-            # same bytes as the numpy scalars
-            fh.write("".join(f"{h},{x},{a},{r!r},{xn}\n" for x, a, r, xn in zip(
-                step.x.tolist(), step.a.tolist(), step.r.tolist(), step.x_next.tolist())))
+            fh.write(_step_text(h, step))
 
 
 def _read_meta(line: str, meta: dict) -> None:
@@ -166,11 +189,13 @@ def load_dataset_csv(path: str) -> OfflineDataset:
 def _load_table(path: str) -> OfflineDataset | None:
     """Parse the rows in numpy, or return None for any file that is not a
     regular, valid one; `_load_rows` then accepts it or names the bad line."""
+    if os.path.splitext(path)[1] in _COMPRESSED:
+        return None
     meta: dict = {}
     header = None
     try:
-        with open(path) as fh:
-            for line in fh:
+        with open(path, encoding="utf-8") as fh:
+            for skip, line in enumerate(fh):
                 text = line.strip()
                 if header is None and text.startswith("#"):
                     _read_meta(text, meta)
@@ -180,13 +205,16 @@ def _load_table(path: str) -> OfflineDataset | None:
                     break
             else:
                 return None     # no header or no row: numpy would warn on an empty body
-            if header != _HEADER:
-                return None
-            # comments=None: a '#' line after the header fails the parse; the
-            # structured dtype rejects rows of any other width (usecols would
-            # drop extra fields); the indices never pass through float64.
-            table = np.loadtxt(itertools.chain([line], fh), delimiter=",", dtype=_ROW_DTYPE,
-                               comments=None, ndmin=1)
+        if header != _HEADER:
+            return None
+        # numpy's C reader reads the file itself, in the same universal-newline
+        # UTF-8 text mode, so it skips the `skip` lines before the first row. An
+        # absolute path is never taken for a URL. comments=None: a '#' line after
+        # the header fails the parse; the structured dtype rejects rows of any
+        # other width (usecols would drop extra fields); the indices never pass
+        # through float64.
+        table = np.loadtxt(os.path.abspath(path), delimiter=",", dtype=_ROW_DTYPE,
+                           comments=None, skiprows=skip, ndmin=1, encoding="utf-8")
     except (ValueError, OverflowError):
         return None
     h, r = table["h"], table["r"]
@@ -210,7 +238,7 @@ def _load_table(path: str) -> OfflineDataset | None:
 def _load_rows(path: str) -> OfflineDataset:
     meta: dict = {}
     rows: dict[int, list] = defaultdict(list)
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         header_seen = False
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import urllib.request
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from hypothesis import strategies as st
 
 from modbe import (Policy, dataset, generate_from_behavior, generate_from_mu, load_dataset_csv,
                    occupancy, save_dataset_csv, split_dataset)
-from modbe.dataset import MIN_SAMPLES, DatasetError, OfflineDataset, StepData
+from modbe.dataset import MAX_INDEX, MIN_SAMPLES, DatasetError, OfflineDataset, StepData
 
 from conftest import random_mdp
 from test_fuzz import NUMBERS, variants
@@ -148,6 +152,45 @@ def write_csv(path, body: str) -> str:
     return str(path)
 
 
+def per_row_csv(ds: OfflineDataset) -> bytes:
+    """The writer's bytes by the per-row formula: one f-string per row."""
+    lines = [f"# {k}={v}" for k, v in sorted(ds.meta.items())] + ["h,x,a,r,x_next"]
+    for h, step in enumerate(ds.steps, start=1):
+        for i in range(len(step)):
+            lines.append(f"{h},{step.x[i]},{step.a[i]},{float(step.r[i])!r},{step.x_next[i]}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def rows_dataset(*steps) -> OfflineDataset:
+    """A dataset from per-step lists of (x, a, r, x_next) rows."""
+    return OfflineDataset(tuple(StepData(*map(list, zip(*rows))) for rows in steps), {"seed": 0})
+
+
+INDICES = st.sampled_from([0, 1, 3, 2 ** 53 + 1, MAX_INDEX]) | st.integers(0, MAX_INDEX)
+# signed zeros, the smallest subnormal, a subnormal, the smallest normal
+REWARDS = st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, 0.1, 1.0]) \
+    | st.floats(0.0, 1.0)
+ROWS = st.tuples(INDICES, INDICES, REWARDS, INDICES)
+
+
+def row_key(row):
+    x, a, r, xn = row
+    return x, a, math.copysign(1.0, r), r, xn     # 0.0 and -0.0 are different rows
+
+
+@st.composite
+def step_rows(draw, n: int) -> list:
+    """n rows: all distinct, or drawn with repeats from a pool of rows in which
+    a zero-reward row may also appear with the other sign of zero."""
+    if draw(st.booleans()):
+        return draw(st.lists(ROWS, min_size=n, max_size=n, unique_by=row_key))
+    pool = draw(st.lists(ROWS, min_size=1, max_size=n))
+    if draw(st.booleans()):
+        pool += [(x, a, -r, xn) for x, a, r, xn in pool if r == 0.0]
+    return [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=n,
+                                           max_size=n))]
+
+
 class TestPersistence:
     def test_round_trip(self, rng, tmp_path):
         mdp = random_mdp(rng, 3, 2, 2)      # rewards are full-precision random floats
@@ -163,12 +206,36 @@ class TestPersistence:
     @pytest.mark.parametrize("H", [1, 3])
     def test_save_matches_per_row_format(self, rng, tmp_path, H):
         ds = generate_from_mu(random_mdp(rng, 3, 2, H), np.full((H, 3, 2), 1 / 6), 30, seed=H)
-        lines = [f"# {k}={v}" for k, v in sorted(ds.meta.items())] + ["h,x,a,r,x_next"]
-        for h, step in enumerate(ds.steps, start=1):
-            for i in range(len(step)):
-                lines.append(f"{h},{step.x[i]},{step.a[i]},{float(step.r[i])!r},{step.x_next[i]}")
         save_dataset_csv(ds, str(tmp_path / "data.csv"))
-        assert (tmp_path / "data.csv").read_text() == "\n".join(lines) + "\n"
+        assert (tmp_path / "data.csv").read_bytes() == per_row_csv(ds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_save_matches_per_row_formula_on_any_rows(self, tmp_path_factory, data):
+        H, n = data.draw(st.sampled_from([1, 3])), data.draw(st.integers(1, 30))
+        ds = rows_dataset(*(data.draw(step_rows(n)) for _ in range(H)))
+        path = tmp_path_factory.getbasetemp() / "rows.csv"
+        save_dataset_csv(ds, str(path))
+        assert path.read_bytes() == per_row_csv(ds)
+
+    @pytest.mark.parametrize("steps", [
+        [[(0, 1, 0.5, 2), (3, 0, 0.25, 1)] * 10],
+        [[(i, i % 2, i / 40, 39 - i) for i in range(30)]],
+        [[(1, 0, 0.5, 0)], [(2, 1, 0.0, 3)], [(0, 0, 1.0, 1)]],
+        [[(0, 0, 5e-324, 0), (0, 0, 2.5e-310, 0), (0, 0, 0.0, 0)] * 4] * 3,
+        [[(2 ** 53 + 1, MAX_INDEX, 0.5, 2 ** 53), (2 ** 53, MAX_INDEX, 0.5, 2 ** 53 + 1)] * 3],
+    ], ids=["few-distinct", "all-distinct", "one-row-steps", "subnormal", "huge-indices"])
+    def test_save_matches_per_row_formula_cases(self, tmp_path, steps):
+        ds = rows_dataset(*steps)
+        save_dataset_csv(ds, str(tmp_path / "data.csv"))
+        assert (tmp_path / "data.csv").read_bytes() == per_row_csv(ds)
+
+    def test_negative_zero_reward_is_its_own_row(self, tmp_path):
+        # repeated rows that differ only in the sign of a zero reward
+        ds = rows_dataset([(0, 1, 0.0, 2), (0, 1, -0.0, 2)] * 3)
+        save_dataset_csv(ds, str(tmp_path / "data.csv"))
+        assert (tmp_path / "data.csv").read_text().splitlines()[2:] == [
+            "1,0,1,0.0,2", "1,0,1,-0.0,2"] * 3
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -293,3 +360,84 @@ class TestFastLoad:
         for h, step in enumerate(fast.steps, start=1):
             assert step.x.tolist() == [i for i, g in enumerate(hs) if g == h]
         assert_same_steps(fast, dataset._load_rows(path))
+
+
+def same_outcome(path: str) -> None:
+    """load_dataset_csv gives the same dataset as `_load_rows`, or the same error."""
+    try:
+        expected = dataset._load_rows(path)
+    except DatasetError as exc:
+        with pytest.raises(DatasetError) as got:
+            load_dataset_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    loaded = load_dataset_csv(path)
+    assert loaded.meta == expected.meta
+    assert_same_steps(loaded, expected)
+
+
+ROWS_TEXT = "h,x,a,r,x_next\n1,0,1,0.5,2\n1,3,0,0.25,1\n2,1,1,0.75,0\n2,2,0,0.0,3\n"
+
+
+class TestPathRead:
+    """`_load_table` hands the path to numpy's C reader with `skiprows` set to
+    the lines before the first row; these files must read as `_load_rows` reads them."""
+
+    @pytest.mark.parametrize("text,fast", [
+        ("# seed=1\n" + ROWS_TEXT.replace("\n", "\r"), True),
+        ("# seed=1\n" + ROWS_TEXT.rstrip("\n"), True),
+        ("\n# seed=1\n\n \n" + ROWS_TEXT.replace("x_next\n", "x_next\n\n\t\n", 1), True),
+        # U+2028 and U+0085 end a line for str.splitlines but not for a file
+        ("# note=\u00e9\u20ac\U0001f600\u2028\x85 end\n# seed=1\n" + ROWS_TEXT, True),
+        ("\ufeff# seed=1\n" + ROWS_TEXT, False),
+        ("\ufeff" + ROWS_TEXT, False),
+    ], ids=["cr-only", "no-final-newline", "blank-lines-around-header", "non-ascii-meta",
+            "bom-before-meta", "bom-before-header"])
+    def test_hazard_reads_as_per_line_parser(self, tmp_path, text, fast):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert (dataset._load_table(str(path)) is not None) == fast
+        same_outcome(str(path))
+
+    def test_non_ascii_meta_round_trip(self, tmp_path):
+        ds = rows_dataset([(0, 1, 0.5, 2), (3, 0, 0.25, 1)])
+        ds = OfflineDataset(ds.steps, {"note": "\u00e9\u20ac\u2028x", "seed": 1})
+        path = str(tmp_path / "data.csv")
+        save_dataset_csv(ds, path)
+        assert dataset._load_table(path) is not None
+        assert load_dataset_csv(path).meta == {"note": "\u00e9\u20ac\u2028x", "seed": "1"}
+
+    def test_utf8_in_an_ascii_locale(self, tmp_path):
+        # the C locale without UTF-8 mode makes open() default to ASCII
+        src = os.path.dirname(os.path.dirname(dataset.__file__))
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=src)
+        code = (
+            "import sys\n"
+            "from modbe import dataset as d\n"
+            "ds = d.OfflineDataset((d.StepData([0, 1], [1, 0], [0.5, 0.25], [1, 0]),),"
+            " {'note': '\\u00e9'})\n"
+            "d.save_dataset_csv(ds, sys.argv[1])\n"
+            "assert d._load_table(sys.argv[1]) is not None\n"
+            "assert d.load_dataset_csv(sys.argv[1]).meta == {'note': '\\u00e9'}\n")
+        path = tmp_path / "data.csv"
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
+        assert path.read_bytes().startswith("# note=\u00e9\n".encode("utf-8"))
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_is_read_as_text(self, tmp_path, suffix):
+        # numpy would decompress a path with this suffix; the file is plain text
+        path = write_csv(tmp_path / f"data.csv{suffix}", "# seed=1\n" + ROWS_TEXT)
+        assert dataset._load_table(path) is None
+        assert load_dataset_csv(path).steps[1].x.tolist() == [1, 2]
+
+    def test_url_like_path_is_read_from_disk(self, tmp_path, monkeypatch):
+        def no_network(*args, **kwargs):
+            raise AssertionError("the loader opened a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        write_csv(tmp_path / "http:" / "host" / "data.csv", "# seed=1\n" + ROWS_TEXT)
+        monkeypatch.chdir(tmp_path)
+        assert dataset._load_table("http://host/data.csv") is not None
+        same_outcome("http://host/data.csv")
