@@ -152,14 +152,16 @@ def _format_rows(h: int, x, a, r, x_next) -> list:
 def _step_text(h: int, step: StepData) -> str:
     """One step's CSV rows. Each distinct (x, a, r, x_next) row is formatted
     once; r is keyed on its bit pattern, so 0.0 and -0.0 stay distinct rows."""
-    codes = np.zeros(len(step), dtype=np.int64)
     # r first: a step whose rewards are mostly distinct stops after one column
-    for col in (step.r.view(np.int64), step.x, step.a, step.x_next):
+    distinct, codes = np.unique(step.r.view(np.int64), return_inverse=True)
+    for col in (step.x, step.a, step.x_next):
+        if 2 * len(distinct) > len(step):
+            break
         values, inverse = np.unique(col, return_inverse=True)
         # codes and inverse are below n, so the chained key is below n**2
         distinct, codes = np.unique(codes * len(values) + inverse, return_inverse=True)
-        if 2 * len(distinct) > len(step):     # mostly distinct rows: a table saves nothing
-            return "".join(_format_rows(h, step.x, step.a, step.r, step.x_next))
+    if 2 * len(distinct) > len(step):     # mostly distinct rows: a table saves nothing
+        return "".join(_format_rows(h, step.x, step.a, step.r, step.x_next))
     first = np.empty(len(distinct), dtype=np.intp)    # one row index per code
     first[codes] = np.arange(len(step))
     table = np.array(_format_rows(h, step.x[first], step.a[first], step.r[first],
