@@ -191,7 +191,9 @@ def load_dataset_csv(path: str) -> OfflineDataset:
 def _load_table(path: str) -> OfflineDataset | None:
     """Parse the rows in numpy, or return None for any file that is not a
     regular, valid one; `_load_rows` then accepts it or names the bad line."""
-    if os.path.splitext(path)[1] in _COMPRESSED:
+    # numpy opens the path again: only a regular file reads the same twice, and
+    # numpy would decompress a file with one of these suffixes
+    if not os.path.isfile(path) or os.path.splitext(path)[1] in _COMPRESSED:
         return None
     meta: dict = {}
     header = None
@@ -209,8 +211,8 @@ def _load_table(path: str) -> OfflineDataset | None:
                 return None     # no header or no row: numpy would warn on an empty body
         if header != _HEADER:
             return None
-        # numpy's C reader reads the file itself, in the same universal-newline
-        # UTF-8 text mode, so it skips the `skip` lines before the first row. An
+        # numpy's C reader reads the file in the same universal-newline UTF-8
+        # text mode, so it skips the `skip` lines before the first row; an
         # absolute path is never taken for a URL. comments=None: a '#' line after
         # the header fails the parse; the structured dtype rejects rows of any
         # other width (usecols would drop extra fields); the indices never pass

@@ -431,6 +431,17 @@ class TestPathRead:
         assert dataset._load_table(path) is None
         assert load_dataset_csv(path).steps[1].x.tolist() == [1, 2]
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_once(self):
+        # a pipe, as from `--data <(zcat data.csv.gz)`, gives its bytes to one open only
+        read_end, write_end = os.pipe()
+        os.write(write_end, ("# seed=1\n" + ROWS_TEXT).encode())
+        os.close(write_end)
+        try:
+            assert load_dataset_csv(f"/dev/fd/{read_end}").steps[1].x.tolist() == [1, 2]
+        finally:
+            os.close(read_end)
+
     def test_url_like_path_is_read_from_disk(self, tmp_path, monkeypatch):
         def no_network(*args, **kwargs):
             raise AssertionError("the loader opened a URL")
