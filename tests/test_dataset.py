@@ -399,14 +399,6 @@ class TestPathRead:
         assert (dataset._load_table(str(path)) is not None) == fast
         same_outcome(str(path))
 
-    def test_non_ascii_meta_round_trip(self, tmp_path):
-        ds = rows_dataset([(0, 1, 0.5, 2), (3, 0, 0.25, 1)])
-        ds = OfflineDataset(ds.steps, {"note": "\u00e9\u20ac\u2028x", "seed": 1})
-        path = str(tmp_path / "data.csv")
-        save_dataset_csv(ds, path)
-        assert dataset._load_table(path) is not None
-        assert load_dataset_csv(path).meta == {"note": "\u00e9\u20ac\u2028x", "seed": "1"}
-
     def test_utf8_in_an_ascii_locale(self, tmp_path):
         # the C locale without UTF-8 mode makes open() default to ASCII
         src = os.path.dirname(os.path.dirname(dataset.__file__))

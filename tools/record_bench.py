@@ -105,7 +105,7 @@ def main(argv=None) -> int:
                 "metrics": {m: summary([r[m] for r in rs]) for m in END_TO_END}}
 
     with tempfile.TemporaryDirectory() as tmp:
-        for cfg in sorted(p.name for p in (trees["head"] / "configs").glob("*.cfg")):
+        for cfg in sorted(path.name for path in (trees["head"] / "configs").glob("*.cfg")):
             for jobs in (1, 2):
                 for side, tree in trees.items():
                     cwd = Path(tmp) / f"{side}-{cfg}-{jobs}"
