@@ -143,29 +143,20 @@ def split_dataset(dataset: OfflineDataset, seed: int) -> DataSplit:
                      OfflineDataset(tuple(valid_steps), dict(dataset.meta)))
 
 
-def _format_rows(h: int, x, a, r, x_next) -> list:
-    # Python ints and float reprs print the same bytes as the numpy scalars
-    return [f"{h},{x},{a},{r!r},{xn}\n" for x, a, r, xn in zip(
-        x.tolist(), a.tolist(), r.tolist(), x_next.tolist())]
-
-
 def _step_text(h: int, step: StepData) -> str:
     """One step's CSV rows. Each distinct (x, a, r, x_next) row is formatted
     once; r is keyed on its bit pattern, so 0.0 and -0.0 stay distinct rows."""
-    # r first: a step whose rewards are mostly distinct stops after one column
-    distinct, codes = np.unique(step.r.view(np.int64), return_inverse=True)
-    for col in (step.x, step.a, step.x_next):
-        if 2 * len(distinct) > len(step):
-            break
+    distinct, codes = np.unique(step.x, return_inverse=True)
+    for col in (step.a, step.r.view(np.int64), step.x_next):
         values, inverse = np.unique(col, return_inverse=True)
         # codes and inverse are below n, so the chained key is below n**2
         distinct, codes = np.unique(codes * len(values) + inverse, return_inverse=True)
-    if 2 * len(distinct) > len(step):     # mostly distinct rows: a table saves nothing
-        return "".join(_format_rows(h, step.x, step.a, step.r, step.x_next))
     first = np.empty(len(distinct), dtype=np.intp)    # one row index per code
     first[codes] = np.arange(len(step))
-    table = np.array(_format_rows(h, step.x[first], step.a[first], step.r[first],
-                                  step.x_next[first]), dtype=object)
+    # Python ints and float reprs print the same bytes as the numpy scalars
+    table = np.array([f"{h},{x},{a},{r!r},{xn}\n" for x, a, r, xn in zip(
+        step.x[first].tolist(), step.a[first].tolist(), step.r[first].tolist(),
+        step.x_next[first].tolist())], dtype=object)
     return "".join(table[codes].tolist())
 
 

@@ -2,13 +2,14 @@
 
     python3 tools/record_bench.py --base DIR --head DIR \\
         --out-base BENCH_baseline.json --out-head BENCH_csv_io.json \\
-        --pairs cli_pipeline=10 --pairs chain_sweep=5 [--first-seed 21] [--seconds 25]
+        --pairs cli_pipeline=10 --pairs chain_sweep=5 [--first-seed 21]
 
-Each checkout needs src/, configs/, tests/ and perfbench/. For each workload
-named by --pairs, `perfbench/run.py --workload W --trace 0 --seconds S` runs
-COUNT times in each tree, alternating between the trees: pair i uses workload
-seed first-seed + i in both, and its base run goes first in even pairs and
-second in odd ones. Each side records the median and quartiles of every
+Each checkout needs src/, configs/, tests/, perfbench/ and BENCHMARK.json.
+For each workload named by --pairs, `perfbench/run.py --workload W --trace 0
+--seconds S`, with S the head's BENCHMARK.json `run_seconds`, runs COUNT
+times in each tree, alternating between the trees: pair i uses workload seed
+first-seed + i in both, and its base run goes first in even pairs and second
+in odd ones. Each side records the median and quartiles of every
 end-to-end metric, with the per-pair values.
 
 Then, once per side, it runs every configs/*.cfg sweep with
@@ -75,7 +76,6 @@ def main(argv=None) -> int:
     p.add_argument("--out-head", type=Path, required=True)
     p.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=COUNT")
     p.add_argument("--first-seed", type=int, default=21)
-    p.add_argument("--seconds", type=float, default=25.0)
     args = p.parse_args(argv)
     pairs = {}
     for spec in args.pairs:
@@ -84,6 +84,7 @@ def main(argv=None) -> int:
             p.error(f"--pairs {spec}: expected WORKLOAD=COUNT with COUNT >= 2")
         pairs[name] = int(count)
     trees = {"base": args.base.resolve(), "head": args.head.resolve()}
+    seconds = json.loads((trees["head"] / "BENCHMARK.json").read_text())["run_seconds"]
     records = {side: {"commit": subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree,
                                                capture_output=True, text=True).stdout.strip(),
                       "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
@@ -96,11 +97,11 @@ def main(argv=None) -> int:
         seeds = [args.first_seed + i for i in range(count)]
         for i, seed in enumerate(seeds):
             for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                runs[side].append(perfbench(trees[side], workload, seed, args.seconds))
+                runs[side].append(perfbench(trees[side], workload, seed, seconds))
                 print(f"{workload} seed {seed} {side}: {runs[side][-1]}", flush=True)
         for side, rs in runs.items():
             records[side]["workloads"][workload] = {
-                "seeds": seeds, "seconds": args.seconds,
+                "seeds": seeds, "seconds": seconds,
                 "correct": all(r["correct"] for r in rs),
                 "metrics": {m: summary([r[m] for r in rs]) for m in END_TO_END}}
 
