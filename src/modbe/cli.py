@@ -79,7 +79,8 @@ def _behavior_policy(spec: str, mdp: mdp_mod.TabularMDP) -> mdp_mod.Policy:
     if spec == "uniform":
         return mdp_mod.Policy.uniform(mdp.horizon, mdp.num_states, mdp.num_actions)
     try:
-        probs = np.loadtxt(spec).reshape(mdp.horizon, mdp.num_states, mdp.num_actions)
+        probs = np.loadtxt(spec, encoding="utf-8").reshape(
+            mdp.horizon, mdp.num_states, mdp.num_actions)
         return mdp_mod.Policy(probs)
     except (OSError, ValueError, mdp_mod.MDPError) as exc:
         raise CLIError(f"--behavior: {exc}") from exc
@@ -89,7 +90,8 @@ def _mu_spec(spec: str, mdp: mdp_mod.TabularMDP) -> np.ndarray:
     if spec == "uniform":
         return ev.uniform_mu(mdp)
     try:
-        mu = np.loadtxt(spec).reshape(mdp.horizon, mdp.num_states, mdp.num_actions)
+        mu = np.loadtxt(spec, encoding="utf-8").reshape(
+            mdp.horizon, mdp.num_states, mdp.num_actions)
         return mdp_mod.check_data_distribution(mdp, mu)
     except (OSError, ValueError, mdp_mod.MDPError) as exc:
         raise CLIError(f"--mu: {exc}") from exc
@@ -118,7 +120,7 @@ def cmd_run_fqi(args) -> int:
     if args.out:
         S, A = fc.tabular_shape(classes[args.k])
         xs, as_ = np.divmod(np.arange(S * A), A)
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             for h in range(1, data.horizon + 1):
                 vals = fseq.func(h).values(xs, as_)
                 fh.write(" ".join(repr(float(v)) for v in vals) + "\n")
@@ -131,7 +133,7 @@ def cmd_run_modbe(args) -> int:
     base = basealg.make_fqi(data.horizon)
     trace = modbe(data, base, classes, args.delta, args.schedule, args.seed)
     if args.trace:
-        with open(args.trace, "w") as fh:
+        with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace.to_text())
     print(f"selected class: {trace.k_hat} of {len(classes)}")
     print(f"test events: {len(trace.events)} "

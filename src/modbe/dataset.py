@@ -189,7 +189,7 @@ def _load_table(path: str) -> OfflineDataset | None:
     meta: dict = {}
     header = None
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for skip, line in enumerate(fh):
                 text = line.strip()
                 if header is None and text.startswith("#"):
@@ -203,11 +203,12 @@ def _load_table(path: str) -> OfflineDataset | None:
         if header != _HEADER:
             return None
         # numpy's C reader reads the file in the same universal-newline UTF-8
-        # text mode, so it skips the `skip` lines before the first row; an
-        # absolute path is never taken for a URL. comments=None: a '#' line after
-        # the header fails the parse; the structured dtype rejects rows of any
-        # other width (usecols would drop extra fields); the indices never pass
-        # through float64.
+        # text mode, so it skips the `skip` lines before the first row, and with
+        # them any byte-order mark the scan above dropped; an absolute path is
+        # never taken for a URL. comments=None: a '#' line after the header
+        # fails the parse; the structured dtype rejects rows of any other width
+        # (usecols would drop extra fields); the indices never pass through
+        # float64.
         table = np.loadtxt(os.path.abspath(path), delimiter=",", dtype=_ROW_DTYPE,
                            comments=None, skiprows=skip, ndmin=1, encoding="utf-8")
     except (ValueError, OverflowError):
@@ -233,7 +234,7 @@ def _load_table(path: str) -> OfflineDataset | None:
 def _load_rows(path: str) -> OfflineDataset:
     meta: dict = {}
     rows: dict[int, list] = defaultdict(list)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header_seen = False
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()

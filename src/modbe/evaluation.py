@@ -336,7 +336,7 @@ class ExperimentConfig:
 def parse_config(path: str) -> ExperimentConfig:
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -479,20 +479,35 @@ CB_EVAL_CONTEXTS = 10_000
 CB_EVAL_CHUNK = 1_000       # contexts drawn and scored at a time
 
 
+def _score_chunk(instance: CBInstance, rng: np.random.Generator,
+                 stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one chunk of contexts. Return its best mean rewards and, for each
+    row of stacked, the mean rewards of the actions that row picks. The
+    chunk is released on return, before the next one is drawn."""
+    feats = instance.sample_features(CB_EVAL_CHUNK, rng)
+    means = instance.mean_rewards(feats)
+    scores = stacked @ feats.reshape(-1, instance.ambient_dim).T
+    actions = scores.reshape(len(stacked), CB_EVAL_CHUNK, instance.num_actions).argmax(axis=2)
+    return means.max(axis=1), means[np.arange(CB_EVAL_CHUNK), actions]
+
+
 def cb_policy_regrets(instance: CBInstance, seed: int, fits: Sequence[tuple]) -> list[float]:
     """Policy regret of each (dim, weights) in fits on a seed's evaluation set,
-    drawn CB_EVAL_CHUNK contexts at a time from the stream (seed, 1) for any n."""
+    drawn CB_EVAL_CHUNK contexts at a time from the stream (seed, 1) for any n.
+
+    One product per chunk scores every fit: the weights sit zero-padded in
+    the rows of one (len(fits), ambient_dim) matrix. Its scores may differ
+    from the per-fit products feats[:, :, :dim] @ weights in the last bits,
+    but the chosen actions, and so the regrets, are theirs."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 1))))
-    contexts = np.arange(CB_EVAL_CHUNK)
-    best, chosen = [], [[] for _ in fits]
-    for _ in range(CB_EVAL_CONTEXTS // CB_EVAL_CHUNK):
-        feats = instance.sample_features(CB_EVAL_CHUNK, rng)
-        means = instance.mean_rewards(feats)
-        best.append(means.max(axis=1))
-        for (dim, weights), picked in zip(fits, chosen):
-            picked.append(means[contexts, (feats[:, :, :dim] @ weights).argmax(axis=1)])
+    stacked = np.zeros((len(fits), instance.ambient_dim))
+    for row, (dim, weights) in zip(stacked, fits):
+        row[:dim] = weights
+    best, picked = zip(*(_score_chunk(instance, rng, stacked)
+                         for _ in range(CB_EVAL_CONTEXTS // CB_EVAL_CHUNK)))
     best_mean = np.concatenate(best).mean()
-    return [float(best_mean - np.concatenate(picked).mean()) for picked in chosen]
+    # one contiguous row per fit: each mean sums as over the whole set at once
+    return [float(best_mean - row.mean()) for row in np.concatenate(picked, axis=1)]
 
 
 def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
@@ -557,7 +572,7 @@ def write_results_csv(rows: Sequence[tuple], path: str) -> None:
     for n, seed, method, k, reg, ms in rows:
         ms_s = "" if ms == "" else f"{ms:.0f}"
         lines.append(f"{n},{seed},{method},{k},{reg!r},{ms_s}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -352,7 +352,7 @@ def save_sequence(seq: NestedSequence, path: str) -> None:
             lines.append(" ".join(str(int(b)) for b in c.blocks))
         else:
             lines.append(f"class linear dim {c.dim}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -374,7 +374,7 @@ def _finite_float(text: str) -> float:
 def load_sequence(path: str, clip_high: float | None = None,
                   feature_fn: Callable | None = None,
                   num_actions: int | None = None) -> NestedSequence:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         rows = [(lineno, " ".join(ln.split())) for lineno, ln in enumerate(fh, start=1)
                 if ln.strip() and not ln.startswith("#")]
     header = _HEADER.fullmatch(rows[0][1]) if rows else None

@@ -246,12 +246,12 @@ def save_mdp(mdp: TabularMDP, path: str) -> None:
                 lines.append(" ".join(repr(float(v)) for v in mdp.transitions[h, x, a]))
     for x in range(S):
         lines.append(" ".join(repr(float(v)) for v in mdp.rewards[x]))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_mdp(path: str) -> TabularMDP:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         rows = [(lineno, ln.split()) for lineno, ln in enumerate(fh, start=1)
                 if ln.strip() and not ln.startswith("#")]
     try:

@@ -1,5 +1,9 @@
 # End-to-end checks of the command-line driver: every subcommand runs
 # in-process via cli.main(argv) so exit codes and printed output are exact.
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -160,6 +164,15 @@ class TestRunHoldout:
         out = capsys.readouterr().out
         assert "selected class:" in out
         assert out.count("validation loss") == 3
+
+    def test_byte_order_mark_dataset(self, chain_data, tmp_path, capsys):
+        _, cls_path, data_path = chain_data
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + open(data_path, "rb").read())
+        assert cli.main(["run-holdout", "--data", data_path, "--classes", cls_path]) == 0
+        plain_out = capsys.readouterr().out
+        assert cli.main(["run-holdout", "--data", str(marked), "--classes", cls_path]) == 0
+        assert capsys.readouterr().out == plain_out
 
 
 class TestDiagnose:
@@ -368,6 +381,62 @@ class TestInputMismatch:
                 "--config": ["bench", "--config", str(binary)]}[flag]
         assert cli.main(argv) == 1
         assert f"error: {flag}:" in capsys.readouterr().err
+
+
+class TestNonAsciiText:
+    """Every text file is read and written as UTF-8, whatever the locale."""
+
+    # the C locale without UTF-8 mode makes open() default to ASCII
+    ASCII_ENV = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                     PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    COMMENT = "# r\u00e9sum\u00e9 \u2014 \u00fcber\n"
+
+    def run(self, tmp_path, *argv):
+        return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=self.ASCII_ENV,
+                              capture_output=True, text=True, encoding="utf-8")
+
+    def test_bench_config_with_non_ascii_comment(self, tmp_path):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(self.COMMENT + "instance = chain\nn_list = 40\nseeds = 0\n"
+                       "methods = modbe, holdout\nschedule = practical\n"
+                       "output = res.csv\n", encoding="utf-8")
+        proc = self.run(tmp_path, "-m", "modbe.cli", "bench", "--config", str(cfg),
+                        "--no-runtime")
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "res.csv").read_text().count("\n") == 3
+
+    def test_commands_on_non_ascii_files(self, tmp_path):
+        # an .mdp, a .classes and a --behavior file with non-ASCII comments
+        code = (
+            "import numpy as np\n"
+            "from modbe import evaluation as ev, funcclass, mdp\n"
+            f"comment = {self.COMMENT!a}\n"
+            "mdp.save_mdp(ev.chain_mdp(), 'chain.mdp')\n"
+            "funcclass.save_sequence(ev.chain_classes(), 'chain.classes')\n"
+            "for name in ('chain.mdp', 'chain.classes'):\n"
+            "    with open(name, encoding='utf-8') as fh:\n"
+            "        text = fh.read()\n"
+            "    with open(name, 'w', encoding='utf-8') as fh:\n"
+            "        fh.write(comment + text)\n"
+            "loaded = mdp.load_mdp('chain.mdp')\n"
+            "assert np.array_equal(loaded.transitions, ev.chain_mdp().transitions)\n"
+            "assert np.array_equal(loaded.rewards, ev.chain_mdp().rewards)\n"
+            "blocks = [c.blocks.tolist() for c in funcclass.load_sequence('chain.classes')]\n"
+            "assert blocks == [c.blocks.tolist() for c in ev.chain_classes()]\n"
+            "with open('behavior.txt', 'w', encoding='utf-8') as fh:\n"
+            "    fh.write(comment + '0.5 0.5\\n' * 16)\n")
+        proc = self.run(tmp_path, "-c", code)
+        assert proc.returncode == 0, proc.stderr
+        for argv in (
+                ["gen-data", "--mdp", "chain.mdp", "--behavior", "behavior.txt", "--n", "200",
+                 "--seed", "1", "--out", "data.csv"],
+                ["run-modbe", "--data", "data.csv", "--classes", "chain.classes",
+                 "--trace", "trace.txt"],
+                ["run-fqi", "--data", "data.csv", "--classes", "chain.classes", "--k", "3",
+                 "--out", "q.txt"]):
+            proc = self.run(tmp_path, "-m", "modbe.cli", *argv)
+            assert proc.returncode == 0, proc.stderr
+        assert "selected_k" in (tmp_path / "trace.txt").read_text()
 
 
 class TestUsage:

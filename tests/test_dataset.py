@@ -389,8 +389,8 @@ class TestPathRead:
         ("\n# seed=1\n\n \n" + ROWS_TEXT.replace("x_next\n", "x_next\n\n\t\n", 1), True),
         # U+2028 and U+0085 end a line for str.splitlines but not for a file
         ("# note=\u00e9\u20ac\U0001f600\u2028\x85 end\n# seed=1\n" + ROWS_TEXT, True),
-        ("\ufeff# seed=1\n" + ROWS_TEXT, False),
-        ("\ufeff" + ROWS_TEXT, False),
+        ("\ufeff# seed=1\n" + ROWS_TEXT, True),
+        ("\ufeff" + ROWS_TEXT, True),
     ], ids=["cr-only", "no-final-newline", "blank-lines-around-header", "non-ascii-meta",
             "bom-before-meta", "bom-before-header"])
     def test_hazard_reads_as_per_line_parser(self, tmp_path, text, fast):
@@ -398,6 +398,18 @@ class TestPathRead:
         path.write_bytes(text.encode("utf-8"))
         assert (dataset._load_table(str(path)) is not None) == fast
         same_outcome(str(path))
+
+    @pytest.mark.parametrize("text", ["# seed=1\n" + ROWS_TEXT, ROWS_TEXT],
+                             ids=["before-meta", "before-header"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, text):
+        # some editors save a UTF-8 CSV with a byte-order mark
+        plain = write_csv(tmp_path / "plain.csv", text)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        expected = load_dataset_csv(plain)
+        for loaded in (load_dataset_csv(str(marked)), dataset._load_rows(str(marked))):
+            assert loaded.meta == expected.meta
+            assert_same_steps(loaded, expected)
 
     def test_utf8_in_an_ascii_locale(self, tmp_path):
         # the C locale without UTF-8 mode makes open() default to ASCII

@@ -11,7 +11,7 @@ from modbe.basealg import fqi
 from modbe.dataset import MAX_SAMPLES
 from modbe.basealg import fqi_oracle
 from modbe.mdp import squared_bellman_errors
-from modbe.evaluation import (CB_EVAL_CHUNK, CB_EVAL_CONTEXTS, CBInstance, EvalError,
+from modbe.evaluation import (CB_DIMS, CB_EVAL_CHUNK, CB_EVAL_CONTEXTS, CBInstance, EvalError,
                               ExperimentConfig, approx_error, cb_policy_regrets,
                               chain_classes, chain_mdp, diagnose, global_xi,
                               holdout_bias_instance, holdout_select,
@@ -229,6 +229,48 @@ class TestCBEvaluationStream:
             tracemalloc.stop()
         assert len(rows) == 1
         assert peak < 64 * 2 ** 20
+
+    @staticmethod
+    def per_fit_regrets(inst, seed, fits):
+        """The definition: each fit's own product over the whole set."""
+        feats = inst.sample_features(CB_EVAL_CONTEXTS, eval_rng(seed))
+        means = inst.mean_rewards(feats)
+        best_mean = means.max(axis=1).mean()
+        contexts = np.arange(CB_EVAL_CONTEXTS)
+        return [float(best_mean - means[contexts, (feats[:, :, :d] @ w).argmax(axis=1)].mean())
+                for d, w in fits]
+
+    @pytest.mark.parametrize("case", ["every-dim", "single", "identical-pair", "all-zero"])
+    def test_stacked_scoring_matches_per_fit_products(self, case):
+        inst = CBInstance()
+        draw = np.random.default_rng(11)
+        fits = {
+            "every-dim": [(d, draw.standard_normal(d)) for d in CB_DIMS],
+            "single": [(28, draw.standard_normal(28))],
+            "identical-pair": [(29, w) for w in [draw.standard_normal(29)] * 2],
+            "all-zero": [(200, np.zeros(200)), (15, np.zeros(15))],
+        }[case]
+        expected = self.per_fit_regrets(inst, 4, fits)
+        assert cb_policy_regrets(inst, 4, fits) == expected
+        if case == "all-zero":
+            # every action ties, so both paths pick action 0
+            feats = inst.sample_features(CB_EVAL_CONTEXTS, eval_rng(4))
+            means = inst.mean_rewards(feats)
+            assert expected[0] == expected[1] == float(means.max(axis=1).mean()
+                                                       - means[:, 0].mean())
+
+    def test_one_chunk_live_at_a_time(self):
+        # the next chunk is drawn only after the last one is released
+        inst = CBInstance()
+        fits = [(d, np.ones(d)) for d in (15, 30, 200)]
+        chunk_bytes = CB_EVAL_CHUNK * inst.num_actions * inst.ambient_dim * 8
+        tracemalloc.start()
+        try:
+            cb_policy_regrets(inst, 0, fits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * chunk_bytes
 
 
 class TestFitAndScoreOnlyWhatRowsRead:
