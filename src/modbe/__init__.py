@@ -11,8 +11,7 @@ from .basealg import (BaseAlgorithm, QSequence, fitted_q_discounted, fqi, fqi_or
 from .dataset import (DataSplit, OfflineDataset, StepData, generate_from_behavior,
                       generate_from_mu, load_dataset_csv, save_dataset_csv, split_dataset)
 from .funcclass import (AbstractionClass, FiniteClass, FunctionClass, LinearClass,
-                        NestedSequence, QFunction, empirical_sq_loss, greedy_policy,
-                        load_sequence, save_sequence)
+                        NestedSequence, QFunction, greedy_policy, load_sequence, save_sequence)
 from .mdp import (Policy, TabularMDP, bellman_backup, concentrability, greedy_policy_from_tables,
                   load_mdp, max_reach, occupancy, optimal_q, perf_diff_bound, policy_value,
                   regret, save_mdp, squared_bellman_errors)

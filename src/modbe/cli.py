@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import basealg, dataset as ds, evaluation as ev, funcclass as fc, mdp as mdp_mod
-from .selection import SelectionError, modbe, validation_loss
+from .selection import SelectionError, modbe, validation_losses
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,31 +75,25 @@ def _load_data_and_classes(args) -> tuple[ds.OfflineDataset, fc.NestedSequence]:
     return data, classes
 
 
-def _behavior_policy(spec: str, mdp: mdp_mod.TabularMDP) -> mdp_mod.Policy:
+def _probabilities(flag: str, spec: str, mdp: mdp_mod.TabularMDP, uniform, check):
+    """uniform when spec is 'uniform'; otherwise check(the H*S*A probabilities
+    in the file spec, shaped (H, S, A)), with any failure named by flag. The
+    path is made absolute so that a URL-like name is read from disk."""
     if spec == "uniform":
-        return mdp_mod.Policy.uniform(mdp.horizon, mdp.num_states, mdp.num_actions)
+        return uniform
     try:
-        probs = np.loadtxt(spec, encoding="utf-8").reshape(
+        probs = np.loadtxt(os.path.abspath(spec), encoding="utf-8").reshape(
             mdp.horizon, mdp.num_states, mdp.num_actions)
-        return mdp_mod.Policy(probs)
+        return check(probs)
     except (OSError, ValueError, mdp_mod.MDPError) as exc:
-        raise CLIError(f"--behavior: {exc}") from exc
-
-
-def _mu_spec(spec: str, mdp: mdp_mod.TabularMDP) -> np.ndarray:
-    if spec == "uniform":
-        return ev.uniform_mu(mdp)
-    try:
-        mu = np.loadtxt(spec, encoding="utf-8").reshape(
-            mdp.horizon, mdp.num_states, mdp.num_actions)
-        return mdp_mod.check_data_distribution(mdp, mu)
-    except (OSError, ValueError, mdp_mod.MDPError) as exc:
-        raise CLIError(f"--mu: {exc}") from exc
+        raise CLIError(f"{flag}: {exc}") from exc
 
 
 def cmd_gen_data(args) -> int:
     mdp = _load_mdp(args.mdp)
-    pol = _behavior_policy(args.behavior, mdp)
+    pol = _probabilities("--behavior", args.behavior, mdp,
+                         mdp_mod.Policy.uniform(mdp.horizon, mdp.num_states, mdp.num_actions),
+                         mdp_mod.Policy)
     data, _mu = ds.generate_from_behavior(mdp, pol, args.n, args.seed)
     ds.save_dataset_csv(data, args.out)
     print(f"wrote {data.horizon} x {data.n} transitions to {args.out}")
@@ -113,9 +107,7 @@ def cmd_run_fqi(args) -> int:
     split = ds.split_dataset(data, args.seed)
     fseq = basealg.fqi(split.train.steps, classes[args.k])
     print(f"fqi: class {args.k}, horizon {data.horizon}, n_train {split.train.n}")
-    for h in range(1, data.horizon + 1):
-        step = split.valid.steps[h - 1]
-        loss = validation_loss(fseq.func(h), step, fseq.next_state_values(h, step.x_next))
+    for h, loss in enumerate(validation_losses(fseq, split.valid.steps), start=1):
         print(f"  h={h} validation_loss={loss:.6g}")
     if args.out:
         S, A = fc.tabular_shape(classes[args.k])
@@ -160,7 +152,8 @@ def cmd_diagnose(args) -> int:
     if shape != (mdp.num_states, mdp.num_actions):
         raise CLIError(f"--classes: tables of shape {shape} do not match the MDP's "
                        f"(S, A) = {(mdp.num_states, mdp.num_actions)}")
-    mu = _mu_spec(args.mu, mdp)
+    mu = _probabilities("--mu", args.mu, mdp, ev.uniform_mu(mdp),
+                        lambda probs: mdp_mod.check_data_distribution(mdp, probs))
     report = ev.diagnose(classes, mdp, mu)
     print(report.to_text(), end="")
     return EXIT_OK
@@ -249,10 +242,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (mdp_mod.MDPError, ds.DatasetError, fc.FunctionClassError, ev.EvalError,
+    except (CLIError, mdp_mod.MDPError, ds.DatasetError, fc.FunctionClassError, ev.EvalError,
             SelectionError, basealg.BaseAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

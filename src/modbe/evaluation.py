@@ -4,10 +4,12 @@
 # and a linear contextual-bandit study with truncated feature classes.
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -15,12 +17,13 @@ import numpy as np
 from .basealg import DELTA_MAX, BaseAlgorithm, QSequence, make_discounted, make_fqi
 from .dataset import (MAX_SAMPLES, MIN_SAMPLES, OfflineDataset, StepData, generate_from_mu,
                       split_dataset)
-from .funcclass import (ABSTRACTION_QUANTUM, AbstractionClass, FiniteClass, FunctionClass,
-                        LinearClass, NestedSequence, greedy_policy)
+from .funcclass import (ABSTRACTION_QUANTUM, AbstractionClass, FunctionClass, LinearClass,
+                        NestedSequence, greedy_policy)
 from .mdp import TabularMDP, bellman_backup, concentrability, regret
-from .selection import SelectionTrace, modbe, modbe_discounted, validation_loss
+from .selection import SelectionTrace, modbe, modbe_discounted, validation_losses
 
 ENUMERATION_CAP = 200_000   # largest member set enumerated for Approx / xi
+COMPLETE_ATOL = 1e-12       # largest Approx(F_k) that counts F_k as complete
 
 
 class EvalError(ValueError):
@@ -31,7 +34,7 @@ class EvalError(ValueError):
 # Completeness diagnostics
 
 
-def _enumerate_members(fclass: FunctionClass, cap: int = ENUMERATION_CAP):
+def _enumerate_members(fclass: FunctionClass):
     """Member tables of an enumerable class, or None when not enumerable."""
     if fclass.variant == "finite":
         return list(fclass.tables)
@@ -39,7 +42,7 @@ def _enumerate_members(fclass: FunctionClass, cap: int = ENUMERATION_CAP):
         high = fclass.clip_high if fclass.clip_high is not None else 1.0
         grid = np.arange(0.0, high + ABSTRACTION_QUANTUM / 2, ABSTRACTION_QUANTUM)
         cells = fclass.num_blocks * fclass.num_actions
-        if len(grid) ** cells > cap:
+        if len(grid) ** cells > ENUMERATION_CAP:
             return None
         members = []
         for combo in itertools.product(grid, repeat=cells):
@@ -51,20 +54,19 @@ def _enumerate_members(fclass: FunctionClass, cap: int = ENUMERATION_CAP):
 
 def _projection_error(fclass: FunctionClass, target: np.ndarray, weights: np.ndarray) -> float:
     """min_{f in class} ||f - target||^2_weights over clipped values, exactly."""
-    if fclass.variant in ("finite", "abstraction"):
-        proj = fclass.population_erm(weights, target)
-        S, A = target.shape
-        xs, as_ = np.divmod(np.arange(S * A), A)
-        table = proj.values(xs, as_).reshape(S, A)
-        return float((weights * (table - target) ** 2).sum())
-    raise EvalError(f"projection not computable for variant {fclass.variant!r}")
+    proj = fclass.population_erm(weights, target)
+    S, A = target.shape
+    xs, as_ = np.divmod(np.arange(S * A), A)
+    table = proj.values(xs, as_).reshape(S, A)
+    return float((weights * (table - target) ** 2).sum())
 
 
 def _completeness_error(inner: FunctionClass, outer: FunctionClass,
                         mdp: TabularMDP, mu: np.ndarray) -> float | None:
-    """max over h and outer members f' of min over inner f of ||f - T*_h f'||^2_mu."""
+    """max over h and outer members f' of min over inner f of ||f - T*_h f'||^2_mu;
+    None when outer is not enumerable, which covers every linear sequence."""
     members = _enumerate_members(outer)
-    if members is None or inner.variant == "linear":
+    if members is None:
         return None
     worst = 0.0
     for h in range(1, mdp.horizon + 1):
@@ -103,15 +105,11 @@ class DiagnosticReport:
         return "\n".join(lines) + "\n"
 
 
-def diagnose(classes: NestedSequence, mdp: TabularMDP, mu: np.ndarray,
-             complete_atol: float = 1e-12) -> DiagnosticReport:
+def diagnose(classes: NestedSequence, mdp: TabularMDP, mu: np.ndarray) -> DiagnosticReport:
     approx = [approx_error(classes[k], mdp, mu) for k in range(1, len(classes) + 1)]
     xi = [global_xi(classes, k, mdp, mu) for k in range(1, len(classes) + 1)]
-    k_star = None
-    for i, a in enumerate(approx, start=1):
-        if a is not None and a <= complete_atol:
-            k_star = i
-            break
+    k_star = next((k for k, a in enumerate(approx, start=1)
+                   if a is not None and a <= COMPLETE_ATOL), None)
     return DiagnosticReport(approx, xi, k_star, concentrability(mdp, mu),
                             [classes[k].complexity for k in range(1, len(classes) + 1)])
 
@@ -123,12 +121,9 @@ def diagnose(classes: NestedSequence, mdp: TabularMDP, mu: np.ndarray,
 def holdout_select(valid_steps: Sequence[StepData], fseqs: Sequence[QSequence]):
     """Pick the fitted sequence with the smallest summed per-step validation
     loss; ties break to the smallest k. Returns (k, per-class scores)."""
-    scores = []
-    for fseq in fseqs:
-        total = 0.0
-        for h, step in enumerate(valid_steps, start=1):
-            total += validation_loss(fseq.func(h), step, fseq.next_state_values(h, step.x_next))
-        scores.append(total)
+    # a left-to-right sum: sum() compensates its rounding on Python >= 3.12
+    scores = [functools.reduce(operator.add, validation_losses(fseq, valid_steps), 0.0)
+              for fseq in fseqs]
     return int(np.argmin(scores)) + 1, scores
 
 
@@ -185,32 +180,6 @@ def chain_instance():
     return mdp, chain_classes(), uniform_mu(mdp)
 
 
-def never_overshoot_instance():
-    """MDP plus M = 3 nested finite classes where F_2 is complete but F_1 is not.
-
-    Self-loop transitions and zero rewards make the optimal backup the
-    per-state action max, which is idempotent, so closing a finite set under
-    it stays finite.
-    """
-    S, A, H = 2, 2, 2
-    P = np.zeros((H, S, A, S))
-    for x in range(S):
-        P[:, x, :, x] = 1.0
-    mdp = TabularMDP(P, np.zeros((S, A)), np.full(S, 1.0 / S))
-
-    def backup_of(t):           # T* f = max_a f(x, a), broadcast over actions
-        return np.repeat(t.max(axis=1, keepdims=True), A, axis=1)
-
-    zero = np.zeros((S, A))
-    u = np.array([[0.0, 0.7], [0.3, 0.0]])
-    w = np.array([[0.2, 0.5], [0.9, 0.1]])
-    f1 = FiniteClass((zero, u), clip_high=float(H))
-    f2 = FiniteClass((zero, u, backup_of(u)), clip_high=float(H))
-    f3 = FiniteClass((zero, u, backup_of(u), w, backup_of(w)), clip_high=float(H))
-    classes = NestedSequence((f1, f2, f3))
-    return mdp, classes, uniform_mu(mdp)
-
-
 def holdout_bias_instance():
     """Instance realizing the double-sampling bias of hold-out selection.
 
@@ -257,22 +226,19 @@ def holdout_bias_instance():
 CB_DIMS = (15, 20, 25, 28, 29, 30, 50, 75, 100, 200)
 
 
-@dataclass(frozen=True)
 class CBInstance:
-    """Linear contextual bandit: per-round, per-action Gaussian features of
-    ambient dimension 200 whose reward weight vector is supported on the
-    first 30 coordinates."""
+    """Linear contextual bandit, a fixed specification: per-round, per-action
+    Gaussian features of ambient dimension 200 whose reward weight vector is
+    supported on the first 30 coordinates."""
 
-    ambient_dim: int = 200
-    active_dim: int = 30
-    num_actions: int = 10
-    class_dims: tuple = CB_DIMS
-    noise_std: float = 0.5
-    instance_seed: int = 7
-    theta: np.ndarray = field(init=False)
-    scales: np.ndarray = field(init=False)
+    ambient_dim = 200
+    active_dim = 30
+    num_actions = 10
+    class_dims = CB_DIMS
+    noise_std = 0.5
+    instance_seed = 7
 
-    def __post_init__(self):
+    def __init__(self):
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence((self.instance_seed, 99))))
         # equal magnitude on every active coordinate so each truncation short
@@ -284,8 +250,7 @@ class CBInstance:
         scales = 0.5 + rng.random((self.num_actions, self.ambient_dim))
         theta.setflags(write=False)
         scales.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "scales", scales)
+        self.theta, self.scales = theta, scales
 
     def sample_features(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """(n, num_actions, ambient_dim) independent Gaussian features."""

@@ -11,10 +11,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mdp import Policy
+from .mdp import Policy, greedy_policy_from_tables
 
 ABSTRACTION_QUANTUM = 1.0 / 16.0   # declared value grid for complexity accounting
-DEFAULT_RIDGE_SCALE = 1e-6         # lambda = scale * n
+RIDGE_SCALE = 1e-6                 # lambda = scale * n
 
 
 class FunctionClassError(ValueError):
@@ -211,7 +211,7 @@ class AbstractionClass(FunctionClass):
 class LinearClass(FunctionClass):
     """Linear predictors over the first `dim` coordinates of a feature map.
 
-    ERM is ridge regression with lambda = ridge_scale * n; clipping (when
+    ERM is ridge regression with lambda = RIDGE_SCALE * n; clipping (when
     clip_high is set) applies at evaluation time only, never inside the
     normal equations.
     """
@@ -219,7 +219,6 @@ class LinearClass(FunctionClass):
     feature_fn: Callable              # (xs, as_) -> (n, D) with D >= dim
     dim: int = 1
     num_actions: int = 1
-    ridge_scale: float = DEFAULT_RIDGE_SCALE
     clip_high: float | None = None
     variant: str = field(default="linear", init=False)
 
@@ -235,27 +234,10 @@ class LinearClass(FunctionClass):
         self._check_samples(xs, ys)
         ys = np.asarray(ys, dtype=float)
         phi = self.feature_fn(xs, as_)[:, : self.dim]
-        lam = self.ridge_scale * len(ys)
+        lam = RIDGE_SCALE * len(ys)
         gram = phi.T @ phi + lam * np.eye(self.dim)
         w = np.linalg.solve(gram, phi.T @ ys)
         return LinearQ(w, self.feature_fn, self.dim, self.num_actions, self.clip_high)
-
-    def population_erm(self, weights, target):
-        S, A = weights.shape
-        xs, as_ = np.divmod(np.arange(S * A), A)
-        phi = self.feature_fn(xs, as_)[:, : self.dim]
-        w_flat = weights.reshape(-1)
-        gram = phi.T @ (w_flat[:, None] * phi) + self.ridge_scale * np.eye(self.dim)
-        w = np.linalg.solve(gram, phi.T @ (w_flat * target.reshape(-1)))
-        return LinearQ(w, self.feature_fn, self.dim, self.num_actions, self.clip_high)
-
-
-def empirical_sq_loss(f: QFunction, xs, as_, ys) -> float:
-    """Mean squared residual of f against targets, f evaluated in clipped mode."""
-    if len(xs) == 0:
-        raise FunctionClassError("empirical loss requires a nonempty sample list")
-    ys = np.asarray(ys, dtype=float)
-    return float(np.mean((f.values(xs, as_) - ys) ** 2))
 
 
 def tabular_shape(fclass: FunctionClass) -> tuple[int, int] | None:
@@ -274,7 +256,7 @@ def greedy_policy(q_funcs: Sequence[QFunction], num_states: int, num_actions: in
     xs_grid, as_grid = np.divmod(np.arange(num_states * num_actions), num_actions)
     for h, f in enumerate(q_funcs):
         tables[h] = f.values(xs_grid, as_grid).reshape(num_states, num_actions)
-    return Policy.deterministic(tables.argmax(axis=2), num_actions)
+    return greedy_policy_from_tables(tables)
 
 
 @dataclass(frozen=True)

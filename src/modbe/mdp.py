@@ -9,18 +9,17 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_ATOL = 1e-12          # input validation tolerance on probability rows
-DERIVED_ATOL = 1e-10       # tolerance on sums accumulated by recursions
 
 
 class MDPError(ValueError):
     """Raised for structurally invalid MDPs, policies, or distributions."""
 
 
-def _check_prob_rows(arr: np.ndarray, name: str, atol: float = PROB_ATOL) -> None:
+def _check_prob_rows(arr: np.ndarray, name: str) -> None:
     if np.any(arr < 0):
         raise MDPError(f"{name} has negative entries")
     sums = arr.sum(axis=-1)
-    if not np.allclose(sums, 1.0, rtol=0.0, atol=atol):
+    if not np.allclose(sums, 1.0, rtol=0.0, atol=PROB_ATOL):
         raise MDPError(f"{name} rows do not sum to 1 (max dev {np.abs(sums - 1).max():.3e})")
 
 

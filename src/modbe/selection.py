@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,6 +82,12 @@ def validation_loss(f: QFunction, step: StepData, next_values: np.ndarray) -> fl
     if len(step) == 0:
         raise SelectionError("empty validation slot")
     return float(np.mean((f.values(step.x, step.a) - step.r - next_values) ** 2))
+
+
+def validation_losses(fseq: QSequence, valid_steps: Sequence[StepData]) -> list[float]:
+    """validation_loss of each f_h of fseq on its step's validation slot."""
+    return [validation_loss(fseq.func(h), step, fseq.next_state_values(h, step.x_next))
+            for h, step in enumerate(valid_steps, start=1)]
 
 
 def generalization_test(loss_g: float, loss_f: float, tol: float) -> bool:

@@ -5,7 +5,9 @@
 import numpy as np
 import pytest
 
-from modbe import Policy, TabularMDP
+from modbe import FiniteClass, NestedSequence, Policy, QFunction, TabularMDP
+from modbe.evaluation import uniform_mu
+from modbe.funcclass import FunctionClassError
 
 
 def random_mdp(rng: np.random.Generator, S: int, A: int, H: int) -> TabularMDP:
@@ -108,3 +110,37 @@ ENUMERABLE_SHAPES = [
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def empirical_sq_loss(f: QFunction, xs, as_, ys) -> float:
+    """Mean squared residual of f against targets, f evaluated in clipped mode."""
+    if len(xs) == 0:
+        raise FunctionClassError("empirical loss requires a nonempty sample list")
+    ys = np.asarray(ys, dtype=float)
+    return float(np.mean((f.values(xs, as_) - ys) ** 2))
+
+
+def never_overshoot_instance():
+    """MDP plus M = 3 nested finite classes where F_2 is complete but F_1 is not.
+
+    Self-loop transitions and zero rewards make the optimal backup the
+    per-state action max, which is idempotent, so closing a finite set under
+    it stays finite.
+    """
+    S, A, H = 2, 2, 2
+    P = np.zeros((H, S, A, S))
+    for x in range(S):
+        P[:, x, :, x] = 1.0
+    mdp = TabularMDP(P, np.zeros((S, A)), np.full(S, 1.0 / S))
+
+    def backup_of(t):           # T* f = max_a f(x, a), broadcast over actions
+        return np.repeat(t.max(axis=1, keepdims=True), A, axis=1)
+
+    zero = np.zeros((S, A))
+    u = np.array([[0.0, 0.7], [0.3, 0.0]])
+    w = np.array([[0.2, 0.5], [0.9, 0.1]])
+    f1 = FiniteClass((zero, u), clip_high=float(H))
+    f2 = FiniteClass((zero, u, backup_of(u)), clip_high=float(H))
+    f3 = FiniteClass((zero, u, backup_of(u), w, backup_of(w)), clip_high=float(H))
+    classes = NestedSequence((f1, f2, f3))
+    return mdp, classes, uniform_mu(mdp)

@@ -10,15 +10,14 @@ import pytest
 from modbe import (AbstractionClass, FiniteClass, LinearClass, NestedSequence,
                    generate_from_mu, make_fqi, modbe)
 from modbe.basealg import fqi, fqi_oracle, omega_fqi
-from modbe.evaluation import (ExperimentConfig, chain_classes, chain_mdp,
-                              never_overshoot_instance, run_experiment, run_rl_cell,
-                              run_seed, uniform_mu, write_results_csv)
+from modbe.evaluation import (ExperimentConfig, chain_classes, chain_mdp, run_experiment,
+                              run_rl_cell, run_seed, uniform_mu, write_results_csv)
 from modbe.mdp import (concentrability, greedy_policy_from_tables, max_reach,
                        optimal_q, perf_diff_bound, policy_value, regret)
 from modbe.selection import ToleranceSchedule, zeta
 
 from conftest import (ENUMERABLE_SHAPES, brute_max_reach, brute_optimal_value,
-                      random_full_support_mu, random_mdp)
+                      never_overshoot_instance, random_full_support_mu, random_mdp)
 
 
 def report(capsys, num, name, ok, detail=""):

@@ -3,16 +3,19 @@
 import os
 import subprocess
 import sys
+import urllib.request
 
 import numpy as np
 import pytest
 
 from modbe import cli
 from modbe import evaluation as ev
-from modbe.dataset import MAX_SAMPLES, load_dataset_csv
-from modbe.evaluation import chain_classes, chain_mdp
-from modbe.funcclass import FiniteClass, NestedSequence, save_sequence
-from modbe.mdp import save_mdp
+from modbe.basealg import BaseAlgError
+from modbe.dataset import MAX_SAMPLES, DatasetError, load_dataset_csv
+from modbe.evaluation import EvalError, chain_classes, chain_mdp
+from modbe.funcclass import FiniteClass, FunctionClassError, NestedSequence, save_sequence
+from modbe.mdp import MDPError, save_mdp
+from modbe.selection import SelectionError
 
 
 @pytest.fixture
@@ -381,6 +384,73 @@ class TestInputMismatch:
                 "--config": ["bench", "--config", str(binary)]}[flag]
         assert cli.main(argv) == 1
         assert f"error: {flag}:" in capsys.readouterr().err
+
+
+class TestProbabilityFile:
+    """--behavior and --mu read a file of H*S*A probabilities from disk, even
+    under a name that looks like a URL."""
+
+    # (argv up to the flag, one non-uniform file for the chain MDP: H = 4, S = 4, A = 2)
+    CASES = {"--behavior": (["gen-data", "--mdp", "chain.mdp", "--n", "50", "--out", "data.csv"],
+                            "0.25 0.75\n" * 16),
+             "--mu": (["diagnose", "--mdp", "chain.mdp", "--classes", "chain.classes"],
+                      "0.0625 0.1875 0.0625 0.1875 0.0625 0.1875 0.0625 0.1875\n" * 4)}
+
+    @pytest.fixture
+    def chain_dir(self, chain_files, tmp_path, monkeypatch):
+        def no_network(*args, **kwargs):
+            raise AssertionError("a URL was opened")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def run(self, flag, spec, chain_dir):
+        argv, _ = self.CASES[flag]
+        rc = cli.main([*argv, flag, spec])
+        data = chain_dir / "data.csv"
+        return rc, data.read_bytes() if data.exists() else None
+
+    @pytest.mark.parametrize("flag", ["--behavior", "--mu"])
+    def test_url_like_path_is_read_from_disk(self, chain_dir, capsys, flag):
+        text = self.CASES[flag][1]
+        (chain_dir / "p.txt").write_text(text)
+        (chain_dir / "http:" / "host").mkdir(parents=True)
+        (chain_dir / "http:" / "host" / "p.txt").write_text(text)
+        plain = self.run(flag, "p.txt", chain_dir), capsys.readouterr()
+        url_like = self.run(flag, "http://host/p.txt", chain_dir), capsys.readouterr()
+        assert plain[0][0] == 0, plain[1].err
+        assert url_like == plain
+
+    @pytest.mark.parametrize("spec", ["missing.txt", "http://host/missing.txt"])
+    @pytest.mark.parametrize("flag", ["--behavior", "--mu"])
+    def test_missing_file_is_usage_error(self, chain_dir, capsys, flag, spec):
+        assert self.run(flag, spec, chain_dir) == (1, None)
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+
+class TestExitCodes:
+    """Each module's error class exits 1 with 'error: ...'; any other
+    exception is a runtime failure and exits 2."""
+
+    @staticmethod
+    def run_raising(monkeypatch, exc):
+        def fail(_args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_diagnose", fail)
+        return cli.main(["diagnose", "--mdp", "chain.mdp", "--classes", "chain.classes"])
+
+    @pytest.mark.parametrize("error", [cli.CLIError, MDPError, DatasetError, FunctionClassError,
+                                       EvalError, SelectionError, BaseAlgError],
+                             ids=lambda error: error.__name__)
+    def test_input_error_exits_1(self, monkeypatch, capsys, error):
+        assert self.run_raising(monkeypatch, error("bad input")) == cli.EXIT_USAGE == 1
+        assert capsys.readouterr().err == "error: bad input\n"
+
+    def test_other_exception_exits_2(self, monkeypatch, capsys):
+        assert self.run_raising(monkeypatch, RuntimeError("broken")) == cli.EXIT_RUNTIME == 2
+        assert capsys.readouterr().err == "runtime failure: broken\n"
 
 
 class TestNonAsciiText:

@@ -14,12 +14,12 @@ from modbe.mdp import squared_bellman_errors
 from modbe.evaluation import (CB_DIMS, CB_EVAL_CHUNK, CB_EVAL_CONTEXTS, CBInstance, EvalError,
                               ExperimentConfig, approx_error, cb_policy_regrets,
                               chain_classes, chain_mdp, diagnose, global_xi,
-                              holdout_bias_instance, holdout_select,
-                              never_overshoot_instance, oracle_select, parse_config,
+                              holdout_bias_instance, holdout_select, oracle_select,
+                              parse_config,
                               run_experiment, run_rl_cell, run_seed, summarize,
                               uniform_mu, write_results_csv)
 
-from conftest import random_mdp
+from conftest import never_overshoot_instance, random_mdp
 
 
 def one_state_two_action(r1=1.0, r2=0.0, H=1):
@@ -166,7 +166,7 @@ class TestCBInstance:
         assert np.all(inst.theta[:30] != 0.0)
 
     def test_noiseless_identifiability(self):
-        inst = CBInstance(noise_std=0.0)
+        inst = CBInstance()
         rng = np.random.default_rng(0)
         n = 200                                 # >= 2 * active_dim
         feats = inst.sample_features(n, rng)

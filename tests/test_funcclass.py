@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modbe import (AbstractionClass, FiniteClass, LinearClass, NestedSequence,
-                   empirical_sq_loss, greedy_policy, load_sequence, save_sequence)
+                   greedy_policy, load_sequence, save_sequence)
 from modbe.funcclass import ABSTRACTION_QUANTUM, FunctionClassError, TableQ, tabular_shape
+
+from conftest import empirical_sq_loss
 
 
 def simple_finite(clip=None):
