@@ -16,7 +16,6 @@ from .mdp import TabularMDP, bellman_backup, check_data_distribution
 
 OMEGA_CONSTANT = 200.0
 DELTA_MAX = 1.0 / math.e
-DISCOUNTED_ITERATIONS = 30   # fitted-Q sweeps of make_discounted's fit
 
 
 class BaseAlgError(ValueError):
@@ -70,7 +69,6 @@ def fqi(train_steps: Sequence[StepData], fclass: FunctionClass) -> QSequence:
     if H == 0 or any(len(s) == 0 for s in train_steps):
         raise BaseAlgError("FQI requires a nonempty slot for every step")
     funcs: list[QFunction] = [None] * H
-    next_vals = np.zeros(len(train_steps[-1]))
     for h in range(H, 0, -1):
         step = train_steps[h - 1]
         if h < H:
@@ -119,36 +117,17 @@ def fqi_oracle(mdp: TabularMDP, mu: np.ndarray, fclass: FunctionClass) -> QSeque
     return QSequence(tuple(funcs))
 
 
-def fitted_q_discounted(data: StepData, fclass: FunctionClass, gamma: float,
-                        iterations: int) -> QFunction:
-    """Discounted-mode FQI: iterate f <- erm(r + gamma * max_a' f(x', a')) from f = 0.
-
-    Next-step values are clipped to [0, 1/(1 - gamma)] before entering the
-    regression targets.
-    """
-    if not 0.0 <= gamma < 1.0:
-        raise BaseAlgError(f"gamma must lie in [0, 1), got {gamma}")
-    if iterations < 1:
-        raise BaseAlgError("iterations must be at least 1")
+def fitted_q_discounted(data: StepData, fclass: FunctionClass) -> QFunction:
+    """FQI on one flat transition list at horizon H = 1: the class's
+    regression onto the rewards."""
     if len(data) == 0:
         raise BaseAlgError("empty dataset")
-    cap = 1.0 / (1.0 - gamma)
-    f = fclass.zero()
-    for _ in range(iterations):
-        if gamma == 0.0:
-            targets = data.r
-        else:
-            targets = data.r + gamma * np.clip(f.max_values(data.x_next), 0.0, cap)
-        f = fclass.erm(data.x, data.a, targets)
-        if gamma == 0.0:
-            break
-    return f
+    return fclass.erm(data.x, data.a, data.r)
 
 
-def make_discounted(gamma: float) -> BaseAlgorithm:
-    """Discounted FQI on the single slot of a one-step dataset; omega is FQI's
-    at horizon 1, since the discounted variant has one regression problem."""
+def make_discounted() -> BaseAlgorithm:
+    """The one-step (H = 1) base learner on the single slot of a flat dataset;
+    omega is FQI's at horizon 1."""
     def fit(train_steps, fclass):
-        return QSequence((fitted_q_discounted(train_steps[0], fclass, gamma,
-                                              DISCOUNTED_ITERATIONS),))
+        return QSequence((fitted_q_discounted(train_steps[0], fclass),))
     return BaseAlgorithm(fit=fit, omega=lambda n, delta, fclass: omega_fqi(n, delta, fclass, 1))

@@ -290,6 +290,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if any(not MIN_SAMPLES <= n <= MAX_SAMPLES for n in self.n_list):
             raise EvalError(f"all n values must lie in [{MIN_SAMPLES}, {MAX_SAMPLES}]")
+        if len(set(self.n_list)) != len(self.n_list):
+            raise EvalError("n values must be distinct")
         if len(set(self.seeds)) != len(self.seeds) or any(s < 0 for s in self.seeds):
             raise EvalError("seeds must be distinct and non-negative")
         if self.schedule not in ("practical", "theoretical"):
@@ -486,9 +488,8 @@ def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
     data = StepData(np.arange(n), actions, rewards, np.zeros(n, dtype=int))
     classes = instance.classes(feats)
     methods = _expand_methods(methods, len(classes))
-    return _method_rows(n, seed, methods, OfflineDataset((data,)), make_discounted(0.0), classes,
-                        lambda: modbe_discounted(data, classes, gamma=0.0, delta=delta,
-                                                 schedule=schedule, seed=seed),
+    return _method_rows(n, seed, methods, OfflineDataset((data,)), make_discounted(), classes,
+                        lambda: modbe_discounted(data, classes, delta, schedule, seed),
                         lambda fseq: (fseq.func(1).dim, fseq.func(1).weights))
 
 

@@ -87,9 +87,6 @@ class FunctionClass:
     complexity: float
     clip_high: float | None
 
-    def zero(self) -> QFunction:
-        raise NotImplementedError
-
     def erm(self, xs, as_, ys) -> QFunction:
         """Member minimizing the empirical squared loss of its clipped values;
         ties break to the lowest member index."""
@@ -128,12 +125,6 @@ class FiniteClass(FunctionClass):
     @property
     def complexity(self) -> float:
         return math.log(len(self.tables))
-
-    def zero(self):
-        for t in self.tables:
-            if np.all(t == 0.0):
-                return TableQ(t, self.clip_high)
-        raise AssertionError("validated at construction")
 
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)
@@ -181,9 +172,6 @@ class AbstractionClass(FunctionClass):
     def complexity(self) -> float:
         return self.num_blocks * self.num_actions * math.log(1.0 / ABSTRACTION_QUANTUM)
 
-    def zero(self):
-        return TableQ(np.zeros((len(self.blocks), self.num_actions)), self.clip_high)
-
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)
         xs = np.asarray(xs, dtype=int)
@@ -225,10 +213,6 @@ class LinearClass(FunctionClass):
     @property
     def complexity(self) -> float:
         return float(self.dim)
-
-    def zero(self):
-        return LinearQ(np.zeros(self.dim), self.feature_fn, self.dim,
-                       self.num_actions, self.clip_high)
 
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)

@@ -202,7 +202,7 @@ def concentrability(mdp: TabularMDP, mu: np.ndarray) -> float:
                 if mu[h, x, a] <= 0.0:
                     return math.inf
                 best = max(best, reach[h, x] / mu[h, x, a])
-    return best
+    return float(best)
 
 
 def squared_bellman_errors(mdp: TabularMDP, mu: np.ndarray, f_tables: np.ndarray) -> np.ndarray:

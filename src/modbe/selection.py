@@ -1,7 +1,9 @@
 # Model selection over a nested class sequence via a one-sided generalization
 # test on shared regression targets: train/validation split, per-(k, k', h)
 # retraining, tolerance schedule (theoretical constants or the practical
-# complexity/n rule), and full trace recording.
+# complexity/n rule), and full trace recording. One elimination loop serves
+# modbe at any horizon and modbe_discounted, its H = 1 form on a flat
+# transition list that the contextual-bandit sweep runs.
 from __future__ import annotations
 
 import math
@@ -119,7 +121,6 @@ class SelectionTrace:
     fits: dict              # class index -> base fit on split.train, for every class tried
     split: DataSplit
     events: list
-    erm_calls: int
     seed: int
     mode: str
 
@@ -130,6 +131,11 @@ class SelectionTrace:
     @property
     def base_calls(self) -> int:
         return len(self.fits)
+
+    @property
+    def erm_calls(self) -> int:
+        """One ERM of a larger class per recorded (k, k', h) test."""
+        return len(self.events)
 
     def to_text(self) -> str:
         lines = [e.to_line() for e in self.events]
@@ -144,16 +150,13 @@ class SelectionTrace:
 
 
 def _eliminate(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequence,
-               delta: float, schedule: str, seed: int,
-               next_values: Callable[[QSequence, int, np.ndarray], np.ndarray],
-               refit_comparator: bool) -> SelectionTrace:
-    """The split, schedule and elimination loop shared by both selection variants.
+               delta: float, schedule: str, seed: int) -> SelectionTrace:
+    """The split, schedule and elimination loop of modbe and its one-step form.
 
     For the current k: fit the base learner on the training split, build each
-    step's regression targets r + next_values(f^k, h, x') and the comparator's
-    validation loss once, then test every (k', h). The comparator is f^k
-    itself, or with refit_comparator the same-class re-regression g^k onto
-    those targets. Any failing (k', h) rejects k for k + 1; all H steps of a
+    step's regression targets r + f^k_{h+1}(x') and the validation loss of f^k
+    once, then regress every larger class k' onto those targets and test every
+    (k', h). Any failing (k', h) rejects k for k + 1; all H steps of a
     (k, k') pair are recorded even after the first failure.
     """
     if not 0.0 < delta <= DELTA_MAX:
@@ -164,28 +167,21 @@ def _eliminate(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequ
     M = len(classes)
     events: list[TraceEvent] = []
     fits: dict[int, QSequence] = {}
-    erm_calls = 0
     for k in range(1, M + 1):
         fseq = fits[k] = base.fit(split.train.steps, classes[k])
         if k == M:          # no larger class to test against
             break
         tests = []          # per step: (train slot, targets, valid slot, next values, loss_f)
         for h, (train_step, valid_step) in enumerate(zip(split.train.steps, split.valid.steps), 1):
-            targets = train_step.r + next_values(fseq, h, train_step.x_next)
-            next_valid = next_values(fseq, h, valid_step.x_next)
-            if refit_comparator:
-                comparator = classes[k].erm(train_step.x, train_step.a, targets)
-                erm_calls += 1
-            else:
-                comparator = fseq.func(h)
-            loss_f = validation_loss(comparator, valid_step, next_valid)
+            targets = train_step.r + fseq.next_state_values(h, train_step.x_next)
+            next_valid = fseq.next_state_values(h, valid_step.x_next)
+            loss_f = validation_loss(fseq.func(h), valid_step, next_valid)
             tests.append((train_step, targets, valid_step, next_valid, loss_f))
         rejected = False
         for k_prime in range(k + 1, M + 1):
             tol = sched.tol(k, k_prime)
             for h, (train_step, targets, valid_step, next_valid, loss_f) in enumerate(tests, 1):
                 g_h = classes[k_prime].erm(train_step.x, train_step.a, targets)
-                erm_calls += 1
                 loss_g = validation_loss(g_h, valid_step, next_valid)
                 rej = generalization_test(loss_g, loss_f, tol)
                 events.append(TraceEvent(k, k_prime, h, loss_g, loss_f, tol, rej))
@@ -194,7 +190,7 @@ def _eliminate(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequ
                 break
         if not rejected:
             break
-    return SelectionTrace(k, fits, split, events, erm_calls, seed, sched.mode)
+    return SelectionTrace(k, fits, split, events, seed, sched.mode)
 
 
 def modbe(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequence,
@@ -207,29 +203,12 @@ def modbe(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequence,
     functions' validation loss by more than Tol(k, k'). All H comparisons for
     a (k, k') pair are recorded even after the first failure.
     """
-    return _eliminate(dataset, base, classes, delta, schedule, seed,
-                      QSequence.next_state_values, refit_comparator=False)
+    return _eliminate(dataset, base, classes, delta, schedule, seed)
 
 
-def modbe_discounted(data: StepData, classes: NestedSequence, gamma: float,
-                     delta: float = 0.1, schedule: str = "practical",
-                     seed: int = 0) -> SelectionTrace:
-    """Discounted single-loss variant on a flat transition list.
-
-    The base learner is make_discounted(gamma), and the schedule uses an
-    effective horizon of 1. The comparator for class k is the same-class
-    re-regression g^k (not the base learner's own output): reject k iff
-    L(g^{k'}) < L(g^k) - Tol(k, k') on the validation split, where both sides
-    regress onto the shared targets r + gamma * f^k(x').
-    """
-    if not 0.0 <= gamma < 1.0:
-        raise SelectionError(f"gamma must lie in [0, 1), got {gamma}")
-    cap = 1.0 / (1.0 - gamma)
-
-    def next_values(fseq, _h, xs):
-        if gamma == 0.0:
-            return np.zeros(len(xs))
-        return gamma * np.clip(fseq.func(1).max_values(xs), 0.0, cap)
-
-    return _eliminate(OfflineDataset((data,)), make_discounted(gamma), classes, delta,
-                      schedule, seed, next_values, refit_comparator=True)
+def modbe_discounted(data: StepData, classes: NestedSequence, delta: float = 0.1,
+                     schedule: str = "practical", seed: int = 0) -> SelectionTrace:
+    """modbe at horizon H = 1 on a flat transition list, the contextual-bandit
+    case: the base learner is make_discounted(), every class regresses onto
+    the rewards, and the schedule's horizon is 1."""
+    return _eliminate(OfflineDataset((data,)), make_discounted(), classes, delta, schedule, seed)

@@ -6,7 +6,7 @@ import pytest
 from modbe import (AbstractionClass, FiniteClass, TabularMDP, fitted_q_discounted, fqi,
                    fqi_oracle, generate_from_mu, make_discounted, make_fqi, omega_fqi,
                    optimal_q)
-from modbe.basealg import DELTA_MAX, DISCOUNTED_ITERATIONS, BaseAlgError
+from modbe.basealg import DELTA_MAX, BaseAlgError
 from modbe.dataset import StepData
 from modbe.evaluation import chain_classes, chain_mdp, uniform_mu
 
@@ -140,45 +140,29 @@ class TestDiscounted:
         data = StepData(rng.integers(0, 3, 50), rng.integers(0, 2, 50),
                         rng.random(50), rng.integers(0, 3, 50))
         cls = tabular_class(3, 2, clip=None)
-        f = fitted_q_discounted(data, cls, gamma=0.0, iterations=30)
+        f = fitted_q_discounted(data, cls)
         g = cls.erm(data.x, data.a, data.r)
         xs, as_ = np.divmod(np.arange(6), 2)
         assert np.array_equal(f.values(xs, as_), g.values(xs, as_))
 
-    def test_fixed_point_single_state(self):
-        # r = 0.5, gamma = 0.5 -> fixed point 1.0
-        n = 10
-        data = StepData(np.zeros(n, dtype=int), np.zeros(n, dtype=int),
-                        np.full(n, 0.5), np.zeros(n, dtype=int))
-        cls = tabular_class(1, 1, clip=None)
-        f = fitted_q_discounted(data, cls, gamma=0.5, iterations=30)
-        assert f.values([0], [0])[0] == pytest.approx(1.0, abs=1e-6)
-
     def test_singleton_zero_class(self, rng):
         data = StepData([0, 1], [0, 0], [0.3, 0.7], [1, 0])
         cls = FiniteClass((np.zeros((2, 1)),))
-        f = fitted_q_discounted(data, cls, gamma=0.9, iterations=5)
+        f = fitted_q_discounted(data, cls)
         assert np.all(f.values([0, 1], [0, 0]) == 0.0)
 
-    def test_gamma_range_enforced(self):
-        data = StepData([0], [0], [0.5], [0])
-        cls = tabular_class(1, 1, clip=None)
-        with pytest.raises(BaseAlgError):
-            fitted_q_discounted(data, cls, gamma=1.0, iterations=1)
-
-    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
-    def test_make_discounted_is_one_step_fqi(self, rng, gamma):
+    def test_make_discounted_is_one_step_fqi(self, rng):
         data = StepData(rng.integers(0, 3, 50), rng.integers(0, 2, 50),
                         rng.random(50), rng.integers(0, 3, 50))
         cls = tabular_class(3, 2, clip=None)
-        base = make_discounted(gamma)
+        base = make_discounted()
         fseq = base.fit((data,), cls)
-        f = fitted_q_discounted(data, cls, gamma, DISCOUNTED_ITERATIONS)
+        f = fqi((data,), cls)
         xs, as_ = np.divmod(np.arange(6), 2)
-        assert fseq.horizon == 1
-        assert np.array_equal(fseq.func(1).values(xs, as_), f.values(xs, as_))
+        assert fseq.horizon == f.horizon == 1
+        assert np.array_equal(fseq.func(1).values(xs, as_), f.func(1).values(xs, as_))
         # omega is FQI's at horizon 1: 200 (complexity + ln(16 / delta)) / n
-        assert base.omega(40, 0.01, cls) == omega_fqi(40, 0.01, cls, 1) == \
+        assert base.omega(40, 0.01, cls) == make_fqi(1).omega(40, 0.01, cls) == \
             200.0 * (cls.complexity + math.log(16.0 / 0.01)) / 40
 
 

@@ -186,6 +186,13 @@ class TestDiagnose:
         out = capsys.readouterr().out
         assert "concentrability" in out and "class 3" in out
 
+    def test_concentrability_line_is_a_plain_float(self, chain_files, capsys):
+        # the same line under any numpy major version, never np.float64(8.0)
+        mdp_path, cls_path = chain_files
+        rc = cli.main(["diagnose", "--mdp", mdp_path, "--classes", cls_path, "--mu", "uniform"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == "concentrability 8.0"
+
     def test_bad_mu_file(self, chain_files, tmp_path, capsys):
         mdp_path, cls_path = chain_files
         mu = tmp_path / "mu.txt"
@@ -308,9 +315,10 @@ class TestBench:
         ("output = \n", "does not name a file"),
         ("output = {tmp}\n", "does not name a file"),
         ("output = {tmp}/\n", "does not name a file"),
-        ("n_list = 40, 99999999999999999999\n", "n values must lie in")],
+        ("n_list = 40, 99999999999999999999\n", "n values must lie in"),
+        ("n_list = 100, 100\n", "n values must be distinct")],
         ids=["negative-seed", "empty-output", "output-is-directory", "output-ends-in-slash",
-             "n-beyond-bound"])
+             "n-beyond-bound", "repeated-n"])
     def test_bad_seeds_or_output_rejected_before_any_cell(self, tmp_path, capsys,
                                                           monkeypatch, lines, message):
         monkeypatch.setattr(ev, "run_rl_cell", _no_cell)

@@ -338,6 +338,8 @@ class TestExperimentPlumbing:
             ExperimentConfig("chain", [100], [0, 0], ["modbe"])
         with pytest.raises(EvalError):
             ExperimentConfig("chain", [100], [0, -1], ["modbe"])
+        with pytest.raises(EvalError, match="n values must be distinct"):
+            ExperimentConfig("chain", [100, 200, 100], [0, 1], ["modbe"])
         for n in (MAX_SAMPLES + 1, 99999999999999999999):
             with pytest.raises(EvalError, match="n values must lie in"):
                 ExperimentConfig("chain", [100, n], [0], ["modbe"])

@@ -30,10 +30,6 @@ def ident_features(dim):
 
 
 class TestEvaluation:
-    def test_zero_function_everywhere(self):
-        f = simple_finite().zero()
-        assert np.array_equal(f.values([0, 1], [0, 1]), [0.0, 0.0])
-
     def test_table_member_returns_stored_entry(self):
         t = np.array([[0.1, 0.2], [0.3, 0.4]])
         f = TableQ(t)
@@ -93,7 +89,7 @@ class TestERM:
         with pytest.raises(FunctionClassError):
             simple_finite().erm([], [], [])
         with pytest.raises(FunctionClassError):
-            empirical_sq_loss(simple_finite().zero(), [], [], [])
+            empirical_sq_loss(TableQ(np.zeros((2, 2))), [], [], [])
 
     def test_finite_minimality_exhaustive(self, rng):
         tables = [np.zeros((3, 2))] + [rng.random((3, 2)) for _ in range(6)]

@@ -179,7 +179,8 @@ class TestConcentrability:
         P = np.full((1, 2, 2, 2), 0.5)
         mdp = TabularMDP(P, np.zeros((2, 2)), np.array([1.0, 0.0]))
         mu = np.full((1, 2, 2), 0.25)
-        assert concentrability(mdp, mu) == pytest.approx(4.0, abs=1e-12)
+        c = concentrability(mdp, mu)
+        assert type(c) is float and c == pytest.approx(4.0, abs=1e-12)
 
     def test_brute_force_exact_equality(self, rng):
         for _ in range(10):
@@ -196,7 +197,8 @@ class TestConcentrability:
         mdp = det_chain_mdp()
         mu = np.zeros((2, 2, 1))
         mu[:, 0, 0] = 1.0   # no mass on x2 at h=2, but x2 is reachable
-        assert math.isinf(concentrability(mdp, mu))
+        c = concentrability(mdp, mu)
+        assert type(c) is float and math.isinf(c)
 
     def test_behavior_policy_support_ratio(self):
         # deterministic MDP, deterministic pi: mu = its occupancy. The sup

@@ -6,7 +6,7 @@ import pytest
 from modbe import (AbstractionClass, FiniteClass, NestedSequence, TabularMDP,
                    generate_from_mu, make_discounted, make_fqi, modbe, modbe_discounted, zeta)
 from modbe.basealg import BaseAlgorithm, QSequence, fqi
-from modbe.dataset import StepData, split_dataset
+from modbe.dataset import OfflineDataset, StepData
 from modbe.funcclass import TableQ
 from modbe.mdp import occupancy, optimal_q
 from modbe.selection import (SelectionError, ToleranceSchedule, generalization_test,
@@ -14,6 +14,17 @@ from modbe.selection import (SelectionError, ToleranceSchedule, generalization_t
 from modbe.evaluation import CBInstance, chain_classes, chain_mdp, uniform_mu
 
 from conftest import random_mdp
+
+
+def cb_data(n, seed):
+    """A one-step contextual-bandit dataset and its nested linear classes."""
+    inst = CBInstance()
+    rng = np.random.default_rng(seed)
+    feats = inst.sample_features(n, rng)
+    actions = rng.integers(0, inst.num_actions, n)
+    rewards = inst.mean_rewards(feats)[np.arange(n), actions] + 0.5 * rng.standard_normal(n)
+    data = StepData(np.arange(n), actions, rewards, np.zeros(n, dtype=int))
+    return data, inst.classes(feats)
 
 
 def finite_classes_for_schedule():
@@ -197,7 +208,7 @@ class TestModbeLoop:
             for sched in ("practical", "theoretical"):
                 trace = modbe(ds, make_fqi(H), chain_classes(), delta=0.1,
                               schedule=sched, seed=seed)
-                assert trace.erm_calls <= H * M * M
+                assert trace.erm_calls == len(trace.events) <= H * M * M
                 assert trace.base_calls <= trace.k_hat + 1 <= M + 1
 
     def test_trace_replay_byte_identical(self):
@@ -233,7 +244,7 @@ class TestModbeDiscounted:
                         rng.random(100), rng.integers(0, 3, 100))
         cls = AbstractionClass(np.arange(3), 2)
         classes = NestedSequence((cls, AbstractionClass(np.arange(3), 2)))
-        trace = modbe_discounted(data, classes, gamma=0.0, schedule="practical")
+        trace = modbe_discounted(data, classes, schedule="practical")
         assert trace.k_hat == 1
         assert not any(e.reject for e in trace.events)
 
@@ -249,38 +260,41 @@ class TestModbeDiscounted:
             classes = NestedSequence((
                 AbstractionClass(np.zeros(2, dtype=int), 1, clip_high=1.0),
                 AbstractionClass(np.arange(2), 1, clip_high=1.0)))
-            trace = modbe_discounted(data, classes, gamma=0.0,
-                                     schedule="practical", seed=seed)
+            trace = modbe_discounted(data, classes, schedule="practical", seed=seed)
             hits += trace.k_hat == 2
         assert hits >= 8
 
+    @staticmethod
+    def assert_matches_modbe(data, classes, seed):
+        """modbe_discounted is modbe with make_fqi(1) on the one-step dataset:
+        same trace text (erm_calls included) and same fitted values."""
+        a = modbe(OfflineDataset((data,)), make_fqi(1), classes, 0.1, "practical", seed)
+        b = modbe_discounted(data, classes, 0.1, "practical", seed)
+        assert b.to_text() == a.to_text()
+        assert list(b.fits) == list(a.fits)
+        for k, fseq in b.fits.items():
+            for step in (b.split.train.steps[0], b.split.valid.steps[0]):
+                assert np.array_equal(fseq.func(1).values(step.x, step.a),
+                                      a.fits[k].func(1).values(step.x, step.a))
+        return sum(e.reject for e in a.events)
+
     def test_gamma_zero_matches_modbe_at_horizon_one(self):
-        # at H = 1 the re-regression g^k solves the same problem as the FQI
-        # fit f^k, so both variants take the same decisions on the same data
         classes = chain_classes(4, 1)
         rejections = 0
         for seed in range(20):
             mdp = random_mdp(np.random.default_rng(seed), 4, 2, 1)
             ds = generate_from_mu(mdp, uniform_mu(mdp), 300, seed=seed)
-            a = modbe(ds, make_fqi(1), classes, 0.1, "practical", seed)
-            b = modbe_discounted(ds.steps[0], classes, 0.0, 0.1, "practical", seed)
-            assert a.events == b.events
-            assert a.k_hat == b.k_hat
-            rejections += sum(e.reject for e in a.events)
+            rejections += self.assert_matches_modbe(ds.steps[0], classes, seed)
         assert rejections > 0              # the reject path is exercised too
-
-    def test_gamma_validated(self):
-        data = StepData([0], [0], [0.5], [0])
-        classes = NestedSequence((AbstractionClass(np.zeros(1, dtype=int), 1),))
-        with pytest.raises(SelectionError):
-            modbe_discounted(data, classes, gamma=1.0)
+        for n, seed in ((200, 0), (2000, 1)):
+            self.assert_matches_modbe(*cb_data(n, seed), seed)
 
     @pytest.mark.parametrize("schedule", ["practical", "theoretical"])
     def test_delta_validated(self, schedule):
         data = StepData([0], [0], [0.5], [0])
         classes = NestedSequence((AbstractionClass(np.zeros(1, dtype=int), 1),))
         with pytest.raises(SelectionError, match="delta"):
-            modbe_discounted(data, classes, gamma=0.0, delta=0.9, schedule=schedule)
+            modbe_discounted(data, classes, delta=0.9, schedule=schedule)
 
 
 class TestSharedFits:
@@ -308,16 +322,10 @@ class TestSharedFits:
 
     @pytest.mark.parametrize("n, seed", [(200, 0), (2000, 1)])
     def test_cb_fits_match_refits(self, n, seed):
-        inst = CBInstance()
-        rng = np.random.default_rng(seed)
-        feats = inst.sample_features(n, rng)
-        actions = rng.integers(0, inst.num_actions, n)
-        rewards = inst.mean_rewards(feats)[np.arange(n), actions] + 0.5 * rng.standard_normal(n)
-        data = StepData(np.arange(n), actions, rewards, np.zeros(n, dtype=int))
-        classes = inst.classes(feats)
-        trace = modbe_discounted(data, classes, 0.0, 0.1, "practical", seed)
+        data, classes = cb_data(n, seed)
+        trace = modbe_discounted(data, classes, 0.1, "practical", seed)
         assert trace.k_hat > 1
-        self.assert_refits_identical(trace, make_discounted(0.0), classes)
+        self.assert_refits_identical(trace, make_discounted(), classes)
 
 
 class TestTraceSerialization:
