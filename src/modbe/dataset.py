@@ -105,9 +105,14 @@ def generate_from_mu(mdp: TabularMDP, mu: np.ndarray, n: int, seed: int) -> Offl
         flat = rng.choice(S * A, size=n, p=mu[h].reshape(-1))
         xs, as_ = np.divmod(flat, A)
         rs = mdp.rewards[xs, as_]
-        cdf = np.cumsum(mdp.transitions[h][xs, as_], axis=1)
+        # x' is the number of CDF entries at or below u. Rows are non-negative,
+        # so each CDF is non-decreasing, and counting only its first S - 1
+        # columns caps x' at S - 1 when rounding leaves the last entry below u.
+        cdf_columns = np.cumsum(mdp.transitions[h], axis=2).reshape(S * A, S).T
         u = rng.random(n)
-        xn = np.minimum((cdf <= u[:, None]).sum(axis=1), S - 1)
+        xn = np.zeros(n, dtype=np.int64)
+        for column in cdf_columns[: S - 1]:
+            xn += column[flat] <= u
         steps.append(StepData(xs, as_, rs, xn))
     return OfflineDataset(tuple(steps), {"seed": seed, "generator": "mu", "n": n})
 

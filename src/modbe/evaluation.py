@@ -344,10 +344,15 @@ def parse_config(path: str) -> ExperimentConfig:
         raise EvalError(f"{path}: missing config key {exc}") from exc
 
 
+@functools.cache
 def _tabular_instance(name: str):
+    """(mdp, classes, mu) of a tabular instance, built once per process and
+    shared by every cell; mu is read-only like the MDP and classes."""
     if name not in TABULAR_INSTANCES:
         raise EvalError(f"unknown instance family {name!r}")
-    return TABULAR_INSTANCES[name]()
+    mdp, classes, mu = TABULAR_INSTANCES[name]()
+    mu.setflags(write=False)
+    return mdp, classes, mu
 
 
 def _expand_methods(methods: Sequence[str], num_classes: int) -> list[str]:

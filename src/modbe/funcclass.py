@@ -54,12 +54,20 @@ class TableQ(QFunction):
         t = np.asarray(self.table, dtype=float)
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
+        # clipping is element-wise, so a gather from the clipped table equals
+        # the clipped gather that QFunction.values would compute per call
+        clipped = _clip(t, self.clip_high)
+        object.__setattr__(self, "_clipped", clipped)
+        object.__setattr__(self, "_row_max", clipped.max(axis=1))
 
     def raw_values(self, xs, as_):
         return self.table[np.asarray(xs, dtype=int), np.asarray(as_, dtype=int)]
 
+    def values(self, xs, as_):
+        return self._clipped[np.asarray(xs, dtype=int), np.asarray(as_, dtype=int)]
+
     def max_values(self, xs):
-        return _clip(self.table, self.clip_high).max(axis=1)[np.asarray(xs, dtype=int)]
+        return self._row_max[np.asarray(xs, dtype=int)]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 # squared-Bellman-error regret bound.
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,6 +67,11 @@ class TabularMDP:
     @property
     def horizon(self) -> int:
         return self.transitions.shape[0]
+
+    @functools.cached_property
+    def optimal_value(self) -> float:
+        """v(pi*) of a greedy optimal policy, computed on first use and kept."""
+        return policy_value(self, greedy_policy_from_tables(optimal_q(self)))
 
 
 @dataclass(frozen=True)
@@ -155,8 +161,7 @@ def policy_value(mdp: TabularMDP, policy: Policy) -> float:
 
 
 def regret(mdp: TabularMDP, policy: Policy) -> float:
-    opt = policy_value(mdp, greedy_policy_from_tables(optimal_q(mdp)))
-    return opt - policy_value(mdp, policy)
+    return mdp.optimal_value - policy_value(mdp, policy)
 
 
 def occupancy(mdp: TabularMDP, policy: Policy) -> np.ndarray:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modbe import (Policy, dataset, generate_from_behavior, generate_from_mu, load_dataset_csv,
-                   occupancy, save_dataset_csv, split_dataset)
+from modbe import (Policy, TabularMDP, dataset, generate_from_behavior, generate_from_mu,
+                   load_dataset_csv, occupancy, save_dataset_csv, split_dataset)
 from modbe.dataset import MAX_INDEX, MIN_SAMPLES, DatasetError, OfflineDataset, StepData
 
 from conftest import random_mdp
@@ -86,6 +86,73 @@ class TestGeneration:
         ds, _mu = generate_from_behavior(mdp, pol, 10, seed=0)
         assert "concentrability" in ds.meta
         assert math.isfinite(ds.meta["concentrability"])
+
+
+def reference_generate_from_mu(mdp, mu, n, seed) -> list:
+    """The sampler's first formula, per step (x, a, r, x_next): gather each
+    draw's transition row, take its cumsum, count the entries at or below u
+    and cap the count at S - 1."""
+    S, A = mdp.num_states, mdp.num_actions
+    steps = []
+    for h in range(mdp.horizon):
+        rng = dataset._rng(seed, dataset._STREAM_GENERATE, h)
+        flat = rng.choice(S * A, size=n, p=mu[h].reshape(-1))
+        xs, as_ = np.divmod(flat, A)
+        cdf = np.cumsum(mdp.transitions[h][xs, as_], axis=1)
+        u = rng.random(n)
+        xn = np.minimum((cdf <= u[:, None]).sum(axis=1), S - 1)
+        steps.append((xs, as_, mdp.rewards[xs, as_], xn))
+    return steps
+
+
+def edge_mdps() -> list:
+    """A one-state MDP, and a ten-state MDP whose rows put zero mass on some
+    next states (first, middle and last) or sum to 0.9999999999999999."""
+    rng = np.random.default_rng(0)
+    one_state = TabularMDP(np.ones((2, 1, 3, 1)), rng.random((1, 3)), np.ones(1))
+    S, A, H = 10, 2, 3
+    P = rng.dirichlet(np.ones(S), size=(H, S, A))
+    P[:, :, 1, ::3] = 0.0
+    P[:, :, 1] /= P[:, :, 1].sum(axis=-1, keepdims=True)
+    P[:, 0, 0] = 0.1                   # cumsum ends at 0.9999999999999999
+    P[:, 1, 0] = np.eye(S)[S - 1]
+    P[:, 2, 0] = np.eye(S)[0]
+    assert np.cumsum(P[0, 0, 0])[-1] == 0.9999999999999999
+    ten_state = TabularMDP(P, rng.random((S, A)), np.full(S, 1.0 / S))
+    return [one_state, ten_state]
+
+
+class TestSamplerReference:
+    """generate_from_mu draws every column bit for bit as the reference formula."""
+
+    @staticmethod
+    def assert_matches_reference(mdp, mu, n, seed):
+        ds = generate_from_mu(mdp, mu, n, seed)
+        for step, want in zip(ds.steps, reference_generate_from_mu(mdp, mu, n, seed),
+                              strict=True):
+            for got, ref in zip((step.x, step.a, step.r, step.x_next), want, strict=True):
+                assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("rng_seed", [12345, 3])     # the seeds these tests draw MDPs from
+    @pytest.mark.parametrize("S,A,H", [(3, 2, 1), (3, 2, 2), (3, 2, 3), (2, 2, 1), (2, 2, 2)])
+    def test_random_mdps(self, rng_seed, S, A, H):
+        rng = np.random.default_rng(rng_seed)
+        mdp = random_mdp(rng, S, A, H)
+        for mu in (np.full((H, S, A), 1.0 / (S * A)),
+                   rng.dirichlet(np.ones(S * A), size=H).reshape(H, S, A)):
+            for n, seed in ((1, 0), (7, 5), (2000, rng_seed)):
+                self.assert_matches_reference(mdp, mu, n, seed)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_edge_mdps(self, index):
+        mdp = edge_mdps()[index]
+        H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
+        for n, seed in ((1, 0), (50, 1), (20_000, 2)):
+            self.assert_matches_reference(mdp, np.full((H, S, A), 1.0 / (S * A)), n, seed)
+        if S > 1:   # every draw from the rows that put all their mass on one state
+            mu = np.zeros((H, S, A))
+            mu[:, :3, 0] = 1.0 / 3.0
+            self.assert_matches_reference(mdp, mu, 5000, 3)
 
 
 class TestSplit:

@@ -322,6 +322,17 @@ class TestFitAndScoreOnlyWhatRowsRead:
 
 
 class TestExperimentPlumbing:
+    def test_tabular_instance_built_once_and_read_only(self):
+        for name in ("chain", "holdout_bias"):
+            first = evaluation._tabular_instance(name)
+            assert all(a is b for a, b in zip(first, evaluation._tabular_instance(name),
+                                               strict=True))
+            mdp, _classes, mu = first
+            with pytest.raises(ValueError):
+                mu[0, 0, 0] = 0.5
+            with pytest.raises(ValueError):
+                mdp.transitions[0, 0, 0, 0] = 0.5
+
     def test_parse_config_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("instance = chain\nn_list = 100, 200\nseeds = 0,1,2\n"

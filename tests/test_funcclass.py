@@ -41,6 +41,27 @@ class TestEvaluation:
         assert f.raw_values([1], [0])[0] == pytest.approx(5.0)
         assert f.values([1], [0])[0] == 1.0   # clipped
 
+    def test_table_values_equal_clipped_raw_values(self):
+        # entries below 0, above clip_high, NaN, -0.0 and infinities
+        t = np.array([[-1.0, 0.5, 3.0], [np.nan, -0.0, 2.0], [0.0, np.inf, -np.inf]])
+        xs = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, 1, 0])
+        as_ = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 1, 2])
+        for clip_high in (None, 2.0, 0.25):
+            f = TableQ(t, clip_high)
+            raw = f.raw_values(xs, as_)
+            assert np.array_equal(raw, t[xs, as_], equal_nan=True)
+            assert np.array_equal(np.signbit(raw), np.signbit(t[xs, as_]))
+            want = raw if clip_high is None else np.clip(raw, 0.0, clip_high)
+            got = f.values(xs, as_)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            clipped = t if clip_high is None else np.clip(t, 0.0, clip_high)
+            want_max = clipped.max(axis=1)[xs]
+            got_max = f.max_values(xs)
+            assert np.array_equal(got_max, want_max, equal_nan=True)
+            assert np.array_equal(np.signbit(got_max), np.signbit(want_max))
+            assert np.array_equal(f.table, t, equal_nan=True)   # the stored table stays unclipped
+
     def test_clipping_bounds(self):
         cls = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 9.0)), clip_high=2.0)
         f = cls.erm([0, 0], [0, 0], [9.0, 9.0])

@@ -144,6 +144,29 @@ class TestRegret:
         mdp = random_mdp(rng, 4, 2, 4)
         assert 0.0 <= regret(mdp, Policy.uniform(4, 4, 2)) <= 4.0 + 1e-10
 
+    def test_cached_optimal_value_equals_fresh_dp(self):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            mdp = random_mdp(rng, 3, 2, 3)
+            fresh = policy_value(mdp, greedy_policy_from_tables(optimal_q(mdp)))
+            assert "optimal_value" not in vars(mdp)
+            # the first regret call fills the cache, the later ones read it
+            for pol in (Policy.uniform(3, 3, 2),
+                        Policy.deterministic(rng.integers(0, 2, (3, 3)), 2),
+                        greedy_policy_from_tables(optimal_q(mdp))):
+                assert regret(mdp, pol) == fresh - policy_value(mdp, pol)
+                assert vars(mdp)["optimal_value"] == fresh
+
+    def test_optimal_value_cached_per_mdp(self, rng):
+        a = random_mdp(rng, 3, 2, 2)
+        same = TabularMDP(a.transitions, a.rewards, a.initial_dist)
+        other = TabularMDP(a.transitions, 1.0 - a.rewards, a.initial_dist)
+        assert a.optimal_value == same.optimal_value
+        assert other.optimal_value != a.optimal_value
+        for mdp in (a, same, other):
+            assert mdp.optimal_value == policy_value(
+                mdp, greedy_policy_from_tables(optimal_q(mdp)))
+
 
 class TestOccupancy:
     def test_first_step_definition(self, rng):

@@ -5,10 +5,9 @@ import pytest
 
 from modbe import (AbstractionClass, FiniteClass, NestedSequence, TabularMDP,
                    generate_from_mu, make_discounted, make_fqi, modbe, modbe_discounted, zeta)
-from modbe.basealg import BaseAlgorithm, QSequence, fqi
+from modbe.basealg import fqi
 from modbe.dataset import OfflineDataset, StepData
 from modbe.funcclass import TableQ
-from modbe.mdp import occupancy, optimal_q
 from modbe.selection import (SelectionError, ToleranceSchedule, generalization_test,
                              validation_loss)
 from modbe.evaluation import CBInstance, chain_classes, chain_mdp, uniform_mu
