@@ -106,14 +106,13 @@ def fqi_oracle(mdp: TabularMDP, mu: np.ndarray, fclass: FunctionClass) -> QSeque
     the minimizer is the class's weighted projection of the exact backup.
     """
     mu = check_data_distribution(mdp, mu)
-    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
-    xs_grid, as_grid = np.divmod(np.arange(S * A), A)
+    H = mdp.horizon
     funcs: list[QFunction] = [None] * H
     next_table = None
     for h in range(H, 0, -1):
         target = bellman_backup(mdp, h, next_table)
         funcs[h - 1] = fclass.population_erm(mu[h - 1], target)
-        next_table = funcs[h - 1].values(xs_grid, as_grid).reshape(S, A)
+        next_table = funcs[h - 1].clipped
     return QSequence(tuple(funcs))
 
 

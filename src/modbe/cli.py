@@ -110,11 +110,9 @@ def cmd_run_fqi(args) -> int:
     for h, loss in enumerate(validation_losses(fseq, split.valid.steps), start=1):
         print(f"  h={h} validation_loss={loss:.6g}")
     if args.out:
-        S, A = fc.tabular_shape(classes[args.k])
-        xs, as_ = np.divmod(np.arange(S * A), A)
         with open(args.out, "w", encoding="utf-8") as fh:
             for h in range(1, data.horizon + 1):
-                vals = fseq.func(h).values(xs, as_)
+                vals = fseq.func(h).clipped.ravel()
                 fh.write(" ".join(repr(float(v)) for v in vals) + "\n")
         print(f"wrote Q tables to {args.out}")
     return EXIT_OK

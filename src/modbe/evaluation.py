@@ -35,9 +35,9 @@ class EvalError(ValueError):
 
 
 def _enumerate_members(fclass: FunctionClass):
-    """Member tables of an enumerable class, or None when not enumerable."""
+    """Clipped member tables of an enumerable class, or None when not enumerable."""
     if fclass.variant == "finite":
-        return list(fclass.tables)
+        return [m.clipped for m in fclass.members]
     if fclass.variant == "abstraction":
         high = fclass.clip_high if fclass.clip_high is not None else 1.0
         grid = np.arange(0.0, high + ABSTRACTION_QUANTUM / 2, ABSTRACTION_QUANTUM)
@@ -54,10 +54,7 @@ def _enumerate_members(fclass: FunctionClass):
 
 def _projection_error(fclass: FunctionClass, target: np.ndarray, weights: np.ndarray) -> float:
     """min_{f in class} ||f - target||^2_weights over clipped values, exactly."""
-    proj = fclass.population_erm(weights, target)
-    S, A = target.shape
-    xs, as_ = np.divmod(np.arange(S * A), A)
-    table = proj.values(xs, as_).reshape(S, A)
+    table = fclass.population_erm(weights, target).clipped
     return float((weights * (table - target) ** 2).sum())
 
 
@@ -439,11 +436,10 @@ def run_rl_cell(n: int, seed: int, methods: Sequence[str], schedule: str,
     mdp, classes, mu = _tabular_instance(instance)
     methods = _expand_methods(methods, len(classes))
     base = make_fqi(mdp.horizon)
-    S, A = mdp.num_states, mdp.num_actions
     dataset = generate_from_mu(mdp, mu, n, seed)
     rows = _method_rows(n, seed, methods, dataset, base, classes,
                         lambda: modbe(dataset, base, classes, delta, schedule, seed))
-    return _scored(rows, {k: regret(mdp, greedy_policy(fseq.funcs, S, A))
+    return _scored(rows, {k: regret(mdp, greedy_policy(fseq.funcs))
                           for k, fseq in rows[0][4].items()})
 
 

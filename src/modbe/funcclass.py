@@ -47,6 +47,7 @@ class QFunction:
 
 @dataclass(frozen=True)
 class TableQ(QFunction):
+    """An (S, A) table; `clipped` (not a field) is the read-only clipped table."""
     table: np.ndarray                 # (S, A)
     clip_high: float | None = None
 
@@ -54,17 +55,17 @@ class TableQ(QFunction):
         t = np.asarray(self.table, dtype=float)
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
-        # clipping is element-wise, so a gather from the clipped table equals
-        # the clipped gather that QFunction.values would compute per call
+        # clipping is element-wise, so gathering from it equals clipping a gather
         clipped = _clip(t, self.clip_high)
-        object.__setattr__(self, "_clipped", clipped)
+        clipped.setflags(write=False)
+        object.__setattr__(self, "clipped", clipped)
         object.__setattr__(self, "_row_max", clipped.max(axis=1))
 
     def raw_values(self, xs, as_):
         return self.table[np.asarray(xs, dtype=int), np.asarray(as_, dtype=int)]
 
     def values(self, xs, as_):
-        return self._clipped[np.asarray(xs, dtype=int), np.asarray(as_, dtype=int)]
+        return self.clipped[np.asarray(xs, dtype=int), np.asarray(as_, dtype=int)]
 
     def max_values(self, xs):
         return self._row_max[np.asarray(xs, dtype=int)]
@@ -113,6 +114,7 @@ class FunctionClass:
 
 @dataclass(frozen=True)
 class FiniteClass(FunctionClass):
+    """Explicit members; `members` (not a field) holds them as TableQs, clipped once."""
     tables: tuple                     # member (S, A) tables, index order fixed
     clip_high: float | None = None
     variant: str = field(default="finite", init=False)
@@ -129,6 +131,7 @@ class FiniteClass(FunctionClass):
         for t in tabs:
             t.setflags(write=False)
         object.__setattr__(self, "tables", tabs)
+        object.__setattr__(self, "members", tuple(TableQ(t, self.clip_high) for t in tabs))
 
     @property
     def complexity(self) -> float:
@@ -136,19 +139,13 @@ class FiniteClass(FunctionClass):
 
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)
-        xs = np.asarray(xs, dtype=int)
-        as_ = np.asarray(as_, dtype=int)
         ys = np.asarray(ys, dtype=float)
-        losses = [float(np.mean((_clip(t, self.clip_high)[xs, as_] - ys) ** 2))
-                  for t in self.tables]
-        best = int(np.argmin(losses))
-        return TableQ(self.tables[best], self.clip_high)
+        losses = [float(np.mean((m.values(xs, as_) - ys) ** 2)) for m in self.members]
+        return self.members[int(np.argmin(losses))]
 
     def population_erm(self, weights, target):
-        losses = [float((weights * (_clip(t, self.clip_high) - target) ** 2).sum())
-                  for t in self.tables]
-        best = int(np.argmin(losses))
-        return TableQ(self.tables[best], self.clip_high)
+        losses = [float((weights * (m.clipped - target) ** 2).sum()) for m in self.members]
+        return self.members[int(np.argmin(losses))]
 
 
 @dataclass(frozen=True)
@@ -241,14 +238,9 @@ def tabular_shape(fclass: FunctionClass) -> tuple[int, int] | None:
     return None
 
 
-def greedy_policy(q_funcs: Sequence[QFunction], num_states: int, num_actions: int) -> Policy:
-    """Deterministic argmax policy from per-step Q-functions; ties -> lowest action."""
-    H = len(q_funcs)
-    tables = np.zeros((H, num_states, num_actions))
-    xs_grid, as_grid = np.divmod(np.arange(num_states * num_actions), num_actions)
-    for h, f in enumerate(q_funcs):
-        tables[h] = f.values(xs_grid, as_grid).reshape(num_states, num_actions)
-    return greedy_policy_from_tables(tables)
+def greedy_policy(q_funcs: Sequence[TableQ]) -> Policy:
+    """Deterministic argmax policy of per-step clipped tables; ties -> lowest action."""
+    return greedy_policy_from_tables(np.stack([f.clipped for f in q_funcs]))
 
 
 @dataclass(frozen=True)

@@ -91,12 +91,7 @@ class Policy:
     @classmethod
     def deterministic(cls, actions: np.ndarray, num_actions: int) -> "Policy":
         """Point-mass policy from an (H, S) integer action table."""
-        actions = np.asarray(actions, dtype=int)
-        H, S = actions.shape
-        p = np.zeros((H, S, num_actions))
-        hh, ss = np.meshgrid(np.arange(H), np.arange(S), indexing="ij")
-        p[hh, ss, actions] = 1.0
-        return cls(p)
+        return cls(np.eye(num_actions)[np.asarray(actions, dtype=int)])
 
     @classmethod
     def uniform(cls, horizon: int, num_states: int, num_actions: int) -> "Policy":

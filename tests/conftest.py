@@ -112,6 +112,17 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def reference_one_hot(actions, num_actions: int) -> np.ndarray:
+    """(H, S, A) point-mass probabilities of an (H, S) action table, by the
+    meshgrid scatter that Policy.deterministic used before its np.eye gather."""
+    actions = np.asarray(actions, dtype=int)
+    H, S = actions.shape
+    p = np.zeros((H, S, num_actions))
+    hh, ss = np.meshgrid(np.arange(H), np.arange(S), indexing="ij")
+    p[hh, ss, actions] = 1.0
+    return p
+
+
 def empirical_sq_loss(f: QFunction, xs, as_, ys) -> float:
     """Mean squared residual of f against targets, f evaluated in clipped mode."""
     if len(xs) == 0:

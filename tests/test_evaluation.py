@@ -54,6 +54,17 @@ class TestApproxError:
         cls = FiniteClass((np.zeros((1, 1)), np.ones((1, 1))), clip_high=1.0)
         assert approx_error(cls, mdp, mu) == pytest.approx(0.5625, abs=1e-12)
 
+    def test_finite_members_backed_up_clipped(self):
+        # 1 state, 1 action, H=2, r=0.5, clip 2: members {0, 9} and {0, 2}
+        # evaluate alike, so they back up alike. T*(2) = 2.5 is 0.25 from
+        # the member 2, and T*(0) = 0.5 is 0.25 from the member 0.
+        P = np.ones((2, 1, 1, 1))
+        mdp = TabularMDP(P, np.full((1, 1), 0.5), np.ones(1))
+        mu = uniform_mu(mdp)
+        for top in (9.0, 2.0):
+            cls = FiniteClass((np.zeros((1, 1)), np.full((1, 1), top)), clip_high=2.0)
+            assert approx_error(cls, mdp, mu) == 0.25
+
     def test_finite_projection_on_clipped_values(self):
         # the 7.5 member evaluates to the clip bound 2, which is the target
         cls = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 7.5)), clip_high=2.0)
@@ -134,7 +145,7 @@ class TestBaselines:
         mdp = chain_mdp()
         ds = generate_from_mu(mdp, uniform_mu(mdp), 2000, seed=2)
         split, classes = split_dataset(ds, 0), chain_classes()
-        k, regrets = oracle_select(lambda fseq: regret(mdp, greedy_policy(fseq.funcs, 4, 2)),
+        k, regrets = oracle_select(lambda fseq: regret(mdp, greedy_policy(fseq.funcs)),
                                    [fqi(split.train.steps, classes[k]) for k in (1, 2, 3)])
         assert regrets[k - 1] == min(regrets)
 

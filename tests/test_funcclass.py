@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from modbe import (AbstractionClass, FiniteClass, LinearClass, NestedSequence,
                    greedy_policy, load_sequence, save_sequence)
-from modbe.funcclass import ABSTRACTION_QUANTUM, FunctionClassError, TableQ, tabular_shape
+from modbe.funcclass import (ABSTRACTION_QUANTUM, FunctionClassError, QFunction, TableQ,
+                             tabular_shape)
 
-from conftest import empirical_sq_loss
+from conftest import empirical_sq_loss, reference_one_hot
 
 
 def simple_finite(clip=None):
@@ -61,6 +62,12 @@ class TestEvaluation:
             assert np.array_equal(got_max, want_max, equal_nan=True)
             assert np.array_equal(np.signbit(got_max), np.signbit(want_max))
             assert np.array_equal(f.table, t, equal_nan=True)   # the stored table stays unclipped
+            # the clipped table is the values over the full grid, read-only
+            xs_grid, as_grid = np.divmod(np.arange(t.size), t.shape[1])
+            grid_values = f.values(xs_grid, as_grid).reshape(t.shape)
+            assert np.array_equal(f.clipped, grid_values, equal_nan=True)
+            assert np.array_equal(np.signbit(f.clipped), np.signbit(grid_values))
+            assert not f.clipped.flags.writeable
 
     def test_clipping_bounds(self):
         cls = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 9.0)), clip_high=2.0)
@@ -122,6 +129,33 @@ class TestERM:
         best = empirical_sq_loss(f, xs, as_, ys)
         for t in tables:
             assert best <= empirical_sq_loss(TableQ(t), xs, as_, ys) + 1e-15
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_finite_pick_matches_clip_per_call_ranking(self, seed):
+        # the ranking before members were built once: clip every table on
+        # every call. Values from a small set make ties and out-of-range
+        # members common; ties go to the lowest index.
+        rng = np.random.default_rng(seed)
+        S, A = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        levels = np.array([-1.5, -0.0, 0.0, 0.5, 1.0, 2.0, 3.5])
+        tables = [np.zeros((S, A))] + [rng.choice(levels, (S, A)) for _ in range(6)]
+        tables.append(tables[int(rng.integers(1, 7))].copy())   # a duplicate member
+        for clip_high in (None, 1.0, 2.0):
+            cls = FiniteClass(tuple(tables), clip_high)
+            clipped = [t if clip_high is None else np.clip(t, 0.0, clip_high) for t in tables]
+            xs = rng.integers(0, S, 12)
+            as_ = rng.integers(0, A, 12)
+            ys = rng.choice(levels, 12)
+            best = int(np.argmin([float(np.mean((c[xs, as_] - ys) ** 2)) for c in clipped]))
+            f = cls.erm(list(xs), list(as_), list(ys))
+            assert f is cls.members[best]
+            assert np.array_equal(f.table, tables[best]) and f.clip_high == clip_high
+            weights = rng.random((S, A))
+            target = rng.choice(levels, (S, A))
+            best = int(np.argmin([float((weights * (c - target) ** 2).sum()) for c in clipped]))
+            g = cls.population_erm(weights, target)
+            assert g is cls.members[best]
+            assert np.array_equal(g.table, tables[best]) and g.clip_high == clip_high
 
     def test_linear_minimality_against_perturbations(self, rng):
         cls = LinearClass(ident_features(4), dim=4, num_actions=1)
@@ -235,7 +269,7 @@ class TestNestedSequence:
 class TestGreedyPolicy:
     def test_tie_breaks_to_first_action(self):
         f = TableQ(np.zeros((2, 3)))
-        pol = greedy_policy([f], 2, 3)
+        pol = greedy_policy([f])
         assert np.array_equal(pol.probs[0, :, 0], [1.0, 1.0])
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -243,9 +277,30 @@ class TestGreedyPolicy:
     def test_scale_invariance(self, seed):
         rng = np.random.default_rng(seed)
         t = rng.random((3, 2))
-        a = greedy_policy([TableQ(t)], 3, 2)
-        b = greedy_policy([TableQ(t * 7.25)], 3, 2)
+        a = greedy_policy([TableQ(t)])
+        b = greedy_policy([TableQ(t * 7.25)])
         assert np.array_equal(a.probs, b.probs)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_grid_gather_reference(self, seed):
+        # the formula greedy_policy replaced: gather each function's clipped
+        # values over the S x A grid, take the argmax, one-hot it
+        def reference_probs(q_funcs, S, A):
+            xs_grid, as_grid = np.divmod(np.arange(S * A), A)
+            tables = np.zeros((len(q_funcs), S, A))
+            for h, f in enumerate(q_funcs):
+                tables[h] = QFunction.values(f, xs_grid, as_grid).reshape(S, A)
+            return reference_one_hot(tables.argmax(axis=2), A)
+
+        rng = np.random.default_rng(seed)
+        H, S, A = (int(v) for v in rng.integers(1, 5, 3))
+        for clip_high in (None, 0.5, 2.0):
+            tables = rng.normal(1.0, 2.0, (H, S, A))
+            tables[rng.random((H, S, A)) < 0.1] = np.nan
+            tables[rng.random((H, S, A)) < 0.2] = clip_high or 0.0   # ties at the bound
+            q_funcs = [TableQ(t, clip_high) for t in tables]
+            pol = greedy_policy(q_funcs)
+            assert np.array_equal(pol.probs, reference_probs(q_funcs, S, A))
 
 
 class TestLossAccumulation:

@@ -11,7 +11,7 @@ from modbe import (Policy, TabularMDP, bellman_backup, concentrability,
 from modbe.mdp import MDPError, check_data_distribution
 
 from conftest import (brute_max_reach, brute_optimal_value, brute_worst_value,
-                      random_full_support_mu, random_mdp, rollout_values)
+                      random_full_support_mu, random_mdp, reference_one_hot, rollout_values)
 
 
 def one_state_mdp(rewards, H):
@@ -280,6 +280,17 @@ class TestSquaredBellmanErrors:
 
 
 class TestGreedyPolicy:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_deterministic_equals_meshgrid_one_hot(self, seed):
+        rng = np.random.default_rng(seed)
+        H, S = (int(v) for v in rng.integers(1, 5, 2))
+        for A in (1, 2, 5):
+            actions = rng.integers(0, A, (H, S))
+            pol = Policy.deterministic(actions, A)
+            assert pol.probs.dtype == np.float64
+            assert np.array_equal(pol.probs, reference_one_hot(actions, A))
+            assert not pol.probs.flags.writeable
+
     def test_tie_breaks_to_lowest_action(self):
         q = np.zeros((1, 2, 3))
         pol = greedy_policy_from_tables(q)
