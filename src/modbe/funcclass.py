@@ -77,9 +77,8 @@ class LinearQ(QFunction):
     feature_fn: Callable = None       # (xs, as_) -> (n, D) ambient features
     dim: int = 0                      # coordinate prefix actually used
     num_actions: int = 0
-    clip_high: float | None = None
 
-    def raw_values(self, xs, as_):
+    def values(self, xs, as_):
         phi = self.feature_fn(xs, as_)[:, : self.dim]
         return phi @ self.weights
 
@@ -94,7 +93,6 @@ class FunctionClass:
 
     variant: str
     complexity: float
-    clip_high: float | None
 
     def erm(self, xs, as_, ys) -> QFunction:
         """Member minimizing the empirical squared loss of its clipped values;
@@ -152,9 +150,9 @@ class FiniteClass(FunctionClass):
 class AbstractionClass(FunctionClass):
     """All tables constant on blocks of a state partition.
 
-    ERM is the exact per-(block, action) mean of the targets, clipped to
-    [0, clip_high]. For complexity accounting the class is bridged to a
-    finite class of tables quantized to ABSTRACTION_QUANTUM.
+    ERM is the exact per-(block, action) mean of the targets; the fit's
+    TableQ clips it to [0, clip_high]. For complexity accounting the class
+    is bridged to a finite class of tables quantized to ABSTRACTION_QUANTUM.
     """
 
     blocks: np.ndarray                # (S,) state -> block id in [0, B)
@@ -187,8 +185,7 @@ class AbstractionClass(FunctionClass):
         sums = np.bincount(cell, weights=ys, minlength=B * A)
         counts = np.bincount(cell, minlength=B * A)
         means = np.divide(sums, counts, out=np.zeros(B * A), where=counts > 0)
-        vals = _clip(means.reshape(B, A), self.clip_high)
-        return TableQ(vals[self.blocks], self.clip_high)
+        return TableQ(means.reshape(B, A)[self.blocks], self.clip_high)
 
     def population_erm(self, weights, target):
         B, A = self.num_blocks, self.num_actions
@@ -197,22 +194,19 @@ class AbstractionClass(FunctionClass):
         np.add.at(w, self.blocks, weights)
         np.add.at(s, self.blocks, weights * target)
         vals = np.divide(s, w, out=np.zeros((B, A)), where=w > 0)
-        return TableQ(_clip(vals, self.clip_high)[self.blocks], self.clip_high)
+        return TableQ(vals[self.blocks], self.clip_high)
 
 
 @dataclass(frozen=True)
 class LinearClass(FunctionClass):
     """Linear predictors over the first `dim` coordinates of a feature map.
 
-    ERM is ridge regression with lambda = RIDGE_SCALE * n; clipping (when
-    clip_high is set) applies at evaluation time only, never inside the
-    normal equations.
+    ERM is ridge regression with lambda = RIDGE_SCALE * n.
     """
 
     feature_fn: Callable              # (xs, as_) -> (n, D) with D >= dim
     dim: int = 1
     num_actions: int = 1
-    clip_high: float | None = None
     variant: str = field(default="linear", init=False)
 
     @property
@@ -226,7 +220,7 @@ class LinearClass(FunctionClass):
         lam = RIDGE_SCALE * len(ys)
         gram = phi.T @ phi + lam * np.eye(self.dim)
         w = np.linalg.solve(gram, phi.T @ ys)
-        return LinearQ(w, self.feature_fn, self.dim, self.num_actions, self.clip_high)
+        return LinearQ(w, self.feature_fn, self.dim, self.num_actions)
 
 
 def tabular_shape(fclass: FunctionClass) -> tuple[int, int] | None:
@@ -299,8 +293,7 @@ def _check_nested_pair(small: FunctionClass, large: FunctionClass) -> None:
 #   class finite S A members m      followed by m lines of S*A table values
 #   class abstraction S A blocks B  followed by one line of S block ids
 #                                   that uses each id in [0, B)
-#   class linear dim d              (feature map bound programmatically)
-# Every count (M, S, A, m, B, d) is a positive integer, table values are
+# Every count (M, S, A, m, B) is a positive integer, table values are
 # finite, and an abstraction class has S*A <= MAX_TABLE_CELLS. '#' lines
 # are comments. clip_high is supplied by the loader.
 
@@ -317,7 +310,7 @@ def save_sequence(seq: NestedSequence, path: str) -> None:
             lines.append(f"class abstraction {len(c.blocks)} {c.num_actions} blocks {c.num_blocks}")
             lines.append(" ".join(str(int(b)) for b in c.blocks))
         else:
-            lines.append(f"class linear dim {c.dim}")
+            raise FunctionClassError(f"a {c.variant} class has no file form")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -327,7 +320,6 @@ _COUNT = r"([1-9][0-9]*)"
 _HEADER = re.compile(rf"classes {_COUNT}")
 _FINITE = re.compile(rf"class finite {_COUNT} {_COUNT} members {_COUNT}")
 _ABSTRACTION = re.compile(rf"class abstraction {_COUNT} {_COUNT} blocks {_COUNT}")
-_LINEAR = re.compile(rf"class linear dim {_COUNT}")
 
 
 def _finite_float(text: str) -> float:
@@ -337,9 +329,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def load_sequence(path: str, clip_high: float | None = None,
-                  feature_fn: Callable | None = None,
-                  num_actions: int | None = None) -> NestedSequence:
+def load_sequence(path: str, clip_high: float | None = None) -> NestedSequence:
     with open(path, encoding="utf-8") as fh:
         rows = [(lineno, " ".join(ln.split())) for lineno, ln in enumerate(fh, start=1)
                 if ln.strip() and not ln.startswith("#")]
@@ -385,15 +375,8 @@ def load_sequence(path: str, clip_high: float | None = None,
                                          f"[0, {B}) and use each of them")
             classes.append(AbstractionClass(np.array(ids), A, clip_high))
             i += 2
-        elif stanza := _LINEAR.fullmatch(text):
-            if feature_fn is None or num_actions is None:
-                raise FunctionClassError(
-                    f"{path}:{lineno}: linear classes need a feature map bound at load time")
-            classes.append(LinearClass(feature_fn, int(stanza.group(1)), num_actions,
-                                       clip_high=clip_high))
-            i += 1
         else:
             raise FunctionClassError(
-                f"{path}:{lineno}: expected 'class finite S A members m', "
-                "'class abstraction S A blocks B' or 'class linear dim d'")
+                f"{path}:{lineno}: expected 'class finite S A members m' "
+                "or 'class abstraction S A blocks B'")
     return NestedSequence(tuple(classes))

@@ -50,7 +50,7 @@ class TabularMDP:
             raise MDPError(f"initial_dist must have shape ({S},), got {rho.shape}")
         _check_prob_rows(P, "transition table")
         _check_prob_rows(rho[None, :], "initial distribution")
-        if np.any(r < 0) or np.any(r > 1):
+        if not np.all((r >= 0.0) & (r <= 1.0)):   # NaN fails both
             raise MDPError("rewards must lie in [0, 1]")
         for name, arr in (("transitions", P), ("rewards", r), ("initial_dist", rho)):
             arr.setflags(write=False)
@@ -256,7 +256,8 @@ def load_mdp(path: str) -> TabularMDP:
     try:
         S, A, H = (int(t) for t in rows[0][1])
     except (ValueError, IndexError) as exc:
-        raise MDPError(f"{path}:1: malformed header, expected 'S A H'") from exc
+        raise MDPError(f"{path}:{rows[0][0] if rows else 1}: "
+                       "malformed header, expected 'S A H'") from exc
     if min(S, A, H) < 1:
         raise MDPError(f"{path}:{rows[0][0]}: S, A and H must be at least 1")
     need = 1 + 1 + H * S * A + S

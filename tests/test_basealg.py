@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from modbe import (AbstractionClass, FiniteClass, TabularMDP, fitted_q_discounted, fqi,
-                   fqi_oracle, generate_from_mu, make_discounted, make_fqi, omega_fqi,
+from modbe import (AbstractionClass, FiniteClass, LinearClass, TabularMDP, fitted_q_discounted,
+                   fqi, fqi_oracle, generate_from_mu, make_discounted, make_fqi, omega_fqi,
                    optimal_q)
 from modbe.basealg import DELTA_MAX, BaseAlgError
 from modbe.dataset import StepData
@@ -52,6 +52,34 @@ class TestFQI:
         xs, as_ = np.divmod(np.arange(6), 2)
         for h in (2, 3):
             assert np.array_equal(out.func(h).values(xs, as_), ref.func(h).values(xs, as_))
+
+    def test_linear_class_beyond_one_step(self, rng):
+        # phi(x, a) = (1, x, a, x a): at step 2 action 1 pays x - 2, so the
+        # greedy action switches from 0 to 1 across the states
+        def features(xs, as_):
+            xs, as_ = np.asarray(xs, dtype=float), np.asarray(as_, dtype=float)
+            return np.column_stack([np.ones(len(xs)), xs, as_, xs * as_])
+
+        cls = LinearClass(features, dim=4, num_actions=2)
+        n = 200
+        steps = []
+        for _ in range(2):
+            x, a = rng.integers(0, 5, n), rng.integers(0, 2, n)
+            r = np.where(a == 1, x - 2.0, 0.0) + rng.normal(0.0, 0.1, n)
+            steps.append(StepData(x, a, r, rng.integers(0, 5, n)))
+        fseq = fqi(steps, cls)
+        f2 = fseq.func(2)
+        assert np.array_equal(f2.weights, cls.erm(steps[1].x, steps[1].a, steps[1].r).weights)
+
+        xs = np.arange(5)
+        per_action = np.column_stack([features(xs, np.full(5, a)) @ f2.weights for a in (0, 1)])
+        assert set(per_action.argmax(axis=1)) == {0, 1}
+        assert np.array_equal(f2.max_values(xs), per_action.max(axis=1))
+
+        x_next = steps[0].x_next
+        targets = steps[0].r + per_action.max(axis=1)[x_next]
+        want = cls.erm(steps[0].x, steps[0].a, targets)
+        assert np.array_equal(fseq.func(1).weights, want.weights)
 
     def test_empty_slot_rejected(self):
         with pytest.raises(BaseAlgError):

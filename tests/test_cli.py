@@ -75,6 +75,18 @@ class TestGenData:
         assert rc == 1
         assert "error: --mdp:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gen-data", "diagnose"])
+    def test_nan_reward_mdp_is_usage_error(self, tmp_path, capsys, command):
+        mdp_path = tmp_path / "nan.mdp"
+        mdp_path.write_text("1 1 2\n1.0\n1.0\n1.0\nnan\n")   # S A H, rho, P_1, P_2, r
+        cls_path = tmp_path / "one.classes"
+        cls_path.write_text("classes 1\nclass abstraction 1 1 blocks 1\n0\n")
+        args = {"gen-data": ["--n", "5", "--out", str(tmp_path / "o.csv")],
+                "diagnose": ["--classes", str(cls_path)]}[command]
+        assert cli.main([command, "--mdp", str(mdp_path)] + args) == 1
+        assert "error: --mdp:" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestRunFQI:
     def test_prints_per_step_losses(self, chain_data, capsys):

@@ -37,10 +37,12 @@ class TestEvaluation:
         assert f.values([1], [0])[0] == 0.3
 
     def test_linear_dot_product_before_clipping(self):
+        # linear classes carry no clip bound: values are the plain dot product
         from modbe.funcclass import LinearQ
-        f = LinearQ(np.array([1.0, 2.0]), ident_features(2), 2, 1, clip_high=1.0)
-        assert f.raw_values([1], [0])[0] == pytest.approx(5.0)
-        assert f.values([1], [0])[0] == 1.0   # clipped
+        f = LinearQ(np.array([1.0, -2.0]), ident_features(2), 2, 1)
+        assert f.values([1, 2], [0, 0]).tolist() == [1.0 - 2.0 * 2.0, 1.0 - 2.0 * 3.0]
+        f = LinearQ(np.array([1.0, 2.0]), ident_features(2), 2, 1)
+        assert f.values([1], [0])[0] == 5.0   # above any [0, H] bound
 
     def test_table_values_equal_clipped_raw_values(self):
         # entries below 0, above clip_high, NaN, -0.0 and infinities
@@ -111,7 +113,11 @@ class TestERM:
     def test_abstraction_clip_applies(self):
         cls = AbstractionClass(np.zeros(2, dtype=int), num_actions=1, clip_high=1.0)
         f = cls.erm([0, 1], [0, 0], [3.0, 5.0])
-        assert f.table[0, 0] == 1.0
+        assert f.values([0, 1], [0, 0]).tolist() == [1.0, 1.0]
+        assert f.clipped.tolist() == [[1.0], [1.0]]
+        assert f.table.tolist() == [[4.0], [4.0]]   # the stored table is the unclipped mean
+        g = cls.population_erm(np.full((2, 1), 0.5), np.array([[3.0], [5.0]]))
+        assert g.clipped.tolist() == [[1.0], [1.0]] and g.table.tolist() == [[4.0], [4.0]]
 
     def test_empty_samples_rejected(self):
         with pytest.raises(FunctionClassError):
@@ -340,14 +346,16 @@ class TestPersistence:
         assert loaded[1].clip_high == 3.0
 
     def test_linear_requires_bound_features(self, tmp_path):
-        fn = ident_features(3)
-        seq = NestedSequence((LinearClass(fn, dim=3, num_actions=1),))
-        path = str(tmp_path / "seq.txt")
-        save_sequence(seq, path)
+        # a feature map is bound in code, so a linear class has no file form
+        path = tmp_path / "seq.txt"
+        path.write_text("classes 1\nclass linear dim 3\n")
+        with pytest.raises(FunctionClassError, match=r"seq\.txt:2: .*class abstraction"):
+            load_sequence(str(path))
+        seq = NestedSequence((LinearClass(ident_features(3), dim=3, num_actions=1),))
+        out = tmp_path / "linear.txt"
         with pytest.raises(FunctionClassError):
-            load_sequence(path)
-        loaded = load_sequence(path, feature_fn=fn, num_actions=1)
-        assert loaded[1].dim == 3
+            save_sequence(seq, str(out))
+        assert not out.exists()
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

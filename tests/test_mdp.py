@@ -43,8 +43,9 @@ class TestValidation:
             TabularMDP(P, np.zeros((2, 1)), np.array([1.0, 0.0]))
 
     def test_rejects_reward_out_of_range(self):
-        with pytest.raises(MDPError):
-            one_state_mdp([1.5], 1)
+        for reward in (1.5, -0.5, np.nan):
+            with pytest.raises(MDPError):
+                one_state_mdp([reward], 1)
 
     def test_rejects_bad_policy(self):
         with pytest.raises(MDPError):
@@ -330,6 +331,9 @@ class TestPersistence:
         path = tmp_path / "bad.txt"
         path.write_text("2 x 1\n")
         with pytest.raises(MDPError):
+            load_mdp(str(path))
+        path.write_text("# my mdp\n2 x 1\n")   # the error names the header's own line
+        with pytest.raises(MDPError, match=r"bad\.txt:2: "):
             load_mdp(str(path))
 
     @pytest.mark.parametrize("line, tokens", [
