@@ -11,6 +11,7 @@ import numpy as np
 
 from . import basealg, dataset as ds, evaluation as ev, funcclass as fc, mdp as mdp_mod
 from .selection import SelectionError, modbe, validation_losses
+from .textfile import read_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,14 +78,17 @@ def _load_data_and_classes(args) -> tuple[ds.OfflineDataset, fc.NestedSequence]:
 
 def _probabilities(flag: str, spec: str, mdp: mdp_mod.TabularMDP, uniform, check):
     """uniform when spec is 'uniform'; otherwise check(the H*S*A probabilities
-    in the file spec, shaped (H, S, A)), with any failure named by flag. The
-    path is made absolute so that a URL-like name is read from disk."""
+    in the file spec, shaped (H, S, A)), with any failure named by flag."""
     if spec == "uniform":
         return uniform
+    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
     try:
-        probs = np.loadtxt(os.path.abspath(spec), encoding="utf-8").reshape(
-            mdp.horizon, mdp.num_states, mdp.num_actions)
-        return check(probs)
+        lines = [text for _, text in read_lines(spec)[1]]
+        probs = np.loadtxt(lines).ravel() if lines else np.zeros(0)
+        if probs.size != H * S * A:
+            raise CLIError(f"{flag}: expected H*S*A = {H * S * A} probabilities, "
+                           f"found {probs.size}")
+        return check(probs.reshape(H, S, A))
     except (OSError, ValueError, mdp_mod.MDPError) as exc:
         raise CLIError(f"{flag}: {exc}") from exc
 

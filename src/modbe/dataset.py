@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mdp import Policy, TabularMDP, check_data_distribution, concentrability, occupancy
+from .textfile import read_lines
 
 _STREAM_GENERATE = 0
 _STREAM_SPLIT = 1
@@ -237,39 +238,31 @@ def _load_table(path: str) -> OfflineDataset | None:
 
 
 def _load_rows(path: str) -> OfflineDataset:
+    comments, lines = read_lines(path)
     meta: dict = {}
+    for line in comments:
+        _read_meta(line, meta)
+    if lines and lines[0][1] != _HEADER:
+        raise DatasetError(f"{path}:{lines[0][0]}: expected header 'h,x,a,r,x_next'")
     rows: dict[int, list] = defaultdict(list)
-    with open(path, encoding="utf-8-sig") as fh:
-        header_seen = False
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                _read_meta(line, meta)
-                continue
-            if not header_seen:
-                if line != _HEADER:
-                    raise DatasetError(f"{path}:{lineno}: expected header 'h,x,a,r,x_next'")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise DatasetError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            try:
-                h = int(parts[0])
-                rec = (int(parts[1]), int(parts[2]), float(parts[3]), int(parts[4]))
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: malformed row: {exc}") from exc
-            if h < 1:
-                raise DatasetError(f"{path}:{lineno}: step index {h} out of range")
-            if not (0 <= rec[0] <= MAX_INDEX and 0 <= rec[1] <= MAX_INDEX
-                    and 0 <= rec[3] <= MAX_INDEX):
-                raise DatasetError(f"{path}:{lineno}: x, a and x_next must lie in "
-                                   f"[0, {MAX_INDEX}]")
-            if not 0.0 <= rec[2] <= 1.0:
-                raise DatasetError(f"{path}:{lineno}: reward {rec[2]} outside [0, 1]")
-            rows[h].append(rec)
+    for lineno, line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise DatasetError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
+        try:
+            h = int(parts[0])
+            rec = (int(parts[1]), int(parts[2]), float(parts[3]), int(parts[4]))
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: malformed row: {exc}") from exc
+        if h < 1:
+            raise DatasetError(f"{path}:{lineno}: step index {h} out of range")
+        if not (0 <= rec[0] <= MAX_INDEX and 0 <= rec[1] <= MAX_INDEX
+                and 0 <= rec[3] <= MAX_INDEX):
+            raise DatasetError(f"{path}:{lineno}: x, a and x_next must lie in "
+                               f"[0, {MAX_INDEX}]")
+        if not 0.0 <= rec[2] <= 1.0:
+            raise DatasetError(f"{path}:{lineno}: reward {rec[2]} outside [0, 1]")
+        rows[h].append(rec)
     if not rows:
         raise DatasetError(f"{path}: no transition rows found")
     H = max(rows)

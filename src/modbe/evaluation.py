@@ -21,6 +21,7 @@ from .funcclass import (ABSTRACTION_QUANTUM, AbstractionClass, FunctionClass, Li
                         NestedSequence, greedy_policy)
 from .mdp import TabularMDP, bellman_backup, concentrability, regret
 from .selection import SelectionTrace, modbe, modbe_discounted, validation_losses
+from .textfile import read_lines
 
 ENUMERATION_CAP = 200_000   # largest member set enumerated for Approx / xi
 COMPLETE_ATOL = 1e-12       # largest Approx(F_k) that counts F_k as complete
@@ -136,11 +137,11 @@ def oracle_select(regret_of: Callable[[QSequence], float], fseqs: Sequence[QSequ
 # Benchmark instances
 
 
-def chain_mdp(num_states: int = 4, horizon: int = 4, slip: float = 0.2) -> TabularMDP:
-    """Stochastic chain: action 1 moves right (with slip), action 0 stays/falls
-    back; only the last state pays full reward."""
-    S, A = num_states, 2
-    P = np.zeros((horizon, S, A, S))
+def chain_mdp() -> TabularMDP:
+    """Stochastic chain of 4 states over 4 steps: action 1 moves right (with
+    slip 0.2), action 0 stays/falls back; only the last state pays full reward."""
+    S, A, H, slip = 4, 2, 4, 0.2
+    P = np.zeros((H, S, A, S))
     for x in range(S):
         left = max(x - 1, 0)
         right = min(x + 1, S - 1)
@@ -300,18 +301,13 @@ class ExperimentConfig:
 def parse_config(path: str) -> ExperimentConfig:
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise EvalError(f"{path}:{lineno}: expected 'key = value'")
-            k, v = (t.strip() for t in line.split("=", 1))
-            if k in values:
-                raise EvalError(f"{path}:{lineno}: config key {k!r} repeats line "
-                                f"{first_line[k]}")
-            values[k], first_line[k] = v, lineno
+    for lineno, line in read_lines(path)[1]:
+        if "=" not in line:
+            raise EvalError(f"{path}:{lineno}: expected 'key = value'")
+        k, v = (t.strip() for t in line.split("=", 1))
+        if k in values:
+            raise EvalError(f"{path}:{lineno}: config key {k!r} repeats line {first_line[k]}")
+        values[k], first_line[k] = v, lineno
     unknown = sorted(set(values) - set(CONFIG_KEYS))
     if unknown:
         raise EvalError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}; "
@@ -479,7 +475,7 @@ def cb_policy_regrets(instance: CBInstance, seed: int, fits: Sequence[tuple]) ->
 
 
 def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
-                delta: float = 0.1, schedule: str = "practical") -> list[tuple]:
+                delta: float, schedule: str) -> list[tuple]:
     """One (n, seed) cell of the contextual bandit; its rows keep (dim, weights) fits."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0, n))))
     feats = instance.sample_features(n, rng)

@@ -12,6 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mdp import Policy, greedy_policy_from_tables
+from .textfile import numbers, read_lines
 
 ABSTRACTION_QUANTUM = 1.0 / 16.0   # declared value grid for complexity accounting
 RIDGE_SCALE = 1e-6                 # lambda = scale * n
@@ -21,12 +22,6 @@ class FunctionClassError(ValueError):
     pass
 
 
-def _clip(values: np.ndarray, clip_high: float | None) -> np.ndarray:
-    if clip_high is None:
-        return values
-    return np.clip(values, 0.0, clip_high)
-
-
 class QFunction:
     """An evaluable (state, action) -> value map.
 
@@ -34,11 +29,9 @@ class QFunction:
     outputs are restricted to [0, clip_high].
     """
 
-    def raw_values(self, xs, as_) -> np.ndarray:
-        raise NotImplementedError
-
     def values(self, xs, as_) -> np.ndarray:
-        return _clip(self.raw_values(xs, as_), self.clip_high)
+        """f(x, a) for each pair, in clipped mode."""
+        raise NotImplementedError
 
     def max_values(self, xs) -> np.ndarray:
         """f(x) = max_a f(x, a), in clipped mode."""
@@ -56,13 +49,10 @@ class TableQ(QFunction):
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
         # clipping is element-wise, so gathering from it equals clipping a gather
-        clipped = _clip(t, self.clip_high)
+        clipped = t if self.clip_high is None else np.clip(t, 0.0, self.clip_high)
         clipped.setflags(write=False)
         object.__setattr__(self, "clipped", clipped)
         object.__setattr__(self, "_row_max", clipped.max(axis=1))
-
-    def raw_values(self, xs, as_):
-        return self.table[np.asarray(xs, dtype=int), np.asarray(as_, dtype=int)]
 
     def values(self, xs, as_):
         return self.clipped[np.asarray(xs, dtype=int), np.asarray(as_, dtype=int)]
@@ -294,8 +284,8 @@ def _check_nested_pair(small: FunctionClass, large: FunctionClass) -> None:
 #   class abstraction S A blocks B  followed by one line of S block ids
 #                                   that uses each id in [0, B)
 # Every count (M, S, A, m, B) is a positive integer, table values are
-# finite, and an abstraction class has S*A <= MAX_TABLE_CELLS. '#' lines
-# are comments. clip_high is supplied by the loader.
+# finite, and an abstraction class has S*A <= MAX_TABLE_CELLS. The file
+# is read by textfile.read_lines. clip_high is supplied by the loader.
 
 
 def save_sequence(seq: NestedSequence, path: str) -> None:
@@ -330,28 +320,12 @@ def _finite_float(text: str) -> float:
 
 
 def load_sequence(path: str, clip_high: float | None = None) -> NestedSequence:
-    with open(path, encoding="utf-8") as fh:
-        rows = [(lineno, " ".join(ln.split())) for lineno, ln in enumerate(fh, start=1)
-                if ln.strip() and not ln.startswith("#")]
+    rows = [(lineno, " ".join(text.split())) for lineno, text in read_lines(path)[1]]
     header = _HEADER.fullmatch(rows[0][1]) if rows else None
     if header is None:
         raise FunctionClassError(f"{path}:{rows[0][0] if rows else 1}: "
                                  "expected 'classes M' header")
     m = int(header.group(1))
-
-    def values(i: int, convert, count: int, what: str) -> list:
-        if i >= len(rows):
-            raise FunctionClassError(f"{path}:{rows[-1][0]}: file ends here, "
-                                     f"expected a line of {count} {what} after it")
-        lineno, text = rows[i]
-        try:
-            vals = [convert(t) for t in text.split()]
-        except ValueError as exc:
-            raise FunctionClassError(f"{path}:{lineno}: expected {count} {what}: {exc}") from exc
-        if len(vals) != count:
-            raise FunctionClassError(f"{path}:{lineno}: expected {count} {what}")
-        return vals
-
     classes: list[FunctionClass] = []
     i = 1
     for _ in range(m):
@@ -360,8 +334,9 @@ def load_sequence(path: str, clip_high: float | None = None) -> NestedSequence:
         lineno, text = rows[i]
         if stanza := _FINITE.fullmatch(text):
             S, A, nm = (int(g) for g in stanza.groups())
-            tabs = [np.array(values(i + 1 + j, _finite_float, S * A, "table values"))
-                    .reshape(S, A) for j in range(nm)]
+            tabs = [np.reshape(numbers(path, rows, i + 1 + j, _finite_float, S * A,
+                                       "table values", FunctionClassError), (S, A))
+                    for j in range(nm)]
             classes.append(FiniteClass(tuple(tabs), clip_high))
             i += 1 + nm
         elif stanza := _ABSTRACTION.fullmatch(text):
@@ -369,7 +344,7 @@ def load_sequence(path: str, clip_high: float | None = None) -> NestedSequence:
             if S * A > MAX_TABLE_CELLS:     # no data line bounds A
                 raise FunctionClassError(f"{path}:{lineno}: S*A = {S * A} exceeds "
                                          f"{MAX_TABLE_CELLS} table cells")
-            ids = values(i + 1, int, S, "block ids")
+            ids = numbers(path, rows, i + 1, int, S, "block ids", FunctionClassError)
             if len(set(ids)) != B or not all(0 <= b < B for b in ids):
                 raise FunctionClassError(f"{path}:{rows[i + 1][0]}: block ids must lie in "
                                          f"[0, {B}) and use each of them")

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .textfile import numbers, read_lines
+
 PROB_ATOL = 1e-12          # input validation tolerance on probability rows
 
 
@@ -250,11 +252,9 @@ def save_mdp(mdp: TabularMDP, path: str) -> None:
 
 
 def load_mdp(path: str) -> TabularMDP:
-    with open(path, encoding="utf-8") as fh:
-        rows = [(lineno, ln.split()) for lineno, ln in enumerate(fh, start=1)
-                if ln.strip() and not ln.startswith("#")]
+    _, rows = read_lines(path)
     try:
-        S, A, H = (int(t) for t in rows[0][1])
+        S, A, H = (int(t) for t in rows[0][1].split())
     except (ValueError, IndexError) as exc:
         raise MDPError(f"{path}:{rows[0][0] if rows else 1}: "
                        "malformed header, expected 'S A H'") from exc
@@ -263,27 +263,8 @@ def load_mdp(path: str) -> TabularMDP:
     need = 1 + 1 + H * S * A + S
     if len(rows) != need:
         raise MDPError(f"{path}: expected {need} data lines, found {len(rows)}")
-
-    def floats(i: int, count: int, what: str) -> list[float]:
-        lineno, tokens = rows[i]
-        try:
-            vals = [float(t) for t in tokens]
-        except ValueError as exc:
-            raise MDPError(f"{path}:{lineno}: expected {count} {what}: {exc}") from exc
-        if len(vals) != count:
-            raise MDPError(f"{path}:{lineno}: expected {count} {what}")
-        return vals
-
-    rho = np.array(floats(1, S, "initial probabilities"))
-    P = np.zeros((H, S, A, S))
-    i = 2
-    for h in range(H):
-        for x in range(S):
-            for a in range(A):
-                P[h, x, a] = floats(i, S, "probabilities")
-                i += 1
-    r = np.zeros((S, A))
-    for x in range(S):
-        r[x] = floats(i, A, "rewards")
-        i += 1
-    return TabularMDP(P, r, rho)
+    rho = numbers(path, rows, 1, float, S, "initial probabilities", MDPError)
+    P = [numbers(path, rows, i, float, S, "probabilities", MDPError)
+         for i in range(2, 2 + H * S * A)]
+    r = [numbers(path, rows, i, float, A, "rewards", MDPError) for i in range(2 + H * S * A, need)]
+    return TabularMDP(np.reshape(P, (H, S, A, S)), r, rho)

@@ -448,6 +448,17 @@ class TestProbabilityFile:
         assert self.run(flag, spec, chain_dir) == (1, None)
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
+    @pytest.mark.filterwarnings("error")     # a numpy warning must not reach stderr
+    @pytest.mark.parametrize("text, found", [("", 0), ("# no values\n\n  # none here\n", 0),
+                                             ("0.5 0.5 0.5\n" * 10, 30)],
+                             ids=["empty", "comment-only", "30-values"])
+    @pytest.mark.parametrize("flag", ["--behavior", "--mu"])
+    def test_wrong_value_count_names_both_counts(self, chain_dir, capsys, flag, text, found):
+        (chain_dir / "p.txt").write_text(text)
+        assert self.run(flag, "p.txt", chain_dir) == (1, None)
+        assert capsys.readouterr().err == (f"error: {flag}: expected H*S*A = 32 probabilities, "
+                                           f"found {found}\n")
+
 
 class TestExitCodes:
     """Each module's error class exits 1 with 'error: ...'; any other

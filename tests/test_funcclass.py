@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from modbe import (AbstractionClass, FiniteClass, LinearClass, NestedSequence,
                    greedy_policy, load_sequence, save_sequence)
-from modbe.funcclass import (ABSTRACTION_QUANTUM, FunctionClassError, QFunction, TableQ,
-                             tabular_shape)
+from modbe.funcclass import ABSTRACTION_QUANTUM, FunctionClassError, TableQ, tabular_shape
 
 from conftest import empirical_sq_loss, reference_one_hot
 
@@ -51,7 +50,7 @@ class TestEvaluation:
         as_ = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 1, 2])
         for clip_high in (None, 2.0, 0.25):
             f = TableQ(t, clip_high)
-            raw = f.raw_values(xs, as_)
+            raw = f.table[xs, as_]
             assert np.array_equal(raw, t[xs, as_], equal_nan=True)
             assert np.array_equal(np.signbit(raw), np.signbit(t[xs, as_]))
             want = raw if clip_high is None else np.clip(raw, 0.0, clip_high)
@@ -75,7 +74,7 @@ class TestEvaluation:
         cls = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 9.0)), clip_high=2.0)
         f = cls.erm([0, 0], [0, 0], [9.0, 9.0])
         assert f.values([0], [0])[0] == 2.0
-        assert f.raw_values([0], [0])[0] == 9.0
+        assert f.table[[0], [0]][0] == 9.0
 
 
 class TestERM:
@@ -295,7 +294,9 @@ class TestGreedyPolicy:
             xs_grid, as_grid = np.divmod(np.arange(S * A), A)
             tables = np.zeros((len(q_funcs), S, A))
             for h, f in enumerate(q_funcs):
-                tables[h] = QFunction.values(f, xs_grid, as_grid).reshape(S, A)
+                raw = f.table[xs_grid, as_grid]
+                clipped = raw if f.clip_high is None else np.clip(raw, 0.0, f.clip_high)
+                tables[h] = clipped.reshape(S, A)
             return reference_one_hot(tables.argmax(axis=2), A)
 
         rng = np.random.default_rng(seed)

@@ -1,7 +1,8 @@
 # Fuzzing of the four file loaders and the CLI commands that read them. On
 # any text a loader either parses it or raises its module's error, and the
 # CLI exits 0 or 1, never 2. Inputs are arbitrary text, token soup, and
-# valid files with a few lines dropped, repeated or given a foreign token.
+# valid files with a few lines dropped, repeated or given a foreign token,
+# a leading byte-order mark or an indented comment line.
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +43,15 @@ def variants(valid: str, sep: str, tokens: list[str]):
             if not lines:
                 break
             i = draw(st.integers(0, len(lines) - 1))
-            kind = draw(st.sampled_from(["drop", "repeat", "token", "token"]))
+            kind = draw(st.sampled_from(["drop", "repeat", "token", "token", "bom", "comment"]))
             if kind == "drop":
                 del lines[i]
             elif kind == "repeat":
                 lines.insert(i, lines[i])
+            elif kind == "bom":
+                lines[0] = "\ufeff" + lines[0]
+            elif kind == "comment":
+                lines.insert(i, "  # note")
             else:
                 parts = lines[i].split(sep)
                 parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(tokens))

@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modbe import (AbstractionClass, FiniteClass, NestedSequence, TabularMDP,
                    generate_from_mu, make_discounted, make_fqi, modbe, modbe_discounted, zeta)
 from modbe.basealg import fqi
-from modbe.dataset import OfflineDataset, StepData
+from modbe.dataset import OfflineDataset, StepData, split_dataset
 from modbe.funcclass import TableQ
 from modbe.selection import (SelectionError, ToleranceSchedule, generalization_test,
                              validation_loss)
 from modbe.evaluation import CBInstance, chain_classes, chain_mdp, uniform_mu
 
-from conftest import random_mdp
+from conftest import random_full_support_mu, random_mdp
 
 
 def cb_data(n, seed):
@@ -337,3 +339,87 @@ class TestTraceSerialization:
         assert lines[-5].startswith("selected_k ")
         assert lines[-4] == f"base_calls {trace.base_calls}"
         assert sum(1 for ln in lines if ln.startswith("event ")) == len(trace.events)
+
+
+def paper_modbe(dataset, base, classes, delta, schedule, seed):
+    """ModBE's successive elimination written out from the paper. It shares
+    only split_dataset, ToleranceSchedule, the base fit and erm with modbe.
+    Returns k_hat and the (k, k', h, loss_g, loss_f, tol, reject) tests."""
+    split = split_dataset(dataset, seed)
+    train, valid = split.train.steps, split.valid.steps
+    sched = ToleranceSchedule(schedule, classes, dataset.horizon, delta,
+                              split.train.n, split.valid.n, dataset.n, base.omega)
+    H, M, tests = dataset.horizon, len(classes), []
+    for k in range(1, M + 1):
+        f = base.fit(train, classes[k])
+
+        def next_value(h, step):        # f^k_{h+1}(x') = max_a f^k_{h+1}(x', a); 0 beyond H
+            return f.func(h + 1).max_values(step.x_next) if h < H else np.zeros(len(step))
+
+        def loss(g, h):                 # validation loss of g against r + f^k_{h+1}(x')
+            v = valid[h - 1]
+            return float(np.mean((g.values(v.x, v.a) - v.r - next_value(h, v)) ** 2))
+
+        rejected = False
+        for k_prime in range(k + 1, M + 1):
+            tol = sched.tol(k, k_prime)
+            for h, t in enumerate(train, start=1):
+                g = classes[k_prime].erm(t.x, t.a, t.r + next_value(h, t))
+                loss_g, loss_f = loss(g, h), loss(f.func(h), h)
+                tests.append((k, k_prime, h, loss_g, loss_f, tol, loss_g < loss_f - tol))
+                rejected = rejected or tests[-1][-1]
+            if rejected:
+                break
+        if not rejected:
+            return k, tests
+
+
+def trace_tests(trace):
+    return trace.k_hat, [(e.k, e.k_prime, e.h, e.loss_g, e.loss_f, e.tol, e.reject)
+                         for e in trace.events]
+
+
+class TestPaperTranscription:
+    """modbe and modbe_discounted against paper_modbe, floats compared with ==."""
+
+    def test_random_abstraction_chains(self):
+        rng = np.random.default_rng(2022)
+        rejections = 0
+        for case in range(400):
+            S, A, H = (int(v) for v in rng.integers((2, 1, 1), (7, 4, 5)))
+            blocks = [np.zeros(S, dtype=int)]
+            for _ in range(rng.integers(1, 4)):     # each class refines the one before
+                blocks.append(np.unique(2 * blocks[-1] + rng.integers(0, 2, S),
+                                        return_inverse=True)[1])
+            classes = NestedSequence(tuple(AbstractionClass(b, A, clip_high=float(H))
+                                           for b in blocks))
+            data = generate_from_mu(random_mdp(rng, S, A, H), random_full_support_mu(rng, S, A, H),
+                                    int(rng.integers(5, 400)), case)
+            for schedule in ("practical", "theoretical"):
+                trace = modbe(data, make_fqi(H), classes, 0.1, schedule, case)
+                assert trace_tests(trace) == paper_modbe(data, make_fqi(H), classes, 0.1,
+                                                         schedule, case)
+                rejections += sum(e.reject for e in trace.events)
+        assert rejections > 0               # the reject path is exercised too
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), cb=st.booleans(),
+           schedule=st.sampled_from(["practical", "theoretical"]))
+    def test_finite_classes_and_one_step_cb(self, seed, cb, schedule):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 200))
+        if cb:
+            data, classes = cb_data(n, seed)
+            trace = modbe_discounted(data, classes, 0.1, schedule, seed)
+            dataset, base = OfflineDataset((data,)), make_discounted()
+        else:
+            S, A, H = (int(v) for v in rng.integers((2, 1, 1), (7, 4, 5)))
+            tables = [np.zeros((S, A))] + [rng.uniform(0.0, H + 1.0, (S, A)) for _ in range(8)]
+            sizes = np.sort(rng.choice(np.arange(1, 10), rng.integers(2, 5), replace=False))
+            classes = NestedSequence(tuple(FiniteClass(tuple(tables[:m]), clip_high=float(H))
+                                           for m in sizes))
+            dataset = generate_from_mu(random_mdp(rng, S, A, H),
+                                       random_full_support_mu(rng, S, A, H), n, seed)
+            base = make_fqi(H)
+            trace = modbe(dataset, base, classes, 0.1, schedule, seed)
+        assert trace_tests(trace) == paper_modbe(dataset, base, classes, 0.1, schedule, seed)
