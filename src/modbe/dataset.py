@@ -103,9 +103,25 @@ def generate_from_mu(mdp: TabularMDP, mu: np.ndarray, n: int, seed: int) -> Offl
     steps = []
     for h in range(mdp.horizon):
         rng = _rng(seed, _STREAM_GENERATE, h)
-        flat = rng.choice(S * A, size=n, p=mu[h].reshape(-1))
-        xs, as_ = np.divmod(flat, A)
-        rs = mdp.rewards[xs, as_]
+        # (x, a) as Generator.choice(S * A, n, p=mu_h) draws it, bit for bit:
+        # choice takes one uniform u per draw and returns the number of entries
+        # of the normalised CDF at or below u. Those entries are a prefix of
+        # the CDF, so read as an (S, A) table they are the rows before x and
+        # the first a entries of row x: x counts the row ends cdf[s, A - 1]
+        # (s < S - 1) at or below u, and a counts cdf[x, a'] (a' < A - 1).
+        # This costs O(n (S + A)) per step.
+        cdf = mu[h].reshape(-1).cumsum()
+        cdf /= cdf[-1]
+        cdf = cdf.reshape(S, A)
+        u = rng.random(n)
+        xs = np.zeros(n, dtype=np.int64)
+        for end in cdf[: S - 1, A - 1]:
+            xs += end <= u
+        as_ = np.zeros(n, dtype=np.int64)
+        for column in cdf[:, : A - 1].T:
+            as_ += column[xs] <= u
+        flat = xs * A + as_
+        rs = mdp.rewards.reshape(-1)[flat]
         # x' is the number of CDF entries at or below u. Rows are non-negative,
         # so each CDF is non-decreasing, and counting only its first S - 1
         # columns caps x' at S - 1 when rounding leaves the last entry below u.

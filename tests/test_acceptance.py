@@ -3,6 +3,7 @@
 # formula fidelity, and budget/determinism. Each test prints one summary
 # line so a full run reads as a scoreboard.
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,7 +238,7 @@ def test_criterion_9_budget_and_determinism(capsys):
     with tempfile.TemporaryDirectory() as tmp:
         write_results_csv(rows_1, f"{tmp}/a.csv")
         write_results_csv(rows_8, f"{tmp}/b.csv")
-        csv_ok = open(f"{tmp}/a.csv", "rb").read() == open(f"{tmp}/b.csv", "rb").read()
+        csv_ok = Path(f"{tmp}/a.csv").read_bytes() == Path(f"{tmp}/b.csv").read_bytes()
     ok = budget_ok and trace_ok and csv_ok
     report(capsys, 9, "budget and determinism", ok,
            f"budgets {'ok' if budget_ok else 'violated'}, traces "

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ class TestGenData:
             path = str(tmp_path / name)
             assert cli.main(["gen-data", "--mdp", mdp_path, "--n", "50",
                              "--seed", "3", "--out", path]) == 0
-            outs.append(open(path, "rb").read())
+            outs.append(Path(path).read_bytes())
         assert outs[0] == outs[1]
 
     def test_missing_mdp_is_usage_error(self, tmp_path, capsys):
@@ -103,7 +104,8 @@ class TestRunFQI:
         q_path = str(tmp_path / "q.txt")
         assert cli.main(["run-fqi", "--data", data_path, "--classes", cls_path,
                          "--k", "2", "--out", q_path]) == 0
-        rows = [np.fromstring(l, sep=" ") for l in open(q_path)]
+        with open(q_path) as fh:
+            rows = [np.fromstring(l, sep=" ") for l in fh]
         assert len(rows) == 4 and all(len(r) == 8 for r in rows)  # H rows of S*A
         assert all(np.all((r >= 0) & (r <= 4)) for r in rows)
 
@@ -141,7 +143,7 @@ class TestRunModBE:
             assert cli.main(["run-modbe", "--data", data_path,
                              "--classes", cls_path, "--schedule", "practical",
                              "--seed", "5", "--trace", path]) == 0
-            traces.append(open(path, "rb").read())
+            traces.append(Path(path).read_bytes())
         assert traces[0] == traces[1] and len(traces[0]) > 0
 
     def test_single_class_skips_tests(self, chain_data, tmp_path, capsys):
@@ -183,7 +185,7 @@ class TestRunHoldout:
     def test_byte_order_mark_dataset(self, chain_data, tmp_path, capsys):
         _, cls_path, data_path = chain_data
         marked = tmp_path / "marked.csv"
-        marked.write_bytes(b"\xef\xbb\xbf" + open(data_path, "rb").read())
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(data_path).read_bytes())
         assert cli.main(["run-holdout", "--data", data_path, "--classes", cls_path]) == 0
         plain_out = capsys.readouterr().out
         assert cli.main(["run-holdout", "--data", str(marked), "--classes", cls_path]) == 0
@@ -234,7 +236,7 @@ class TestBench:
         assert rc == 0
         out = capsys.readouterr().out
         assert "wrote 4 rows" in out and "mean_regret" in out
-        lines = open(tmp_path / "res.csv").read().splitlines()
+        lines = (tmp_path / "res.csv").read_text().splitlines()
         assert lines[0] == "n,seed,method,selected_k,regret,runtime_ms"
         assert len(lines) == 5 and all(l.endswith(",") for l in lines[1:])
 
@@ -243,7 +245,7 @@ class TestBench:
         assert cli.main(["bench", "--config", c1, "--no-runtime"]) == 0
         c2 = self._config(tmp_path, "r2.csv")
         assert cli.main(["bench", "--config", c2, "--no-runtime", "--jobs", "2"]) == 0
-        assert open(tmp_path / "r1.csv", "rb").read() == open(tmp_path / "r2.csv", "rb").read()
+        assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
     def test_unknown_instance(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -358,7 +360,7 @@ class TestInputMismatch:
     def test_dataset_index_outside_classes(self, chain_data, tmp_path, capsys,
                                            command, field, value):
         _, cls_path, data_path = chain_data
-        lines = open(data_path).read().splitlines()
+        lines = Path(data_path).read_text().splitlines()
         i = lines.index("h,x,a,r,x_next") + 1
         row = lines[i].split(",")
         row[field] = value

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modbe import (Policy, TabularMDP, dataset, generate_from_behavior, generate_from_mu,
-                   load_dataset_csv, occupancy, save_dataset_csv, split_dataset)
+from modbe import (Policy, TabularMDP, dataset, evaluation, generate_from_behavior,
+                   generate_from_mu, load_dataset_csv, occupancy, save_dataset_csv, split_dataset)
 from modbe.dataset import MAX_INDEX, MIN_SAMPLES, DatasetError, OfflineDataset, StepData
 
 from conftest import random_mdp
@@ -153,6 +153,67 @@ class TestSamplerReference:
             mu = np.zeros((H, S, A))
             mu[:, :3, 0] = 1.0 / 3.0
             self.assert_matches_reference(mdp, mu, 5000, 3)
+
+    @pytest.mark.parametrize("zeros", ["first-state", "middle-state", "last-state", "pairs"])
+    def test_zero_mass(self, zeros):
+        rng = np.random.default_rng(11)
+        S, A, H = 5, 3, 2
+        mdp = random_mdp(rng, S, A, H)
+        mu = rng.dirichlet(np.ones(S * A), size=H).reshape(H, S, A)
+        if zeros == "pairs":    # the first pair, two in the middle and the last
+            mu[:, [0, 2, 2, S - 1], [0, 0, 2, A - 1]] = 0.0
+        else:
+            mu[:, {"first-state": 0, "middle-state": S // 2, "last-state": S - 1}[zeros]] = 0.0
+        mu /= mu.sum(axis=(1, 2), keepdims=True)
+        for n, seed in ((1, 0), (300, 1), (20_000, 2)):
+            self.assert_matches_reference(mdp, mu, n, seed)
+
+    @pytest.mark.parametrize("total", [1.0, 1.0 - 2.0 ** -45])
+    @pytest.mark.parametrize("S,A", [(1, 2), (2, 1), (2, 3), (3, 2)])
+    def test_draw_on_a_cdf_entry(self, S, A, total):
+        """mu puts CDF entry j exactly on the stream's first uniform: a draw
+        equal to an entry counts it, and at a total below 1 only the
+        normalised CDF leaves the entry above the draw."""
+        seed = 4
+        u0 = dataset._rng(seed, dataset._STREAM_GENERATE, 0).random()
+        for j in range(S * A - 1):
+            mu = np.zeros(S * A)
+            mu[j], mu[-1] = u0, total - u0
+            mdp = random_mdp(np.random.default_rng(j), S, A, 1)
+            self.assert_matches_reference(mdp, mu.reshape(1, S, A), 20, seed)
+
+    @pytest.mark.parametrize("S,A", [(1, 1), (1, 3), (7, 1), (50, 2), (20, 20)])
+    def test_shapes(self, S, A):
+        rng = np.random.default_rng(S * 100 + A)
+        H = 2
+        mdp = random_mdp(rng, S, A, H)
+        for mu in (np.full((H, S, A), 1.0 / (S * A)),
+                   rng.dirichlet(np.ones(S * A), size=H).reshape(H, S, A)):
+            for n, seed in ((1, 0), (500, 1), (20_000, 2)):
+                self.assert_matches_reference(mdp, mu, n, seed)
+
+    @pytest.mark.parametrize("name,n_list", [("chain", (100, 1000, 10_000)),
+                                             ("holdout_bias", (2000,))])
+    def test_benchmark_instances(self, name, n_list):
+        mdp, _, mu = evaluation._tabular_instance(name)
+        for n in n_list:
+            for seed in range(3):
+                self.assert_matches_reference(mdp, mu, n, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_mu_with_zeros(self, data):
+        S, A, H = (data.draw(st.integers(1, top)) for top in (8, 4, 3))
+        weight = st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]) | st.floats(1e-6, 1.0)
+        weights = np.array(data.draw(st.lists(weight, min_size=H * S * A, max_size=H * S * A)))
+        weights = weights.reshape(H, S * A)
+        for h in range(H):      # at least one pair per step carries mass
+            if weights[h].sum() == 0.0:
+                weights[h, data.draw(st.integers(0, S * A - 1))] = 1.0
+        mu = (weights / weights.sum(axis=1, keepdims=True)).reshape(H, S, A)
+        mdp = random_mdp(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), S, A, H)
+        self.assert_matches_reference(mdp, mu, data.draw(st.integers(1, 300)),
+                                      data.draw(st.integers(0, 2 ** 63 - 1)))
 
 
 class TestSplit:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,7 +477,7 @@ class TestExperimentPlumbing:
         rows = run_experiment(cfg, record_runtime=False)
         path = str(tmp_path / "r.csv")
         write_results_csv(rows, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "n,seed,method,selected_k,regret,runtime_ms"
         assert lines[1].endswith(",")           # empty runtime field
 
