@@ -134,7 +134,8 @@ class TestSamplerReference:
                 assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("rng_seed", [12345, 3])     # the seeds these tests draw MDPs from
-    @pytest.mark.parametrize("S,A,H", [(3, 2, 1), (3, 2, 2), (3, 2, 3), (2, 2, 1), (2, 2, 2)])
+    @pytest.mark.parametrize("S,A,H", [(3, 2, 1), (3, 2, 2), (3, 2, 3), (2, 2, 1), (2, 2, 2),
+                                       (1, 1, 2), (1, 3, 2), (7, 1, 2), (50, 2, 2), (20, 20, 2)])
     def test_random_mdps(self, rng_seed, S, A, H):
         rng = np.random.default_rng(rng_seed)
         mdp = random_mdp(rng, S, A, H)
@@ -181,16 +182,6 @@ class TestSamplerReference:
             mu[j], mu[-1] = u0, total - u0
             mdp = random_mdp(np.random.default_rng(j), S, A, 1)
             self.assert_matches_reference(mdp, mu.reshape(1, S, A), 20, seed)
-
-    @pytest.mark.parametrize("S,A", [(1, 1), (1, 3), (7, 1), (50, 2), (20, 20)])
-    def test_shapes(self, S, A):
-        rng = np.random.default_rng(S * 100 + A)
-        H = 2
-        mdp = random_mdp(rng, S, A, H)
-        for mu in (np.full((H, S, A), 1.0 / (S * A)),
-                   rng.dirichlet(np.ones(S * A), size=H).reshape(H, S, A)):
-            for n, seed in ((1, 0), (500, 1), (20_000, 2)):
-                self.assert_matches_reference(mdp, mu, n, seed)
 
     @pytest.mark.parametrize("name,n_list", [("chain", (100, 1000, 10_000)),
                                              ("holdout_bias", (2000,))])
