@@ -222,12 +222,17 @@ def holdout_bias_instance():
 
 
 CB_DIMS = (15, 20, 25, 28, 29, 30, 50, 75, 100, 200)
+CB_MAX_CONTEXTS = 100_000   # largest feature draw: 1.6 GB of float64
 
 
 class CBInstance:
     """Linear contextual bandit, a fixed specification: per-round, per-action
     Gaussian features of ambient dimension 200 whose reward weight vector is
-    supported on the first 30 coordinates."""
+    supported on the first 30 coordinates.
+
+    With a capacity, every draw fills the front of one buffer of that many
+    contexts, so a seed's draws reuse the same pages; without one, each draw
+    is a fresh array."""
 
     ambient_dim = 200
     active_dim = 30
@@ -236,7 +241,9 @@ class CBInstance:
     noise_std = 0.5
     instance_seed = 7
 
-    def __init__(self):
+    def __init__(self, capacity: int = 0):
+        shape = (capacity, self.num_actions, self.ambient_dim)
+        self.buffer = np.empty(shape) if capacity else None
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence((self.instance_seed, 99))))
         # equal magnitude on every active coordinate so each truncation short
@@ -251,8 +258,15 @@ class CBInstance:
         self.theta, self.scales = theta, scales
 
     def sample_features(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """(n, num_actions, ambient_dim) independent Gaussian features."""
-        z = rng.standard_normal((n, self.num_actions, self.ambient_dim))
+        """(n, num_actions, ambient_dim) independent Gaussian features. With a
+        buffer, the result is a view of its first n contexts that the next
+        draw overwrites; the values are those of a fresh draw."""
+        if self.buffer is None:
+            z = rng.standard_normal((n, self.num_actions, self.ambient_dim))
+        elif n > len(self.buffer):
+            raise EvalError(f"{n} contexts exceed the feature buffer of {len(self.buffer)}")
+        else:
+            z = rng.standard_normal(out=self.buffer[:n])
         z *= self.scales
         return z
 
@@ -296,6 +310,11 @@ class ExperimentConfig:
             raise EvalError(f"schedule must be practical or theoretical, got {self.schedule!r}")
         if not 0.0 < self.delta <= DELTA_MAX:     # NaN fails the comparison too
             raise EvalError(f"delta must lie in (0, 1/e], got {self.delta}")
+        largest = max(self.n_list, default=0)
+        if self.instance == "cb" and largest > CB_MAX_CONTEXTS:
+            per = CBInstance.num_actions * CBInstance.ambient_dim * 8   # float64 bytes a context
+            raise EvalError(f"cb n = {largest} needs a {largest * per}-byte feature buffer; "
+                            f"at most {CB_MAX_CONTEXTS} contexts ({CB_MAX_CONTEXTS * per} bytes)")
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -382,6 +401,9 @@ def _method_rows(n: int, seed: int, methods: Sequence[str], dataset: OfflineData
     first when requested; the baselines reuse its split and fits, and base fits
     only the other classes a pick reads: every class for holdout and oracle.
     runtime_ms times a method's own choice (all of select() for modbe).
+    A CB cell must keep only (dim, weights): its features live in the seed's
+    buffer, which the next cell's draw overwrites, and a kept LinearQ would
+    read them through its feature_fn.
     """
     if "modbe" in methods:
         t0 = time.perf_counter()
@@ -447,7 +469,8 @@ def _score_chunk(instance: CBInstance, rng: np.random.Generator,
                  stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Draw one chunk of contexts. Return its best mean rewards and, for each
     row of stacked, the mean rewards of the actions that row picks. The
-    chunk is released on return, before the next one is drawn."""
+    chunk is a view that the next draw overwrites (a fresh array, released
+    on return, when the instance has no buffer)."""
     feats = instance.sample_features(CB_EVAL_CHUNK, rng)
     means = instance.mean_rewards(feats)
     scores = stacked @ feats.reshape(-1, instance.ambient_dim).T
@@ -492,11 +515,12 @@ def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
 
 def run_seed(seed: int, cfg: ExperimentConfig) -> list[tuple]:
     """Every n of one seed. A CB seed's cells all fit first, then one pass
-    over its evaluation set scores every fit they kept."""
+    over its evaluation set scores every fit they kept. Every CB draw of the
+    seed, training tensor or evaluation chunk, fills the same buffer."""
     if cfg.instance != "cb":
         return [row for n in cfg.n_list for row in
                 run_rl_cell(n, seed, cfg.methods, cfg.schedule, cfg.delta, cfg.instance)]
-    instance = CBInstance()
+    instance = CBInstance(max(max(cfg.n_list), CB_EVAL_CHUNK))
     cells = [run_cb_cell(n, seed, cfg.methods, instance, cfg.delta, cfg.schedule)
              for n in cfg.n_list]
     regrets = iter(cb_policy_regrets(instance, seed, [f for c in cells for f in c[0][4].values()]))

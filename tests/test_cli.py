@@ -307,6 +307,17 @@ class TestBench:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_cb_n_beyond_feature_buffer_rejected_before_any_cell(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        monkeypatch.setattr(ev, "run_cb_cell", _no_cell)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("instance = cb\nn_list = 200, 10000000\nseeds = 0\nmethods = modbe\n"
+                       f"output = {tmp_path / 'x.csv'}\n")
+        rc = cli.main(["bench", "--config", str(cfg), "--no-runtime"])
+        assert rc == 1
+        assert "cb n = 10000000 needs a 160000000000-byte feature buffer" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, monkeypatch, jobs):
         monkeypatch.setattr(ev, "run_experiment", _no_cell)

@@ -12,7 +12,8 @@ from modbe.basealg import fqi
 from modbe.dataset import MAX_SAMPLES
 from modbe.basealg import fqi_oracle
 from modbe.mdp import squared_bellman_errors
-from modbe.evaluation import (CB_DIMS, CB_EVAL_CHUNK, CB_EVAL_CONTEXTS, CBInstance, EvalError,
+from modbe.evaluation import (CB_DIMS, CB_EVAL_CHUNK, CB_EVAL_CONTEXTS, CB_MAX_CONTEXTS,
+                              CBInstance, EvalError,
                               ExperimentConfig, approx_error, cb_policy_regrets,
                               chain_classes, chain_mdp, diagnose, global_xi,
                               holdout_bias_instance, holdout_select, oracle_select,
@@ -285,6 +286,84 @@ class TestCBEvaluationStream:
         assert peak < 1.5 * chunk_bytes
 
 
+class TestCBFeatureBuffer:
+    """A seed's CBInstance draws every feature tensor into one buffer; the
+    values are those of a fresh draw."""
+
+    @pytest.mark.parametrize("capacity, n", [
+        (5000, 5), (5000, 200), (5000, 999), (5000, CB_EVAL_CHUNK), (5000, 5000),
+        (CB_EVAL_CHUNK, CB_EVAL_CHUNK)])
+    def test_buffered_draw_equals_fresh_draw(self, capacity, n):
+        inst = CBInstance(capacity)
+        inst.buffer.fill(np.nan)
+        fresh = CBInstance().sample_features(n, eval_rng(n))
+        feats = inst.sample_features(n, eval_rng(n))
+        assert feats.shape == fresh.shape
+        assert feats.tobytes() == fresh.tobytes()
+        assert np.shares_memory(feats, inst.buffer)
+
+    def test_consecutive_draws_continue_the_stream(self):
+        inst = CBInstance(2000)
+        fresh_rng, rng = eval_rng(9), eval_rng(9)
+        for n in (2000, 300, CB_EVAL_CHUNK, 1500):
+            fresh = CBInstance().sample_features(n, fresh_rng)
+            assert inst.sample_features(n, rng).tobytes() == fresh.tobytes()
+
+    def test_draw_beyond_capacity_rejected(self):
+        inst = CBInstance(CB_EVAL_CHUNK)
+        with pytest.raises(EvalError, match="1001 contexts exceed the feature buffer of 1000"):
+            inst.sample_features(CB_EVAL_CHUNK + 1, eval_rng(0))
+
+    @staticmethod
+    def _instance_class(fill):
+        """CBInstance whose buffer starts filled with fill, or has no buffer for None."""
+        class Instance(CBInstance):
+            def __init__(self, capacity=0):
+                super().__init__(capacity if fill is not None else 0)
+                if fill is not None:
+                    self.buffer.fill(fill)
+        return Instance
+
+    def test_run_seed_ignores_stale_buffer_contents(self, monkeypatch):
+        # a larger n first leaves stale contexts beyond every later draw
+        cfg = ExperimentConfig("cb", [1500, 200, 500], [0],
+                               ["modbe", "holdout", "oracle", "fixed-1", "fixed-6"])
+        monkeypatch.setattr(evaluation, "CBInstance", self._instance_class(None))
+        fresh = run_seed(0, cfg)
+        monkeypatch.setattr(evaluation, "CBInstance", self._instance_class(np.nan))
+        assert [r[:5] for r in run_seed(0, cfg)] == [r[:5] for r in fresh]
+
+    def test_every_draw_of_a_seed_shares_one_buffer(self, monkeypatch):
+        draws = []
+        sample = CBInstance.sample_features
+
+        def recording(inst, n, rng):
+            feats = sample(inst, n, rng)
+            draws.append((inst, n, feats))
+            return feats
+        monkeypatch.setattr(CBInstance, "sample_features", recording)
+        run_seed(0, ExperimentConfig("cb", [200, 2000], [0], ["fixed-1"]))
+        assert [n for _inst, n, _feats in draws] == [200, 2000] + [CB_EVAL_CHUNK] * 10
+        assert len({id(inst) for inst, _n, _feats in draws}) == 1
+        buffer = draws[0][0].buffer
+        assert len(buffer) == 2000
+        assert all(np.shares_memory(feats, buffer) for _inst, _n, feats in draws)
+
+    def test_buffered_scoring_allocates_far_less_than_one_chunk(self):
+        # counterpart of test_one_chunk_live_at_a_time: the chunks reuse the buffer
+        inst = CBInstance(CB_EVAL_CHUNK)
+        fits = [(d, np.ones(d)) for d in (15, 30, 200)]
+        chunk_bytes = CB_EVAL_CHUNK * inst.num_actions * inst.ambient_dim * 8
+        tracemalloc.start()
+        try:
+            regrets = cb_policy_regrets(inst, 0, fits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * chunk_bytes
+        assert regrets == cb_policy_regrets(CBInstance(), 0, fits)
+
+
 class TestFitAndScoreOnlyWhatRowsRead:
     """A cell fits every class only for holdout or oracle, and scores every
     class only for oracle; other methods read one class each."""
@@ -366,6 +445,13 @@ class TestExperimentPlumbing:
         for n in (MAX_SAMPLES + 1, 99999999999999999999):
             with pytest.raises(EvalError, match="n values must lie in"):
                 ExperimentConfig("chain", [100, n], [0], ["modbe"])
+
+    def test_cb_n_capped_by_feature_buffer(self):
+        ExperimentConfig("cb", [200, CB_MAX_CONTEXTS], [0], ["modbe"])
+        ExperimentConfig("chain", [CB_MAX_CONTEXTS + 1], [0], ["modbe"])
+        with pytest.raises(EvalError, match="cb n = 10000000 needs a 160000000000-byte feature "
+                                            r"buffer; at most 100000 contexts \(1600000000 bytes\)"):
+            ExperimentConfig("cb", [200, 10_000_000], [0], ["modbe"])
 
     def test_repeated_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
