@@ -22,6 +22,11 @@ class CLIError(Exception):
     """Input-validation failure: bad flag value or malformed file."""
 
 
+# bad input: main() exits 1 on each, and _read names the flag whose file raised it
+INPUT_ERRORS = (CLIError, mdp_mod.MDPError, ds.DatasetError, fc.FunctionClassError,
+                ev.EvalError, SelectionError, basealg.BaseAlgError)
+
+
 def _int_in(low: int, high: int | None = None):
     """argparse type: an integer no smaller than low and, if given, no larger than high."""
     def parse(text: str) -> int:
@@ -45,28 +50,20 @@ def _output_file(path: str) -> str:
     return path
 
 
-def _load_mdp(path: str) -> mdp_mod.TabularMDP:
+def _read(flag: str, load, *args):
+    """load(*args); a file that cannot be opened, decoded or parsed exits 1
+    with an error named by flag."""
     try:
-        return mdp_mod.load_mdp(path)
-    except (OSError, UnicodeDecodeError, mdp_mod.MDPError) as exc:
-        raise CLIError(f"--mdp: {exc}") from exc
-
-
-def _load_classes(path: str, clip_high: float | None) -> fc.NestedSequence:
-    try:
-        return fc.load_sequence(path, clip_high=clip_high)
-    except (OSError, UnicodeDecodeError, fc.FunctionClassError) as exc:
-        raise CLIError(f"--classes: {exc}") from exc
+        return load(*args)
+    except (OSError, UnicodeDecodeError, *INPUT_ERRORS) as exc:
+        raise CLIError(f"{flag}: {exc}") from exc
 
 
 def _load_data_and_classes(args) -> tuple[ds.OfflineDataset, fc.NestedSequence]:
     """The --data dataset and the --classes sequence clipped to its horizon,
     with every x and x_next in [0, S) and every a in [0, A) of the classes."""
-    try:
-        data = ds.load_dataset_csv(args.data)
-    except (OSError, UnicodeDecodeError, ds.DatasetError) as exc:
-        raise CLIError(f"--data: {exc}") from exc
-    classes = _load_classes(args.classes, clip_high=float(data.horizon))
+    data = _read("--data", ds.load_dataset_csv, args.data)
+    classes = _read("--classes", fc.load_sequence, args.classes, float(data.horizon))
     S, A = fc.tabular_shape(classes[len(classes)])
     for h, step in enumerate(data.steps, start=1):
         for name, col, size in (("x", step.x, S), ("a", step.a, A), ("x_next", step.x_next, S)):
@@ -76,28 +73,27 @@ def _load_data_and_classes(args) -> tuple[ds.OfflineDataset, fc.NestedSequence]:
     return data, classes
 
 
-def _probabilities(flag: str, spec: str, mdp: mdp_mod.TabularMDP, uniform, check):
+def _probabilities(spec: str, mdp: mdp_mod.TabularMDP, uniform, check):
     """uniform when spec is 'uniform'; otherwise check(the H*S*A probabilities
-    in the file spec, shaped (H, S, A)), with any failure named by flag."""
+    in the file spec, shaped (H, S, A))."""
     if spec == "uniform":
         return uniform
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
-    try:
+    try:        # numpy and a name holding a NUL byte raise a plain ValueError
         lines = [text for _, text in read_lines(spec)[1]]
         probs = np.loadtxt(lines).ravel() if lines else np.zeros(0)
-        if probs.size != H * S * A:
-            raise CLIError(f"{flag}: expected H*S*A = {H * S * A} probabilities, "
-                           f"found {probs.size}")
-        return check(probs.reshape(H, S, A))
-    except (OSError, ValueError, mdp_mod.MDPError) as exc:
-        raise CLIError(f"{flag}: {exc}") from exc
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
+    if probs.size != H * S * A:
+        raise CLIError(f"expected H*S*A = {H * S * A} probabilities, found {probs.size}")
+    return check(probs.reshape(H, S, A))
 
 
 def cmd_gen_data(args) -> int:
-    mdp = _load_mdp(args.mdp)
-    pol = _probabilities("--behavior", args.behavior, mdp,
-                         mdp_mod.Policy.uniform(mdp.horizon, mdp.num_states, mdp.num_actions),
-                         mdp_mod.Policy)
+    mdp = _read("--mdp", mdp_mod.load_mdp, args.mdp)
+    pol = _read("--behavior", _probabilities, args.behavior, mdp,
+                mdp_mod.Policy.uniform(mdp.horizon, mdp.num_states, mdp.num_actions),
+                mdp_mod.Policy)
     data, _mu = ds.generate_from_behavior(mdp, pol, args.n, args.seed)
     ds.save_dataset_csv(data, args.out)
     print(f"wrote {data.horizon} x {data.n} transitions to {args.out}")
@@ -148,24 +144,21 @@ def cmd_run_holdout(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    mdp = _load_mdp(args.mdp)
-    classes = _load_classes(args.classes, clip_high=float(mdp.horizon))
+    mdp = _read("--mdp", mdp_mod.load_mdp, args.mdp)
+    classes = _read("--classes", fc.load_sequence, args.classes, float(mdp.horizon))
     shape = fc.tabular_shape(classes[len(classes)])
     if shape != (mdp.num_states, mdp.num_actions):
         raise CLIError(f"--classes: tables of shape {shape} do not match the MDP's "
                        f"(S, A) = {(mdp.num_states, mdp.num_actions)}")
-    mu = _probabilities("--mu", args.mu, mdp, ev.uniform_mu(mdp),
-                        lambda probs: mdp_mod.check_data_distribution(mdp, probs))
+    mu = _read("--mu", _probabilities, args.mu, mdp, ev.uniform_mu(mdp),
+               lambda probs: mdp_mod.check_data_distribution(mdp, probs))
     report = ev.diagnose(classes, mdp, mu)
     print(report.to_text(), end="")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    try:
-        cfg = ev.parse_config(args.config)
-    except (OSError, UnicodeDecodeError, ev.EvalError) as exc:
-        raise CLIError(f"--config: {exc}") from exc
+    cfg = _read("--config", ev.parse_config, args.config)
     try:
         _output_file(cfg.output)
     except argparse.ArgumentTypeError as exc:
@@ -193,30 +186,27 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", type=_output_file, required=True, help="output dataset CSV path")
     g.set_defaults(func=cmd_gen_data)
 
-    f = sub.add_parser("run-fqi", help="run fitted Q-iteration with one class")
-    f.add_argument("--data", required=True, help="dataset CSV")
-    f.add_argument("--classes", required=True, help="nested-sequence description file")
+    split = argparse.ArgumentParser(add_help=False)     # the inputs of the three split commands
+    split.add_argument("--data", required=True, help="dataset CSV")
+    split.add_argument("--classes", required=True, help="nested-sequence description file")
+    split.add_argument("--seed", type=_int_in(0), default=0, help="split seed (>= 0)")
+
+    f = sub.add_parser("run-fqi", parents=[split], help="run fitted Q-iteration with one class")
     f.add_argument("--k", type=int, default=1, help="1-based class index (default: 1)")
-    f.add_argument("--seed", type=_int_in(0), default=0, help="split seed (>= 0)")
     f.add_argument("--out", type=_output_file, default=None,
                    help="optional output path for Q tables")
     f.set_defaults(func=cmd_run_fqi)
 
-    m = sub.add_parser("run-modbe", help="run the selection loop over nested classes")
-    m.add_argument("--data", required=True, help="dataset CSV")
-    m.add_argument("--classes", required=True, help="nested-sequence description file")
+    m = sub.add_parser("run-modbe", parents=[split],
+                       help="run the selection loop over nested classes")
     m.add_argument("--delta", type=float, default=0.1, help="failure probability (<= 1/e)")
     m.add_argument("--schedule", choices=["theoretical", "practical"],
                    default="theoretical", help="tolerance schedule (default: theoretical)")
-    m.add_argument("--seed", type=_int_in(0), default=0, help="split seed (>= 0)")
     m.add_argument("--trace", type=_output_file, default=None,
                    help="optional output path for the full trace")
     m.set_defaults(func=cmd_run_modbe)
 
-    h = sub.add_parser("run-holdout", help="hold-out baseline selection")
-    h.add_argument("--data", required=True, help="dataset CSV")
-    h.add_argument("--classes", required=True, help="nested-sequence description file")
-    h.add_argument("--seed", type=_int_in(0), default=0, help="split seed (>= 0)")
+    h = sub.add_parser("run-holdout", parents=[split], help="hold-out baseline selection")
     h.set_defaults(func=cmd_run_holdout)
 
     d = sub.add_parser("diagnose", help="ground-truth diagnostics for an instance")
@@ -244,8 +234,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (CLIError, mdp_mod.MDPError, ds.DatasetError, fc.FunctionClassError, ev.EvalError,
-            SelectionError, basealg.BaseAlgError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -9,7 +9,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -157,14 +157,15 @@ def chain_mdp() -> TabularMDP:
     return TabularMDP(P, r, rho)
 
 
-def chain_classes(num_states: int = 4, horizon: int = 4) -> NestedSequence:
-    """Nested abstractions: single block, halves, then full tabular (complete)."""
-    S = num_states
+def chain_classes() -> NestedSequence:
+    """Nested abstractions of the chain's 4 states, clipped to its horizon 4:
+    single block, halves, then full tabular (complete)."""
+    S, H = 4, 4
     coarse = np.zeros(S, dtype=int)
     mid = (np.arange(S) >= S // 2).astype(int)
     full = np.arange(S)
     return NestedSequence(tuple(
-        AbstractionClass(b, 2, clip_high=float(horizon)) for b in (coarse, mid, full)))
+        AbstractionClass(b, 2, clip_high=float(H)) for b in (coarse, mid, full)))
 
 
 def uniform_mu(mdp: TabularMDP) -> np.ndarray:
@@ -286,7 +287,6 @@ class CBInstance:
 
 
 TABULAR_INSTANCES = {"chain": chain_instance, "holdout_bias": holdout_bias_instance}
-CONFIG_KEYS = ("instance", "n_list", "seeds", "methods", "schedule", "delta", "output")
 
 
 @dataclass
@@ -317,6 +317,15 @@ class ExperimentConfig:
                             f"at most {CB_MAX_CONTEXTS} contexts ({CB_MAX_CONTEXTS * per} bytes)")
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(t) for t in text.split(",")]
+
+
+CONFIG_KEYS = tuple(field.name for field in fields(ExperimentConfig))
+_CONFIG_VALUE = {"n_list": _int_list, "seeds": _int_list, "delta": float,
+                 "methods": lambda text: [t.strip() for t in text.split(",")]}   # others: str
+
+
 def parse_config(path: str) -> ExperimentConfig:
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
@@ -331,29 +340,18 @@ def parse_config(path: str) -> ExperimentConfig:
     if unknown:
         raise EvalError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}; "
                         f"accepted: {', '.join(CONFIG_KEYS)}")
-
-    def number(key, convert, default=None):
-        text = values[key] if default is None else values.get(key, default)
+    given = {}          # a key the file leaves out takes the field's default
+    for field in fields(ExperimentConfig):
+        key = field.name
+        if key not in values:
+            if field.default is MISSING:
+                raise EvalError(f"{path}: missing config key {key!r}")
+            continue
         try:
-            return convert(text)
+            given[key] = _CONFIG_VALUE.get(key, str)(values[key])
         except ValueError as exc:
             raise EvalError(f"{path}: config key {key!r}: {exc}") from exc
-
-    def int_list(text):
-        return [int(t) for t in text.split(",")]
-
-    try:
-        return ExperimentConfig(
-            instance=values["instance"],
-            n_list=number("n_list", int_list),
-            seeds=number("seeds", int_list),
-            methods=[t.strip() for t in values["methods"].split(",")],
-            schedule=values.get("schedule", "practical"),
-            delta=number("delta", float, "0.1"),
-            output=values.get("output", "results.csv"),
-        )
-    except KeyError as exc:
-        raise EvalError(f"{path}: missing config key {exc}") from exc
+    return ExperimentConfig(**given)
 
 
 @functools.cache

@@ -285,7 +285,8 @@ def _check_nested_pair(small: FunctionClass, large: FunctionClass) -> None:
 #                                   that uses each id in [0, B)
 # Every count (M, S, A, m, B) is a positive integer, table values are
 # finite, and an abstraction class has S*A <= MAX_TABLE_CELLS. The file
-# is read by textfile.read_lines. clip_high is supplied by the loader.
+# ends after its M classes and is read by textfile.read_lines. clip_high is
+# supplied by the loader.
 
 
 def save_sequence(seq: NestedSequence, path: str) -> None:
@@ -354,4 +355,6 @@ def load_sequence(path: str, clip_high: float | None = None) -> NestedSequence:
             raise FunctionClassError(
                 f"{path}:{lineno}: expected 'class finite S A members m' "
                 "or 'class abstraction S A blocks B'")
+    if i < len(rows):
+        raise FunctionClassError(f"{path}:{rows[i][0]}: expected end of file after {m} classes")
     return NestedSequence(tuple(classes))

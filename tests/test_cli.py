@@ -419,6 +419,34 @@ class TestInputMismatch:
         assert f"error: {flag}:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["run-modbe", "diagnose"])
+    def test_class_file_with_data_after_its_classes(self, chain_data, tmp_path, capsys,
+                                                    command):
+        mdp_path, _, data_path = chain_data
+        cls = tmp_path / "extra.classes"
+        cls.write_text("classes 1\nclass abstraction 4 2 blocks 1\n0 0 0 0\n"
+                       "class abstraction 4 2 blocks 4\n0 1 2 3\n")
+        first = {"run-modbe": ["--data", data_path], "diagnose": ["--mdp", mdp_path]}[command]
+        assert cli.main([command, *first, "--classes", str(cls)]) == 1
+        assert capsys.readouterr().err == (f"error: --classes: {cls}:4: expected end of file "
+                                           f"after 1 classes\n")
+
+    @pytest.mark.parametrize("flag", ["--mdp", "--classes", "--data", "--config", "--behavior",
+                                      "--mu"])
+    def test_directory(self, chain_data, tmp_path, capsys, flag):
+        mdp_path, cls_path, data_path = chain_data
+        folder = str(tmp_path)
+        argv = {"--mdp": ["diagnose", "--mdp", folder, "--classes", cls_path],
+                "--classes": ["run-modbe", "--data", data_path, "--classes", folder],
+                "--data": ["run-holdout", "--data", folder, "--classes", cls_path],
+                "--config": ["bench", "--config", folder],
+                "--behavior": ["gen-data", "--mdp", mdp_path, "--behavior", folder, "--n", "5",
+                               "--out", str(tmp_path / "out.csv")],
+                "--mu": ["diagnose", "--mdp", mdp_path, "--classes", cls_path, "--mu", folder]}
+        assert cli.main(argv[flag]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+
 class TestProbabilityFile:
     """--behavior and --mu read a file of H*S*A probabilities from disk, even
     under a name that looks like a URL."""
@@ -455,7 +483,7 @@ class TestProbabilityFile:
         assert plain[0][0] == 0, plain[1].err
         assert url_like == plain
 
-    @pytest.mark.parametrize("spec", ["missing.txt", "http://host/missing.txt"])
+    @pytest.mark.parametrize("spec", ["missing.txt", "http://host/missing.txt", "nul\0.txt"])
     @pytest.mark.parametrize("flag", ["--behavior", "--mu"])
     def test_missing_file_is_usage_error(self, chain_dir, capsys, flag, spec):
         assert self.run(flag, spec, chain_dir) == (1, None)

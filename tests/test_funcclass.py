@@ -381,3 +381,20 @@ class TestPersistence:
         path.write_text(text)
         with pytest.raises(FunctionClassError, match=rf"bad\.txt:{line}: "):
             load_sequence(str(path))
+
+    @pytest.mark.parametrize("text, line", [
+        ("classes 1\nclass abstraction 4 2 blocks 1\n0 0 0 0\n"
+         "class abstraction 4 2 blocks 2\n0 0 1 1\n", 4),
+        ("classes 1\nclass finite 1 1 members 1\n0\n# note\n1\n", 5)],
+        ids=["second-stanza", "second-table-line"])
+    def test_data_after_the_last_class_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(FunctionClassError,
+                           match=rf"bad\.txt:{line}: expected end of file after 1 classes"):
+            load_sequence(str(path))
+
+    def test_blank_and_comment_lines_may_follow_the_last_class(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("classes 1\nclass abstraction 4 2 blocks 1\n0 0 0 0\n\n# end\n")
+        assert len(load_sequence(str(path))) == 1
