@@ -42,6 +42,8 @@ def _int_in(low: int, high: int | None = None):
 
 def _output_file(path: str) -> str:
     """argparse type: a path in an existing directory that names a file."""
+    if "\0" in path:
+        raise argparse.ArgumentTypeError(f"output {path!r} holds a NUL byte")
     out_dir = os.path.dirname(path) or "."
     if not os.path.isdir(out_dir):
         raise argparse.ArgumentTypeError(f"output directory {out_dir!r} does not exist")
@@ -50,11 +52,13 @@ def _output_file(path: str) -> str:
     return path
 
 
-def _read(flag: str, load, *args):
-    """load(*args); a file that cannot be opened, decoded or parsed exits 1
-    with an error named by flag."""
+def _read(flag: str, load, path: str, *args):
+    """load(path, *args); a file that cannot be named, opened, decoded or
+    parsed exits 1 with an error named by flag."""
     try:
-        return load(*args)
+        if "\0" in path:
+            raise CLIError(f"file name {path!r} holds a NUL byte")
+        return load(path, *args)
     except (OSError, UnicodeDecodeError, *INPUT_ERRORS) as exc:
         raise CLIError(f"{flag}: {exc}") from exc
 
@@ -79,7 +83,7 @@ def _probabilities(spec: str, mdp: mdp_mod.TabularMDP, uniform, check):
     if spec == "uniform":
         return uniform
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
-    try:        # numpy and a name holding a NUL byte raise a plain ValueError
+    try:        # numpy raises a plain ValueError
         lines = [text for _, text in read_lines(spec)[1]]
         probs = np.loadtxt(lines).ravel() if lines else np.zeros(0)
     except ValueError as exc:

@@ -4,6 +4,7 @@
 # class over a feature map with ridge-regularized least squares.
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -49,10 +50,13 @@ class TableQ(QFunction):
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
         # clipping is element-wise, so gathering from it equals clipping a gather
-        clipped = t if self.clip_high is None else np.clip(t, 0.0, self.clip_high)
+        clipped = t if self.clip_high is None else t.clip(0.0, self.clip_high)
         clipped.setflags(write=False)
         object.__setattr__(self, "clipped", clipped)
-        object.__setattr__(self, "_row_max", clipped.max(axis=1))
+
+    @functools.cached_property
+    def _row_max(self) -> np.ndarray:     # built on first use: most fits never read it
+        return self.clipped.max(axis=1)
 
     def values(self, xs, as_):
         return self.clipped[np.asarray(xs, dtype=int), np.asarray(as_, dtype=int)]
@@ -156,10 +160,7 @@ class AbstractionClass(FunctionClass):
             raise FunctionClassError("block ids must be contiguous from 0")
         b.setflags(write=False)
         object.__setattr__(self, "blocks", b)
-
-    @property
-    def num_blocks(self) -> int:
-        return int(self.blocks.max()) + 1
+        object.__setattr__(self, "num_blocks", int(b.max()) + 1)     # B, not a field
 
     @property
     def complexity(self) -> float:

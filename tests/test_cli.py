@@ -268,7 +268,7 @@ class TestBench:
         cfg.write_text(f"instance = chain\nn_list = 40\n{lines}output = {tmp_path / 'x.csv'}\n")
         rc = cli.main(["bench", "--config", str(cfg), "--no-runtime"])
         assert rc == 1
-        assert message in capsys.readouterr().err
+        assert message.format(tmp=tmp_path) in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_bad_fixed_index(self, tmp_path, capsys):
@@ -304,7 +304,7 @@ class TestBench:
         cfg.write_text(f"n_list = 200\nseeds = 0\noutput = {tmp_path / 'x.csv'}\n" + lines)
         rc = cli.main(["bench", "--config", str(cfg), "--no-runtime"])
         assert rc == 1
-        assert message in capsys.readouterr().err
+        assert message.format(tmp=tmp_path) in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_cb_n_beyond_feature_buffer_rejected_before_any_cell(self, tmp_path, capsys,
@@ -340,17 +340,18 @@ class TestBench:
         ("output = \n", "does not name a file"),
         ("output = {tmp}\n", "does not name a file"),
         ("output = {tmp}/\n", "does not name a file"),
+        ("output = {tmp}/a\0b.csv\n", "--config: output '{tmp}/a\\x00b.csv' holds a NUL byte"),
         ("n_list = 40, 99999999999999999999\n", "n values must lie in"),
         ("n_list = 100, 100\n", "n values must be distinct")],
         ids=["negative-seed", "empty-output", "output-is-directory", "output-ends-in-slash",
-             "n-beyond-bound", "repeated-n"])
+             "output-nul-byte", "n-beyond-bound", "repeated-n"])
     def test_bad_seeds_or_output_rejected_before_any_cell(self, tmp_path, capsys,
                                                           monkeypatch, lines, message):
         monkeypatch.setattr(ev, "run_rl_cell", _no_cell)
         cfg = self._config(tmp_path, "x.csv", lines.format(tmp=tmp_path))
         rc = cli.main(["bench", "--config", cfg, "--no-runtime"])
         assert rc == 1
-        assert message in capsys.readouterr().err
+        assert message.format(tmp=tmp_path) in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_config_key(self, tmp_path, capsys):
@@ -445,6 +446,23 @@ class TestInputMismatch:
                 "--mu": ["diagnose", "--mdp", mdp_path, "--classes", cls_path, "--mu", folder]}
         assert cli.main(argv[flag]) == 1
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+    @pytest.mark.parametrize("flag", ["--mdp", "--classes", "--data", "--config", "--behavior",
+                                      "--mu"])
+    def test_nul_byte_in_name(self, chain_data, tmp_path, capsys, flag):
+        # open() raises a plain ValueError for such a name, which used to exit 2
+        mdp_path, cls_path, data_path = chain_data
+        name = str(tmp_path / "a\0b")
+        argv = {"--mdp": ["diagnose", "--mdp", name, "--classes", cls_path],
+                "--classes": ["run-modbe", "--data", data_path, "--classes", name],
+                "--data": ["run-holdout", "--data", name, "--classes", cls_path],
+                "--config": ["bench", "--config", name],
+                "--behavior": ["gen-data", "--mdp", mdp_path, "--behavior", name, "--n", "5",
+                               "--out", str(tmp_path / "out.csv")],
+                "--mu": ["diagnose", "--mdp", mdp_path, "--classes", cls_path, "--mu", name]}
+        assert cli.main(argv[flag]) == 1
+        assert capsys.readouterr().err == f"error: {flag}: file name {name!r} holds a NUL byte\n"
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestProbabilityFile:
@@ -623,8 +641,9 @@ class TestUsage:
         ("gen-data", "--out"), ("run-fqi", "--out"), ("run-modbe", "--trace")])
     @pytest.mark.parametrize("target, message", [
         ("missing/dir/file.txt", "output directory"), ("", "does not name a file"),
-        (".", "does not name a file"), ("sub/", "does not name a file")],
-        ids=["missing-dir", "empty", "directory", "trailing-slash"])
+        (".", "does not name a file"), ("sub/", "does not name a file"),
+        ("a\0b.txt", "holds a NUL byte")],
+        ids=["missing-dir", "empty", "directory", "trailing-slash", "nul-byte"])
     def test_output_path_rejected_before_any_work(self, chain_data, tmp_path, capsys,
                                                   monkeypatch, command, flag, target, message):
         for name in ("cmd_gen_data", "cmd_run_fqi", "cmd_run_modbe"):

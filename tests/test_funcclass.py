@@ -70,6 +70,16 @@ class TestEvaluation:
             assert np.array_equal(np.signbit(f.clipped), np.signbit(grid_values))
             assert not f.clipped.flags.writeable
 
+    @pytest.mark.parametrize("clip_high", [None, 1.0])
+    def test_row_maxima_on_first_use(self, rng, clip_high):
+        f = TableQ(rng.random((5, 3)) * 2 - 0.25, clip_high)
+        assert "_row_max" not in vars(f)        # a fit that never asks for them builds none
+        xs = rng.integers(0, 5, 40)
+        assert np.array_equal(f.max_values(xs), f.clipped.max(axis=1)[xs])
+        cached = f._row_max
+        assert np.array_equal(f.max_values(xs[::-1]), f.clipped.max(axis=1)[xs[::-1]])
+        assert f._row_max is cached
+
     def test_clipping_bounds(self):
         cls = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 9.0)), clip_high=2.0)
         f = cls.erm([0, 0], [0, 0], [9.0, 9.0])
@@ -103,6 +113,20 @@ class TestERM:
         cls = LinearClass(ident_features(1), dim=1, num_actions=1)
         f = cls.erm([0, 0], [0, 0], [2.0, 4.0])
         assert f.weights[0] == pytest.approx(3.0, abs=1e-4)
+
+    def test_linear_ridge_is_lambda_1e6_n(self, rng):
+        # the normal equations with lambda = 1e-6 * n, written out: pins RIDGE_SCALE
+        feats = rng.standard_normal((4, 2, 6))
+
+        def feature_fn(xs, as_):
+            return feats[np.asarray(xs), np.asarray(as_)]
+
+        n = 30
+        xs, as_, ys = rng.integers(0, 4, n), rng.integers(0, 2, n), rng.random(n)
+        X = feature_fn(xs, as_)[:, :5]
+        want = np.linalg.solve(X.T @ X + 1e-6 * n * np.eye(5), X.T @ ys)
+        f = LinearClass(feature_fn, dim=5, num_actions=2).erm(xs, as_, ys)
+        assert np.array_equal(f.weights, want)
 
     def test_abstraction_single_block_mean(self):
         cls = AbstractionClass(np.zeros(3, dtype=int), num_actions=1)

@@ -56,6 +56,19 @@ class TestValidation:
         m = TabularMDP(P, np.zeros((1, 1)), np.ones(1) - 1e-13)
         assert m.horizon == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e-9], ids=["nan", "inf", "off-by-1e-9"])
+    def test_bad_row_sum_message(self, bad):
+        # the message np.allclose's check gave: the max deviation of any row sum
+        p = np.full((2, 3, 2), 0.5)
+        p[1, 2] = [0.5, 0.5 + bad] if bad == 1e-9 else [0.5, bad]
+        dev = np.abs(p.sum(axis=-1) - 1).max()
+        with pytest.raises(MDPError) as info:
+            Policy(p)
+        assert str(info.value) == f"policy rows do not sum to 1 (max dev {dev:.3e})"
+
+    def test_no_rows_accepted(self):
+        assert Policy(np.zeros((0, 3, 2))).probs.shape == (0, 3, 2)
+
     def test_check_data_distribution_shape(self):
         mdp = one_state_mdp([0.5], 2)
         with pytest.raises(MDPError):

@@ -96,6 +96,11 @@ class TestGeneralizationTest:
     def test_boundary_is_keep(self):
         assert generalization_test(0.4, 0.7, 0.3) is False
 
+    def test_exact_tie_is_keep(self):
+        # 0.75 - 0.5 is exactly 0.25 in binary, so loss_g sits on the boundary
+        assert 0.75 - 0.5 == 0.25
+        assert generalization_test(0.25, 0.75, 0.5) is False
+
 
 class TestLossPieces:
     def test_validation_loss_zero_on_exact_fit(self):
@@ -109,6 +114,15 @@ class TestLossPieces:
         f = TableQ(rng.random((2, 1)) * 2, clip_high=2.0)
         loss = validation_loss(f, step, rng.random(30) * 2)
         assert 0.0 <= loss <= 9.0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 1001])
+    def test_validation_loss_is_mean_of_squares_bit_for_bit(self, rng, n):
+        step = StepData(rng.integers(0, 3, n), rng.integers(0, 2, n),
+                        rng.random(n), rng.integers(0, 3, n))
+        f = TableQ(rng.random((3, 2)) * 3 - 0.5, clip_high=2.0)
+        next_values = rng.random(n) * 2
+        d = f.values(step.x, step.a) - step.r - next_values
+        assert validation_loss(f, step, next_values) == float(np.mean(d ** 2))
 
     def test_empty_slot_rejected(self):
         f = TableQ(np.zeros((1, 1)))
