@@ -432,35 +432,30 @@ class TestInputMismatch:
         assert capsys.readouterr().err == (f"error: --classes: {cls}:4: expected end of file "
                                            f"after 1 classes\n")
 
+    @staticmethod
+    def argv_reading(flag, name, chain_data, tmp_path):
+        """A command whose input flag names `name`; every other input is valid."""
+        mdp_path, cls_path, data_path = chain_data
+        return {"--mdp": ["diagnose", "--mdp", name, "--classes", cls_path],
+                "--classes": ["run-modbe", "--data", data_path, "--classes", name],
+                "--data": ["run-holdout", "--data", name, "--classes", cls_path],
+                "--config": ["bench", "--config", name],
+                "--behavior": ["gen-data", "--mdp", mdp_path, "--behavior", name, "--n", "5",
+                               "--out", str(tmp_path / "out.csv")],
+                "--mu": ["diagnose", "--mdp", mdp_path, "--classes", cls_path, "--mu", name]}[flag]
+
     @pytest.mark.parametrize("flag", ["--mdp", "--classes", "--data", "--config", "--behavior",
                                       "--mu"])
     def test_directory(self, chain_data, tmp_path, capsys, flag):
-        mdp_path, cls_path, data_path = chain_data
-        folder = str(tmp_path)
-        argv = {"--mdp": ["diagnose", "--mdp", folder, "--classes", cls_path],
-                "--classes": ["run-modbe", "--data", data_path, "--classes", folder],
-                "--data": ["run-holdout", "--data", folder, "--classes", cls_path],
-                "--config": ["bench", "--config", folder],
-                "--behavior": ["gen-data", "--mdp", mdp_path, "--behavior", folder, "--n", "5",
-                               "--out", str(tmp_path / "out.csv")],
-                "--mu": ["diagnose", "--mdp", mdp_path, "--classes", cls_path, "--mu", folder]}
-        assert cli.main(argv[flag]) == 1
+        assert cli.main(self.argv_reading(flag, str(tmp_path), chain_data, tmp_path)) == 1
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
     @pytest.mark.parametrize("flag", ["--mdp", "--classes", "--data", "--config", "--behavior",
                                       "--mu"])
     def test_nul_byte_in_name(self, chain_data, tmp_path, capsys, flag):
         # open() raises a plain ValueError for such a name, which used to exit 2
-        mdp_path, cls_path, data_path = chain_data
         name = str(tmp_path / "a\0b")
-        argv = {"--mdp": ["diagnose", "--mdp", name, "--classes", cls_path],
-                "--classes": ["run-modbe", "--data", data_path, "--classes", name],
-                "--data": ["run-holdout", "--data", name, "--classes", cls_path],
-                "--config": ["bench", "--config", name],
-                "--behavior": ["gen-data", "--mdp", mdp_path, "--behavior", name, "--n", "5",
-                               "--out", str(tmp_path / "out.csv")],
-                "--mu": ["diagnose", "--mdp", mdp_path, "--classes", cls_path, "--mu", name]}
-        assert cli.main(argv[flag]) == 1
+        assert cli.main(self.argv_reading(flag, name, chain_data, tmp_path)) == 1
         assert capsys.readouterr().err == f"error: {flag}: file name {name!r} holds a NUL byte\n"
         assert not (tmp_path / "out.csv").exists()
 

@@ -56,11 +56,12 @@ class TestValidation:
         m = TabularMDP(P, np.zeros((1, 1)), np.ones(1) - 1e-13)
         assert m.horizon == 1
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e-9], ids=["nan", "inf", "off-by-1e-9"])
-    def test_bad_row_sum_message(self, bad):
+    @pytest.mark.parametrize("row", [[0.5, np.nan], [0.5, np.inf], [0.5, 0.5 + 1e-9]],
+                             ids=["nan", "inf", "off-by-1e-9"])
+    def test_bad_row_sum_message(self, row):
         # the message np.allclose's check gave: the max deviation of any row sum
         p = np.full((2, 3, 2), 0.5)
-        p[1, 2] = [0.5, 0.5 + bad] if bad == 1e-9 else [0.5, bad]
+        p[1, 2] = row
         dev = np.abs(p.sum(axis=-1) - 1).max()
         with pytest.raises(MDPError) as info:
             Policy(p)
