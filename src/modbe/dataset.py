@@ -159,9 +159,8 @@ def split_dataset(dataset: OfflineDataset, seed: int) -> DataSplit:
     train_steps, valid_steps = [], []
     for h, step in enumerate(dataset.steps):
         perm = _rng(seed, _STREAM_SPLIT, h).permutation(n)
-        x, a, r, xn = step.x[perm], step.a[perm], step.r[perm], step.x_next[perm]  # one gather each
-        train_steps.append(StepData(x[:n_train], a[:n_train], r[:n_train], xn[:n_train]))
-        valid_steps.append(StepData(x[n_train:], a[n_train:], r[n_train:], xn[n_train:]))
+        train_steps.append(step.take(perm[:n_train]))
+        valid_steps.append(step.take(perm[n_train:]))
     return DataSplit(OfflineDataset(tuple(train_steps), dict(dataset.meta)),
                      OfflineDataset(tuple(valid_steps), dict(dataset.meta)))
 

@@ -235,23 +235,6 @@ class TestSplit:
         assert np.array_equal(merged, np.arange(n))
         assert split.train.n == math.ceil(0.8 * n)
 
-    @pytest.mark.parametrize("n", [5, 6, 37, 500])
-    def test_split_matches_take(self, rng, n):
-        # each column's one gather, sliced, equals taking each half of the permutation
-        mdp = random_mdp(rng, 3, 2, 3)
-        ds = generate_from_mu(mdp, np.full((3, 3, 2), 1 / 6), n, seed=4)
-        split = split_dataset(ds, seed=9)
-        n_train = math.ceil(0.8 * n)
-        for h, step in enumerate(ds.steps):
-            perm = dataset._rng(9, dataset._STREAM_SPLIT, h).permutation(n)
-            for got, idx in ((split.train.steps[h], perm[:n_train]),
-                             (split.valid.steps[h], perm[n_train:])):
-                want = step.take(idx)
-                for col in ("x", "a", "r", "x_next"):
-                    g, w = getattr(got, col), getattr(want, col)
-                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-                    assert not g.flags.writeable
-
     def test_split_deterministic(self, rng):
         mdp = random_mdp(rng, 3, 2, 2)
         ds = generate_from_mu(mdp, np.full((2, 3, 2), 1 / 6), 40, seed=2)
