@@ -251,7 +251,7 @@ class TestNestedSequence:
     def test_missing_member_rejected(self):
         small = FiniteClass((np.zeros((1, 1)), np.ones((1, 1))))
         big = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 2.0)))
-        with pytest.raises(FunctionClassError):
+        with pytest.raises(FunctionClassError, match="missing member"):
             NestedSequence((small, big))
 
     def test_partition_refinement_required(self):
@@ -261,6 +261,20 @@ class TestNestedSequence:
         bad = AbstractionClass(np.array([0, 1, 1]), num_actions=1)
         with pytest.raises(FunctionClassError):
             NestedSequence((fine, bad))
+
+    def test_equal_block_counts_must_refine(self):
+        # equal block counts pass the complexity order, so only the refinement check sees them
+        left = AbstractionClass(np.array([0, 0, 1]), num_actions=1)
+        right = AbstractionClass(np.array([0, 1, 1]), num_actions=1)
+        with pytest.raises(FunctionClassError, match="do not refine"):
+            NestedSequence((left, right))
+
+    def test_single_variant_required(self):
+        finite = FiniteClass((np.zeros((3, 1)),))
+        abstraction = AbstractionClass(np.array([0, 0, 1]), num_actions=1)
+        for pair in ((finite, abstraction), (abstraction, finite)):
+            with pytest.raises(FunctionClassError, match="single class variant"):
+                NestedSequence(pair)
 
     @pytest.mark.parametrize("blocks, num_actions", [(np.zeros(3, dtype=int), 2),
                                                      (np.zeros(4, dtype=int), 1)])
@@ -275,8 +289,15 @@ class TestNestedSequence:
         a = LinearClass(fn, dim=2, num_actions=1)
         b = LinearClass(fn, dim=3, num_actions=1)
         NestedSequence((a, b))
-        with pytest.raises(FunctionClassError):
+        # complexity is dim, so the complexity order rejects a shrinking prefix first
+        with pytest.raises(FunctionClassError, match="complexity must be non-decreasing"):
             NestedSequence((b, a))
+
+    def test_linear_feature_map_shared(self):
+        a = LinearClass(ident_features(3), dim=2, num_actions=1)
+        b = LinearClass(ident_features(3), dim=3, num_actions=1)
+        with pytest.raises(FunctionClassError, match="share one feature map"):
+            NestedSequence((a, b))
 
     def test_finite_zero_function_required(self):
         with pytest.raises(FunctionClassError):
