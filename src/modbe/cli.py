@@ -68,7 +68,7 @@ def _load_data_and_classes(args) -> tuple[ds.OfflineDataset, fc.NestedSequence]:
     with every x and x_next in [0, S) and every a in [0, A) of the classes."""
     data = _read("--data", ds.load_dataset_csv, args.data)
     classes = _read("--classes", fc.load_sequence, args.classes, float(data.horizon))
-    S, A = fc.tabular_shape(classes[len(classes)])
+    S, A = classes[len(classes)].shape
     for h, step in enumerate(data.steps, start=1):
         for name, col, size in (("x", step.x, S), ("a", step.a, A), ("x_next", step.x_next, S)):
             if col.max() >= size:
@@ -150,7 +150,7 @@ def cmd_run_holdout(args) -> int:
 def cmd_diagnose(args) -> int:
     mdp = _read("--mdp", mdp_mod.load_mdp, args.mdp)
     classes = _read("--classes", fc.load_sequence, args.classes, float(mdp.horizon))
-    shape = fc.tabular_shape(classes[len(classes)])
+    shape = classes[len(classes)].shape
     if shape != (mdp.num_states, mdp.num_actions):
         raise CLIError(f"--classes: tables of shape {shape} do not match the MDP's "
                        f"(S, A) = {(mdp.num_states, mdp.num_actions)}")

@@ -17,13 +17,11 @@ import numpy as np
 from .basealg import DELTA_MAX, BaseAlgorithm, QSequence, make_discounted, make_fqi
 from .dataset import (MAX_SAMPLES, MIN_SAMPLES, OfflineDataset, StepData, generate_from_mu,
                       split_dataset)
-from .funcclass import (ABSTRACTION_QUANTUM, AbstractionClass, FunctionClass, LinearClass,
-                        NestedSequence, greedy_policy)
+from .funcclass import AbstractionClass, FunctionClass, LinearClass, NestedSequence, greedy_policy
 from .mdp import TabularMDP, bellman_backup, concentrability, regret
 from .selection import SelectionTrace, modbe, modbe_discounted, validation_losses
 from .textfile import read_lines
 
-ENUMERATION_CAP = 200_000   # largest member set enumerated for Approx / xi
 COMPLETE_ATOL = 1e-12       # largest Approx(F_k) that counts F_k as complete
 
 
@@ -33,24 +31,6 @@ class EvalError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Completeness diagnostics
-
-
-def _enumerate_members(fclass: FunctionClass):
-    """Clipped member tables of an enumerable class, or None when not enumerable."""
-    if fclass.variant == "finite":
-        return [m.clipped for m in fclass.members]
-    if fclass.variant == "abstraction":
-        high = fclass.clip_high if fclass.clip_high is not None else 1.0
-        grid = np.arange(0.0, high + ABSTRACTION_QUANTUM / 2, ABSTRACTION_QUANTUM)
-        cells = fclass.num_blocks * fclass.num_actions
-        if len(grid) ** cells > ENUMERATION_CAP:
-            return None
-        members = []
-        for combo in itertools.product(grid, repeat=cells):
-            vals = np.array(combo).reshape(fclass.num_blocks, fclass.num_actions)
-            members.append(vals[fclass.blocks])
-        return members
-    return None
 
 
 def _projection_error(fclass: FunctionClass, target: np.ndarray, weights: np.ndarray) -> float:
@@ -63,7 +43,7 @@ def _completeness_error(inner: FunctionClass, outer: FunctionClass,
                         mdp: TabularMDP, mu: np.ndarray) -> float | None:
     """max over h and outer members f' of min over inner f of ||f - T*_h f'||^2_mu;
     None when outer is not enumerable, which covers every linear sequence."""
-    members = _enumerate_members(outer)
+    members = outer.enumerate_members()
     if members is None:
         return None
     worst = 0.0

@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -16,6 +17,7 @@ from .mdp import Policy, greedy_policy_from_tables
 from .textfile import numbers, read_lines
 
 ABSTRACTION_QUANTUM = 1.0 / 16.0   # declared value grid for complexity accounting
+ENUMERATION_CAP = 200_000          # largest member set enumerated for Approx / xi
 RIDGE_SCALE = 1e-6                 # lambda = scale * n
 
 
@@ -87,6 +89,15 @@ class FunctionClass:
 
     variant: str
     complexity: float
+    shape: tuple[int, int] | None = None      # (S, A) of a tabular class's tables
+
+    def check_nested_in(self, larger: FunctionClass) -> None:
+        """Raise FunctionClassError unless this class is a subset of `larger`."""
+        raise NotImplementedError
+
+    def enumerate_members(self) -> list | None:
+        """Clipped member tables, or None when the class is not enumerable."""
+        return None
 
     def erm(self, xs, as_, ys) -> QFunction:
         """Member minimizing the empirical squared loss of its clipped values;
@@ -124,10 +135,19 @@ class FiniteClass(FunctionClass):
             t.setflags(write=False)
         object.__setattr__(self, "tables", tabs)
         object.__setattr__(self, "members", tuple(TableQ(t, self.clip_high) for t in tabs))
+        object.__setattr__(self, "shape", shape)
 
     @property
     def complexity(self) -> float:
         return math.log(len(self.tables))
+
+    def check_nested_in(self, larger):
+        for t in self.tables:
+            if not any(t.shape == u.shape and np.array_equal(t, u) for u in larger.tables):
+                raise FunctionClassError("finite classes are not nested (missing member)")
+
+    def enumerate_members(self):
+        return [m.clipped for m in self.members]     # every member, whatever ENUMERATION_CAP
 
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)
@@ -145,8 +165,10 @@ class AbstractionClass(FunctionClass):
     """All tables constant on blocks of a state partition.
 
     ERM is the exact per-(block, action) mean of the targets; the fit's
-    TableQ clips it to [0, clip_high]. For complexity accounting the class
-    is bridged to a finite class of tables quantized to ABSTRACTION_QUANTUM.
+    TableQ clips it to [0, clip_high]. `complexity` counts 1 / ABSTRACTION_QUANTUM
+    = 16 values per (block, action) cell (B * A * ln 16); `enumerate_members`
+    steps [0, clip_high] by the quantum: 16 * clip_high + 1 values per cell
+    (65 at a clip of 4; 17 over [0, 1] with no clip).
     """
 
     blocks: np.ndarray                # (S,) state -> block id in [0, B)
@@ -161,10 +183,30 @@ class AbstractionClass(FunctionClass):
         b.setflags(write=False)
         object.__setattr__(self, "blocks", b)
         object.__setattr__(self, "num_blocks", int(b.max()) + 1)     # B, not a field
+        object.__setattr__(self, "shape", (len(b), self.num_actions))
 
     @property
     def complexity(self) -> float:
         return self.num_blocks * self.num_actions * math.log(1.0 / ABSTRACTION_QUANTUM)
+
+    def check_nested_in(self, larger):
+        if self.shape != larger.shape:
+            raise FunctionClassError("abstraction classes must share one (S, A) shape")
+        # the larger class's partition must refine this one
+        for blk in range(larger.num_blocks):
+            coarse = np.unique(self.blocks[larger.blocks == blk])
+            if len(coarse) > 1:
+                raise FunctionClassError("abstraction partitions do not refine in order")
+
+    def enumerate_members(self):
+        """Every table on the quantum grid per cell; None beyond ENUMERATION_CAP."""
+        high = self.clip_high if self.clip_high is not None else 1.0
+        grid = np.arange(0.0, high + ABSTRACTION_QUANTUM / 2, ABSTRACTION_QUANTUM)
+        cells = self.num_blocks * self.num_actions
+        if len(grid) ** cells > ENUMERATION_CAP:
+            return None
+        return [np.array(combo).reshape(self.num_blocks, self.num_actions)[self.blocks]
+                for combo in itertools.product(grid, repeat=cells)]
 
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)
@@ -204,6 +246,12 @@ class LinearClass(FunctionClass):
     def complexity(self) -> float:
         return float(self.dim)
 
+    def check_nested_in(self, larger):
+        if self.feature_fn is not larger.feature_fn:
+            raise FunctionClassError("linear classes must share one feature map")
+        if self.dim > larger.dim:
+            raise FunctionClassError("linear feature prefixes must be non-decreasing")
+
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)
         ys = np.asarray(ys, dtype=float)
@@ -212,15 +260,6 @@ class LinearClass(FunctionClass):
         gram = phi.T @ phi + lam * np.eye(self.dim)
         w = np.linalg.solve(gram, phi.T @ ys)
         return LinearQ(w, self.feature_fn, self.dim, self.num_actions)
-
-
-def tabular_shape(fclass: FunctionClass) -> tuple[int, int] | None:
-    """(S, A) of a finite or abstraction class's tables; None for a linear class."""
-    if fclass.variant == "finite":
-        return fclass.tables[0].shape
-    if fclass.variant == "abstraction":
-        return len(fclass.blocks), fclass.num_actions
-    return None
 
 
 def greedy_policy(q_funcs: Sequence[TableQ]) -> Policy:
@@ -245,7 +284,7 @@ class NestedSequence:
         if any(b < a for a, b in zip(comp, comp[1:])):
             raise FunctionClassError("complexity must be non-decreasing along the sequence")
         for small, large in zip(cls, cls[1:]):
-            _check_nested_pair(small, large)
+            small.check_nested_in(large)
         object.__setattr__(self, "classes", cls)
 
     def __len__(self):
@@ -256,26 +295,6 @@ class NestedSequence:
         if not 1 <= k <= len(self.classes):
             raise IndexError(f"class index {k} outside [1, {len(self.classes)}]")
         return self.classes[k - 1]
-
-
-def _check_nested_pair(small: FunctionClass, large: FunctionClass) -> None:
-    if small.variant == "finite":
-        for t in small.tables:
-            if not any(t.shape == u.shape and np.array_equal(t, u) for u in large.tables):
-                raise FunctionClassError("finite classes are not nested (missing member)")
-    elif small.variant == "abstraction":
-        if tabular_shape(small) != tabular_shape(large):
-            raise FunctionClassError("abstraction classes must share one (S, A) shape")
-        # the larger class's partition must refine the smaller's
-        for blk in range(large.num_blocks):
-            coarse = np.unique(small.blocks[large.blocks == blk])
-            if len(coarse) > 1:
-                raise FunctionClassError("abstraction partitions do not refine in order")
-    elif small.variant == "linear":
-        if small.feature_fn is not large.feature_fn:
-            raise FunctionClassError("linear classes must share one feature map")
-        if small.dim > large.dim:
-            raise FunctionClassError("linear feature prefixes must be non-decreasing")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from modbe import (AbstractionClass, FiniteClass, LinearClass, NestedSequence,
                    greedy_policy, load_sequence, save_sequence)
-from modbe.funcclass import ABSTRACTION_QUANTUM, FunctionClassError, TableQ, tabular_shape
+from modbe.funcclass import ABSTRACTION_QUANTUM, FunctionClassError, TableQ
 
 from conftest import empirical_sq_loss, reference_one_hot
 
@@ -221,9 +221,22 @@ class TestERM:
 
 class TestTabularShape:
     def test_shape_per_variant(self):
-        assert tabular_shape(FiniteClass((np.zeros((3, 2)),))) == (3, 2)
-        assert tabular_shape(AbstractionClass(np.array([0, 0, 1]), num_actions=2)) == (3, 2)
-        assert tabular_shape(LinearClass(ident_features(1), dim=1)) is None
+        assert FiniteClass((np.zeros((3, 2)),)).shape == (3, 2)
+        assert AbstractionClass(np.array([0, 0, 1]), num_actions=2).shape == (3, 2)
+        assert LinearClass(ident_features(1), dim=1).shape is None
+
+
+class TestEnumeration:
+    def test_members_per_variant(self):
+        # 16 * clip + 1 grid values per (block, action) cell: 17 with no clip, 65 at clip 4
+        assert len(AbstractionClass(np.zeros(2, dtype=int)).enumerate_members()) == 17
+        tables = AbstractionClass(np.zeros(2, dtype=int), clip_high=4.0).enumerate_members()
+        assert len(tables) == 65 and tables[-1].tolist() == [[4.0], [4.0]]
+        assert AbstractionClass(np.array([0, 0, 1]), 2, clip_high=4.0).enumerate_members() is None
+        # a finite class lists every clipped member, whatever ENUMERATION_CAP
+        finite = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 9.0)), clip_high=2.0)
+        assert [t.tolist() for t in finite.enumerate_members()] == [[[0.0]], [[2.0]]]
+        assert LinearClass(ident_features(1), dim=1).enumerate_members() is None
 
 
 class TestComplexity:
