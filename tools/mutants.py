@@ -70,14 +70,14 @@ def locate(target: str) -> Path:
     return hits[0][0].relative_to(ROOT)
 
 
-def run_tests(target: str | None = None, replacement: str = "",
-              path: Path | None = None) -> tuple[int, float]:
-    """pytest's exit code and wall seconds on a copy of the tree, mutated
-    when target is given."""
+def run_tests(edit: tuple[Path, str, str] | None = None) -> tuple[int, float]:
+    """pytest's exit code and wall seconds on a copy of the tree, with
+    edit = (path, target, replacement) applied when given."""
     with tempfile.TemporaryDirectory(prefix="modbe_mutant_") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORED)
-        if target is not None:
+        if edit is not None:
+            path, target, replacement = edit
             mutated = tree / path
             mutated.write_text(mutated.read_text(encoding="utf-8").replace(target, replacement),
                                encoding="utf-8")
@@ -92,7 +92,7 @@ def run_tests(target: str | None = None, replacement: str = "",
 
 
 def main() -> int:
-    paths = [locate(target) for _, target, _ in MUTANTS]
+    edits = [(locate(target), target, replacement) for _, target, replacement in MUTANTS]
     start = time.perf_counter()
     code, seconds = run_tests()
     if code != 0:
@@ -100,13 +100,13 @@ def main() -> int:
         return 2
     print(f"unmutated tree passes ({seconds:.1f} s)", flush=True)
     survivors = []
-    for (name, target, replacement), path in zip(MUTANTS, paths):
-        code, seconds = run_tests(target, replacement, path)
+    for (name, _, _), edit in zip(MUTANTS, edits):
+        code, seconds = run_tests(edit)
         if code not in (0, 1, 2):       # 2: pytest stopped on a collection error
             print(f"pytest exit {code} on mutant {name!r}: the run itself is broken")
             return 2
         verdict = "survived" if code == 0 else "killed"
-        print(f"{verdict:8}  {path}: {name} ({seconds:.1f} s)", flush=True)
+        print(f"{verdict:8}  {edit[0]}: {name} ({seconds:.1f} s)", flush=True)
         if code == 0:
             survivors.append(name)
     print(f"{len(MUTANTS)} mutants: {len(MUTANTS) - len(survivors)} killed, "
