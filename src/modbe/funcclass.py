@@ -28,16 +28,16 @@ class FunctionClassError(ValueError):
 class QFunction:
     """An evaluable (state, action) -> value map.
 
-    Evaluation is deterministic. In clipped mode (the default for RL use)
-    outputs are restricted to [0, clip_high].
+    Evaluation is deterministic. A TableQ with a clip_high clips its outputs
+    to [0, clip_high]; a LinearQ never clips.
     """
 
     def values(self, xs, as_) -> np.ndarray:
-        """f(x, a) for each pair, in clipped mode."""
+        """f(x, a) for each pair."""
         raise NotImplementedError
 
     def max_values(self, xs) -> np.ndarray:
-        """f(x) = max_a f(x, a), in clipped mode."""
+        """f(x) = max_a f(x, a) for each state."""
         raise NotImplementedError
 
 
@@ -70,9 +70,9 @@ class TableQ(QFunction):
 @dataclass(frozen=True)
 class LinearQ(QFunction):
     weights: np.ndarray               # (d,)
-    feature_fn: Callable = None       # (xs, as_) -> (n, D) ambient features
-    dim: int = 0                      # coordinate prefix actually used
-    num_actions: int = 0
+    feature_fn: Callable              # (xs, as_) -> (n, D) ambient features
+    dim: int                          # coordinate prefix actually used
+    num_actions: int
 
     def values(self, xs, as_):
         phi = self.feature_fn(xs, as_)[:, : self.dim]

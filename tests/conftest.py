@@ -35,25 +35,25 @@ def enumerate_action_tables(A: int, H: int, S: int) -> np.ndarray:
     return digits
 
 
-def brute_optimal_value(mdp: TabularMDP) -> float:
-    """max over all deterministic policies of v(pi), vectorized over policies."""
+def brute_policy_values(mdp: TabularMDP) -> np.ndarray:
+    """v(pi) of every deterministic policy, vectorized over policies."""
     S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
     digits = enumerate_action_tables(A, H, S)
     v = np.zeros((digits.shape[0], S))
     for h in range(H, 0, -1):
         q = np.einsum("xay,ny->nxa", mdp.transitions[h - 1], v) + mdp.rewards[None]
         v = np.take_along_axis(q, digits[:, h - 1, :, None], axis=2)[:, :, 0]
-    return float((v @ mdp.initial_dist).max())
+    return v @ mdp.initial_dist
+
+
+def brute_optimal_value(mdp: TabularMDP) -> float:
+    """max over all deterministic policies of v(pi)."""
+    return float(brute_policy_values(mdp).max())
 
 
 def brute_worst_value(mdp: TabularMDP) -> float:
-    S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
-    digits = enumerate_action_tables(A, H, S)
-    v = np.zeros((digits.shape[0], S))
-    for h in range(H, 0, -1):
-        q = np.einsum("xay,ny->nxa", mdp.transitions[h - 1], v) + mdp.rewards[None]
-        v = np.take_along_axis(q, digits[:, h - 1, :, None], axis=2)[:, :, 0]
-    return float((v @ mdp.initial_dist).min())
+    """min over all deterministic policies of v(pi)."""
+    return float(brute_policy_values(mdp).min())
 
 
 def brute_max_reach(mdp: TabularMDP) -> np.ndarray:
