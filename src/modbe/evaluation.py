@@ -295,6 +295,8 @@ class ExperimentConfig:
             per = CBInstance.num_actions * CBInstance.ambient_dim * 8   # float64 bytes a context
             raise EvalError(f"cb n = {largest} needs a {largest * per}-byte feature buffer; "
                             f"at most {CB_MAX_CONTEXTS} contexts ({CB_MAX_CONTEXTS * per} bytes)")
+        classes = CB_DIMS if self.instance == "cb" else _tabular_instance(self.instance)[1]
+        _expand_methods(self.methods, len(classes))     # CB_DIMS: one entry a class
 
 
 def _int_list(text: str) -> list[int]:
@@ -515,9 +517,6 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
     identical for any job count (runtimes excepted, which is why
     record_runtime exists).
     """
-    # reject an unknown instance or method before any cell runs
-    num_classes = len(CB_DIMS) if cfg.instance == "cb" else len(_tabular_instance(cfg.instance)[1])
-    _expand_methods(cfg.methods, num_classes)
     workers = min(jobs, len(cfg.seeds))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

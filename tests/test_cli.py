@@ -253,7 +253,17 @@ class TestBench:
                        f"output = {tmp_path / 'x.csv'}\n")
         rc = cli.main(["bench", "--config", str(cfg)])
         assert rc == 1
-        assert "unknown instance" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --config: unknown instance family 'lava'\n"
+
+    def test_unknown_method(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ev, "run_rl_cell", _no_cell)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("instance = chain\nn_list = 40\nseeds = 0\nmethods = bogus\n"
+                       f"output = {tmp_path / 'x.csv'}\n")
+        rc = cli.main(["bench", "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --config: unknown method 'bogus'\n"
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("lines, message", [
         ("methods = modbe\nseeds = 0, 1, 2\nseeds = 5\n",
@@ -277,7 +287,8 @@ class TestBench:
                        f"output = {tmp_path / 'x.csv'}\n")
         rc = cli.main(["bench", "--config", str(cfg)])
         assert rc == 1
-        assert "'fixed-9': class index outside [1, 3]" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: --config: method 'fixed-9': "
+                                           "class index outside [1, 3]\n")
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("key, text", [

@@ -497,9 +497,8 @@ class TestExperimentPlumbing:
             raise AssertionError("a cell ran")
         monkeypatch.setattr(evaluation, "run_rl_cell", no_cell)
         monkeypatch.setattr(evaluation, "run_cb_cell", no_cell)
-        cfg = ExperimentConfig(instance, [100], [0], ["modbe", method])
         with pytest.raises(EvalError):
-            run_experiment(cfg)
+            run_experiment(ExperimentConfig(instance, [100], [0], ["modbe", method]))
 
     def test_jobs_do_not_change_results(self):
         cfg = ExperimentConfig("chain", [100], [0, 1, 2, 3], ["modbe", "fixed"],

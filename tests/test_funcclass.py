@@ -306,6 +306,14 @@ class TestNestedSequence:
         with pytest.raises(FunctionClassError, match="complexity must be non-decreasing"):
             NestedSequence((b, a))
 
+    def test_linear_prefix_rule_direct(self):
+        # NestedSequence never reaches this rule (see above), so call it directly
+        fn = ident_features(5)
+        with pytest.raises(FunctionClassError,
+                           match="linear feature prefixes must be non-decreasing"):
+            LinearClass(fn, 5, 1).check_nested_in(LinearClass(fn, 3, 1))
+        LinearClass(fn, 3, 1).check_nested_in(LinearClass(fn, 5, 1))
+
     def test_linear_feature_map_shared(self):
         a = LinearClass(ident_features(3), dim=2, num_actions=1)
         b = LinearClass(ident_features(3), dim=3, num_actions=1)

@@ -55,6 +55,10 @@ MUTANTS = (
      "return len(scores) - int(np.argmin(scores[::-1])), scores"),
     ("a (k, k') pair decides on its last step only",
      "rejected = rejected or rej", "rejected = rej"),
+    ("a config's methods go unchecked until its cells run",
+     "_expand_methods(self.methods, len(classes))", "len(classes)"),
+    ("linear feature prefixes may shrink",
+     "if self.dim > larger.dim:", "if self.dim < larger.dim:"),
 )
 
 

@@ -17,6 +17,11 @@ import tempfile
 from pathlib import Path
 
 
+# configs bench must reject before any cell runs: (name, key, value)
+BAD_CONFIGS = (("lava", "instance", "lava"), ("bogus_method", "methods", "bogus"),
+               ("fixed_9", "methods", "modbe, fixed-9"))
+
+
 def write_inputs(out: Path):
     from modbe import evaluation as ev, funcclass, mdp
     mdp.save_mdp(ev.chain_mdp(), str(out / "chain.mdp"))
@@ -34,9 +39,12 @@ def write_inputs(out: Path):
     (out / "mu.txt").write_text("".join(" ".join(repr(v / sum(w)) for v in w) + "\n" for w in ws))
     # a behavior policy that never takes action 0: half the pairs of every mu_h have zero mass
     (out / "always1.txt").write_text("0.0 1.0\n" * 16)
-    # inputs every command must reject: not UTF-8, an unknown config key, 30 probabilities
+    # inputs every command must reject: not UTF-8, bad configs, 30 probabilities
     (out / "binary").write_bytes(bytes(range(128, 256)))
     (out / "unknown_key.cfg").write_text("instance = chain\nbogus = 1\n")
+    for name, key, value in BAD_CONFIGS:
+        values = {"instance": "chain", "n_list": "40", "seeds": "0", "methods": "modbe", key: value}
+        (out / f"{name}.cfg").write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     (out / "values30.txt").write_text("0.5 0.5 0.5\n" * 10)
 
 
@@ -105,7 +113,8 @@ def main(tree: Path, out: Path):
         cli("run-holdout", "--data", bad, "--classes", "chain.classes", fail=f"data_{bad}")
         cli(*diag, "chain.classes", "--mu", bad, fail=f"mu_{bad}")
         cli("bench", "--config", bad, fail=f"config_{bad}")
-    cli("bench", "--config", "unknown_key.cfg", fail="config_unknown_key")
+    for name in ("unknown_key", *(name for name, _, _ in BAD_CONFIGS)):
+        cli("bench", "--config", f"{name}.cfg", fail=f"config_{name}")
     cli(*gen, "5", "--behavior", "values30.txt", "--out", "out.csv", fail="behavior_30_values")
     cli("run-fqi", "--data", "data_x99.csv", "--classes", "chain.classes", fail="data_x99")
     faults += [f"{f.name}: the command must exit 1" for f in sorted(out.glob("fail_*.txt"))
