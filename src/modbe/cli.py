@@ -139,8 +139,9 @@ def cmd_run_modbe(args) -> int:
 def cmd_run_holdout(args) -> int:
     data, classes = _load_data_and_classes(args)
     split = ds.split_dataset(data, args.seed)
-    fseqs = [basealg.fqi(split.train.steps, classes[k]) for k in range(1, len(classes) + 1)]
-    k, scores = ev.holdout_select(split.valid.steps, fseqs)
+    k, scores = ev.holdout_select([validation_losses(basealg.fqi(split.train.steps, classes[k]),
+                                                     split.valid.steps)
+                                   for k in range(1, len(classes) + 1)])
     print(f"selected class: {k} of {len(classes)}")
     for i, s in enumerate(scores, start=1):
         print(f"  class {i} validation loss {s:.6g}")

@@ -9,7 +9,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,12 +96,12 @@ def diagnose(classes: NestedSequence, mdp: TabularMDP, mu: np.ndarray) -> Diagno
 # Baseline selectors
 
 
-def holdout_select(valid_steps: Sequence[StepData], fseqs: Sequence[QSequence]):
-    """Pick the fitted sequence with the smallest summed per-step validation
-    loss; ties break to the smallest k. Returns (k, per-class scores)."""
+def holdout_select(losses: Sequence[Sequence[float]]):
+    """Pick the class with the smallest summed per-step validation loss, given
+    one list of losses per class in class order (validation_losses of its
+    fit); ties break to the smallest k. Returns (k, per-class scores)."""
     # a left-to-right sum: sum() compensates its rounding on Python >= 3.12
-    scores = [functools.reduce(operator.add, validation_losses(fseq, valid_steps), 0.0)
-              for fseq in fseqs]
+    scores = [functools.reduce(operator.add, per_step, 0.0) for per_step in losses]
     return int(np.argmin(scores)) + 1, scores
 
 
@@ -380,6 +380,7 @@ def _method_rows(n: int, seed: int, methods: Sequence[str], dataset: OfflineData
     oracle runs, whose k stays None) to keep(its fit). ModBE (select()) runs
     first when requested; the baselines reuse its split and fits, and base fits
     only the other classes a pick reads: every class for holdout and oracle.
+    Holdout also reuses the validation losses of the classes ModBE tested.
     runtime_ms times a method's own choice (all of select() for modbe).
     A CB cell must keep only (dim, weights): its features live in the seed's
     buffer, which the next cell's draw overwrites, and a kept LinearQ would
@@ -389,9 +390,9 @@ def _method_rows(n: int, seed: int, methods: Sequence[str], dataset: OfflineData
         t0 = time.perf_counter()
         trace = select()
         modbe_ms = (time.perf_counter() - t0) * 1000.0
-        split, fits = trace.split, dict(trace.fits)
+        split, fits, tested = trace.split, dict(trace.fits), trace.valid_losses
     else:
-        split, fits = split_dataset(dataset, seed), {}
+        split, fits, tested = split_dataset(dataset, seed), {}, {}
     every = range(1, len(classes) + 1)
     compare = "holdout" in methods or "oracle" in methods
     for k in every:
@@ -403,7 +404,9 @@ def _method_rows(n: int, seed: int, methods: Sequence[str], dataset: OfflineData
         if method == "modbe":
             k = trace.k_hat
         elif method == "holdout":
-            k, _ = holdout_select(split.valid.steps, [fits[j] for j in every])
+            k, _ = holdout_select([tested[j] if j in tested
+                                   else validation_losses(fits[j], split.valid.steps)
+                                   for j in every])
         elif method == "oracle":
             k = None
         else:
@@ -425,9 +428,13 @@ def _scored(rows: list[tuple], regrets: dict[int, float]) -> list[tuple]:
 
 
 def run_rl_cell(n: int, seed: int, methods: Sequence[str], schedule: str,
-                delta: float, instance: str = "chain") -> list[tuple]:
+                delta: float, instance: str = "chain",
+                regrets: dict | None = None) -> list[tuple]:
     """All requested methods on one (n, seed) cell of a tabular instance.
 
+    A fit's regret depends only on its greedy action table, so regrets maps
+    each table scored so far (as bytes) to its regret; the cells of one
+    run_experiment call share it, and a call without it starts an empty one.
     On the one-action holdout_bias instance regret is uninformative: the
     selected class index is the quantity of interest.
     """
@@ -437,8 +444,15 @@ def run_rl_cell(n: int, seed: int, methods: Sequence[str], schedule: str,
     dataset = generate_from_mu(mdp, mu, n, seed)
     rows = _method_rows(n, seed, methods, dataset, base, classes,
                         lambda: modbe(dataset, base, classes, delta, schedule, seed))
-    return _scored(rows, {k: regret(mdp, greedy_policy(fseq.funcs))
-                          for k, fseq in rows[0][4].items()})
+    regrets = {} if regrets is None else regrets
+    scores = {}
+    for k, fseq in rows[0][4].items():
+        # the argmax greedy_policy takes; ties break to the lowest action in both
+        key = np.stack([f.clipped for f in fseq.funcs]).argmax(axis=2).tobytes()
+        if key not in regrets:
+            regrets[key] = regret(mdp, greedy_policy(fseq.funcs))
+        scores[k] = regrets[key]
+    return _scored(rows, scores)
 
 
 CB_EVAL_CONTEXTS = 10_000
@@ -493,13 +507,17 @@ def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
                         lambda fseq: (fseq.func(1).dim, fseq.func(1).weights))
 
 
-def run_seed(seed: int, cfg: ExperimentConfig) -> list[tuple]:
-    """Every n of one seed. A CB seed's cells all fit first, then one pass
-    over its evaluation set scores every fit they kept. Every CB draw of the
-    seed, training tensor or evaluation chunk, fills the same buffer."""
+def run_seed(seed: int, cfg: ExperimentConfig, regrets: dict | None = None) -> list[tuple]:
+    """Every n of one seed. A tabular seed's cells share regrets (see
+    run_rl_cell), an empty one when not given. A CB seed's cells all fit
+    first, then one pass over its evaluation set scores every fit they kept.
+    Every CB draw of the seed, training tensor or evaluation chunk, fills the
+    same buffer."""
     if cfg.instance != "cb":
+        regrets = {} if regrets is None else regrets
         return [row for n in cfg.n_list for row in
-                run_rl_cell(n, seed, cfg.methods, cfg.schedule, cfg.delta, cfg.instance)]
+                run_rl_cell(n, seed, cfg.methods, cfg.schedule, cfg.delta, cfg.instance,
+                            regrets)]
     instance = CBInstance(max(max(cfg.n_list), CB_EVAL_CHUNK))
     cells = [run_cb_cell(n, seed, cfg.methods, instance, cfg.delta, cfg.schedule)
              for n in cfg.n_list]
@@ -511,19 +529,24 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
                    record_runtime: bool = True) -> list[tuple]:
     """Run every (n, seed) cell; output rows sorted deterministically.
 
-    The seed is the unit of work: one task runs all of a seed's n values, so
-    the pool gets at most one worker per seed, and one seed runs in this
-    process. Seeds are independent and may execute in parallel; results are
-    identical for any job count (runtimes excepted, which is why
-    record_runtime exists).
+    The config is checked again first, as if built anew, so a field set
+    after construction cannot reach a cell unchecked. The seed is the unit of
+    work: one task runs all of a seed's n values, so the pool gets at most
+    one worker per seed, and one seed runs in this process. Seeds are
+    independent and may execute in parallel; results are identical for any
+    job count (runtimes excepted, which is why record_runtime exists). The
+    tabular regrets of a call are computed once per greedy action table:
+    across all seeds at one job, and within each seed's task in a pool.
     """
+    cfg = replace(cfg)
     workers = min(jobs, len(cfg.seeds))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_seed, cfg.seeds, itertools.repeat(cfg)))
     else:
-        chunks = [run_seed(seed, cfg) for seed in cfg.seeds]
+        regrets: dict = {}
+        chunks = [run_seed(seed, cfg, regrets) for seed in cfg.seeds]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     if not record_runtime:

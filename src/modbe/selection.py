@@ -130,6 +130,16 @@ class SelectionTrace:
         return self.fits[self.k_hat]
 
     @property
+    def valid_losses(self) -> dict[int, list[float]]:
+        """Class index -> validation_losses of its fit, for every class tested
+        against a larger one: the loss_f of its events against k + 1."""
+        losses: dict[int, list[float]] = {}
+        for e in self.events:
+            if e.k_prime == e.k + 1:
+                losses.setdefault(e.k, []).append(e.loss_f)
+        return losses
+
+    @property
     def base_calls(self) -> int:
         return len(self.fits)
 

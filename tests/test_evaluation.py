@@ -12,6 +12,7 @@ from modbe.basealg import fqi
 from modbe.dataset import MAX_SAMPLES
 from modbe.basealg import fqi_oracle
 from modbe.mdp import squared_bellman_errors
+from modbe.selection import validation_losses
 from modbe.evaluation import (CB_DIMS, CB_EVAL_CHUNK, CB_EVAL_CONTEXTS, CB_MAX_CONTEXTS,
                               CBInstance, EvalError,
                               ExperimentConfig, approx_error, cb_policy_regrets,
@@ -130,7 +131,8 @@ class TestBaselines:
         ds = generate_from_mu(mdp, np.full((2, 2, 2), 0.25), 50, seed=0)
         classes = NestedSequence((AbstractionClass(np.arange(2), 2, clip_high=2.0),))
         split = split_dataset(ds, 0)
-        k, scores = holdout_select(split.valid.steps, [fqi(split.train.steps, classes[1])])
+        k, scores = holdout_select([validation_losses(fqi(split.train.steps, classes[1]),
+                                                      split.valid.steps)])
         assert k == 1 and len(scores) == 1
 
     def test_holdout_tie_breaks_to_smallest(self, rng):
@@ -139,8 +141,8 @@ class TestBaselines:
         cls = AbstractionClass(np.arange(2), 2, clip_high=2.0)
         classes = NestedSequence((cls, AbstractionClass(np.arange(2), 2, clip_high=2.0)))
         split = split_dataset(ds, 0)
-        k, scores = holdout_select(split.valid.steps,
-                                   [fqi(split.train.steps, classes[k]) for k in (1, 2)])
+        k, scores = holdout_select([validation_losses(fqi(split.train.steps, classes[k]),
+                                                      split.valid.steps) for k in (1, 2)])
         assert k == 1 and scores[0] == scores[1]
 
     def test_oracle_picks_min_regret(self):
@@ -412,6 +414,114 @@ class TestFitAndScoreOnlyWhatRowsRead:
         assert [r[:5] for r in alone] == [r[:5] for r in both]
 
 
+class TestComputeOnce:
+    """A sweep scores each distinct greedy policy once, and hold-out reads the
+    validation losses ModBE already computed."""
+
+    CHAIN_CFG = Path(__file__).resolve().parent.parent / "configs" / "chain.cfg"
+
+    @staticmethod
+    def _spy(monkeypatch, module, name, calls):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    @staticmethod
+    def _per_fit_rows(cfg):
+        """The chain sweep's rows with every fit scored on its own, and the
+        greedy policy of each fit as bytes."""
+        mdp, classes, mu = evaluation._tabular_instance(cfg.instance)
+        base = make_fqi(mdp.horizon)
+        rows, policies = [], []
+        for seed in cfg.seeds:
+            for n in cfg.n_list:
+                methods = evaluation._expand_methods(cfg.methods, len(classes))
+                dataset = generate_from_mu(mdp, mu, n, seed)
+                cell = evaluation._method_rows(
+                    n, seed, methods, dataset, base, classes,
+                    lambda: modbe(dataset, base, classes, cfg.delta, cfg.schedule, seed))
+                greedy = {k: greedy_policy(fseq.funcs) for k, fseq in cell[0][4].items()}
+                policies += [pol.probs.tobytes() for pol in greedy.values()]
+                rows += evaluation._scored(cell, {k: regret(mdp, pol)
+                                                  for k, pol in greedy.items()})
+        rows.sort(key=lambda r: (r[0], r[1], r[2]))
+        return [(n, s, m, k, reg) for n, s, m, k, reg, _ in rows], policies
+
+    def test_chain_sweep_scores_each_greedy_table_once(self, monkeypatch):
+        cfg = parse_config(str(self.CHAIN_CFG))
+        expected, policies = self._per_fit_rows(cfg)
+        distinct = set(policies)
+        assert len(distinct) < len(policies)
+        calls = {"greedy_policy": 0, "regret": 0}
+        self._spy(monkeypatch, evaluation, "greedy_policy", calls)
+        self._spy(monkeypatch, evaluation, "regret", calls)
+        rows = run_experiment(cfg, jobs=1, record_runtime=False)
+        assert calls == {"greedy_policy": len(distinct), "regret": len(distinct)}
+        assert [r[:5] for r in rows] == expected
+
+    def test_back_to_back_sweeps_each_score(self, monkeypatch):
+        calls = {"greedy_policy": 0, "regret": 0}
+        self._spy(monkeypatch, evaluation, "greedy_policy", calls)
+        self._spy(monkeypatch, evaluation, "regret", calls)
+        cfg = ExperimentConfig("chain", [100, 1000], [0, 1], ["modbe", "oracle"])
+        first = run_experiment(cfg, record_runtime=False)
+        once = dict(calls)
+        assert once["regret"] > 0 and once["greedy_policy"] > 0
+        assert run_experiment(cfg, record_runtime=False) == first
+        assert calls == {name: 2 * count for name, count in once.items()}
+
+    def test_direct_cell_calls_each_score(self, monkeypatch):
+        calls = {"regret": 0}
+        self._spy(monkeypatch, evaluation, "regret", calls)
+        run_rl_cell(1000, 1, ["fixed-3"], "practical", 0.1)
+        run_rl_cell(1000, 1, ["fixed-3"], "practical", 0.1)
+        assert calls == {"regret": 2}
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_trace_losses_are_validation_losses_chain(self, seed):
+        mdp, classes, mu = evaluation._tabular_instance("chain")
+        for n in (100, 1000):
+            trace = modbe(generate_from_mu(mdp, mu, n, seed), make_fqi(mdp.horizon), classes,
+                          0.1, "practical", seed)
+            losses = trace.valid_losses
+            assert set(losses) == {e.k for e in trace.events}
+            for k, per_step in losses.items():
+                assert per_step == validation_losses(trace.fits[k], trace.split.valid.steps)
+
+    def test_trace_losses_are_validation_losses_cb(self, monkeypatch):
+        traces = []
+
+        def kept(*args, **kwargs):
+            traces.append(selection.modbe_discounted(*args, **kwargs))
+            return traces[-1]
+        monkeypatch.setattr(evaluation, "modbe_discounted", kept)
+        evaluation.run_cb_cell(500, 0, ["modbe"], CBInstance(), 0.1, "practical")
+        (trace,) = traces
+        losses = trace.valid_losses
+        assert set(losses) == {e.k for e in trace.events} and len(losses) > 1
+        for k, per_step in losses.items():
+            assert per_step == validation_losses(trace.fits[k], trace.split.valid.steps)
+
+    @pytest.mark.parametrize("n, seed, tested", [(100, 0, 2), (100, 1, 1), (1000, 1, 2),
+                                                 (10000, 2, 2)])
+    def test_holdout_computes_only_untested_losses(self, monkeypatch, n, seed, tested):
+        traces, calls = [], {"validation_losses": 0}
+
+        def kept(*args, **kwargs):
+            traces.append(selection.modbe(*args, **kwargs))
+            return traces[-1]
+        monkeypatch.setattr(evaluation, "modbe", kept)
+        self._spy(monkeypatch, evaluation, "validation_losses", calls)
+        rows = run_rl_cell(n, seed, ["modbe", "holdout"], "practical", 0.1)
+        (trace,) = traces
+        assert len(trace.valid_losses) == tested
+        assert calls["validation_losses"] == 3 - tested
+        assert rows[1][:5] == run_rl_cell(n, seed, ["holdout"], "practical", 0.1)[0][:5]
+
+
 class TestExperimentPlumbing:
     def test_tabular_instance_built_once_and_read_only(self):
         for name in ("chain", "holdout_bias"):
@@ -606,10 +716,24 @@ class TestExperimentPlumbing:
         with pytest.raises(EvalError, match="no methods"):
             run_rl_cell(100, 0, [], "practical", 0.1)
 
-    def test_unknown_instance_rejected(self):
+    @staticmethod
+    def _no_cell(monkeypatch):
+        def no_cell(*_args, **_kwargs):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(evaluation, "run_rl_cell", no_cell)
+
+    def test_unknown_instance_rejected(self, monkeypatch):
+        self._no_cell(monkeypatch)
         cfg = ExperimentConfig("chain", [100], [0], ["modbe"])
         cfg.instance = "mystery"
-        with pytest.raises(EvalError):
+        with pytest.raises(EvalError, match="^unknown instance family 'mystery'$"):
+            run_experiment(cfg)
+
+    def test_method_set_after_construction_rejected_before_any_cell(self, monkeypatch):
+        self._no_cell(monkeypatch)
+        cfg = ExperimentConfig("chain", [100], [0], ["modbe"])
+        cfg.methods = ["bogus"]
+        with pytest.raises(EvalError, match="^unknown method 'bogus'$"):
             run_experiment(cfg)
 
 

@@ -59,6 +59,11 @@ MUTANTS = (
      "_expand_methods(self.methods, len(classes))", "len(classes)"),
     ("linear feature prefixes may shrink",
      "if self.dim > larger.dim:", "if self.dim < larger.dim:"),
+    ("a sweep's regrets keyed on step 1's greedy table only",
+     "key = np.stack([f.clipped for f in fseq.funcs]).argmax(axis=2).tobytes()",
+     "key = fseq.funcs[0].clipped.argmax(axis=1).tobytes()"),
+    ("hold-out reads ModBE's loss_g in place of loss_f",
+     "losses.setdefault(e.k, []).append(e.loss_f)", "losses.setdefault(e.k, []).append(e.loss_g)"),
 )
 
 
