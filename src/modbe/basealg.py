@@ -22,6 +22,12 @@ class BaseAlgError(ValueError):
     pass
 
 
+def check_delta(delta: float, error: type[Exception]) -> None:
+    """Raise error unless the failure probability delta lies in (0, 1/e] (NaN does not)."""
+    if not 0.0 < delta <= DELTA_MAX:
+        raise error(f"delta must lie in (0, 1/e], got {delta}")
+
+
 @dataclass(frozen=True)
 class QSequence:
     """Value approximators f_1..f_H with the implicit f_{H+1} = 0."""
@@ -88,8 +94,7 @@ def omega_fqi(n: int, delta: float, fclass: FunctionClass, horizon: int) -> floa
     """
     if n < 1:
         raise BaseAlgError("n must be at least 1")
-    if not 0.0 < delta <= DELTA_MAX:
-        raise BaseAlgError(f"delta must lie in (0, 1/e], got {delta}")
+    check_delta(delta, BaseAlgError)
     return OMEGA_CONSTANT * horizon ** 2 * (fclass.complexity + math.log(16.0 * horizon / delta)) / n
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import basealg, dataset as ds, evaluation as ev, funcclass as fc, mdp as mdp_mod
 from .selection import SelectionError, modbe, validation_losses
-from .textfile import read_lines
+from .textfile import float_line, read_lines, write_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,10 +114,7 @@ def cmd_run_fqi(args) -> int:
     for h, loss in enumerate(validation_losses(fseq, split.valid.steps), start=1):
         print(f"  h={h} validation_loss={loss:.6g}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for h in range(1, data.horizon + 1):
-                vals = fseq.func(h).clipped.ravel()
-                fh.write(" ".join(repr(float(v)) for v in vals) + "\n")
+        write_lines(args.out, (float_line(f.clipped.ravel()) for f in fseq.funcs))
         print(f"wrote Q tables to {args.out}")
     return EXIT_OK
 
@@ -127,8 +124,7 @@ def cmd_run_modbe(args) -> int:
     base = basealg.make_fqi(data.horizon)
     trace = modbe(data, base, classes, args.delta, args.schedule, args.seed)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_text())
+        write_lines(args.trace, [trace.to_text()])
     print(f"selected class: {trace.k_hat} of {len(classes)}")
     print(f"test events: {len(trace.events)} "
           f"(rejections: {sum(e.reject for e in trace.events)})")

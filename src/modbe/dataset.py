@@ -1,7 +1,7 @@
 # Offline dataset generation (i.i.d. per timestep), the deterministic 80/20
-# train/validation split, and CSV persistence. All randomness flows through
-# counter-based Philox streams keyed by (seed, stream, h) so per-step draws
-# are independent of execution order and of the other steps.
+# train/validation split, and CSV persistence. All randomness in modbe flows
+# through the counter-based Philox streams of stream(*key); keys (seed, 0, h)
+# and (seed, 1, h) generate and split step h independently of the other steps.
 from __future__ import annotations
 
 import math
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mdp import Policy, TabularMDP, check_data_distribution, concentrability, occupancy
-from .textfile import read_lines
+from .textfile import read_lines, write_lines
 
 _STREAM_GENERATE = 0
 _STREAM_SPLIT = 1
@@ -32,8 +32,9 @@ class DatasetError(ValueError):
     pass
 
 
-def _rng(seed: int, stream: int, h: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream, h))))
+def stream(*key: int) -> np.random.Generator:
+    """The seeded random stream of key, a tuple of non-negative integers."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def generate_from_mu(mdp: TabularMDP, mu: np.ndarray, n: int, seed: int) -> Offl
     S, A = mdp.num_states, mdp.num_actions
     steps = []
     for h in range(mdp.horizon):
-        rng = _rng(seed, _STREAM_GENERATE, h)
+        rng = stream(seed, _STREAM_GENERATE, h)
         # (x, a) as Generator.choice(S * A, n, p=mu_h) draws it, bit for bit:
         # choice takes one uniform u per draw and returns the number of entries
         # of the normalised CDF at or below u. Those entries are a prefix of
@@ -158,7 +159,7 @@ def split_dataset(dataset: OfflineDataset, seed: int) -> DataSplit:
     n_train = math.ceil(0.8 * n)
     train_steps, valid_steps = [], []
     for h, step in enumerate(dataset.steps):
-        perm = _rng(seed, _STREAM_SPLIT, h).permutation(n)
+        perm = stream(seed, _STREAM_SPLIT, h).permutation(n)
         train_steps.append(step.take(perm[:n_train]))
         valid_steps.append(step.take(perm[n_train:]))
     return DataSplit(OfflineDataset(tuple(train_steps), dict(dataset.meta)),
@@ -183,11 +184,8 @@ def _step_text(h: int, step: StepData) -> str:
 
 
 def save_dataset_csv(dataset: OfflineDataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"# {k}={v}\n" for k, v in sorted(dataset.meta.items()))
-        fh.write(_HEADER + "\n")
-        for h, step in enumerate(dataset.steps, start=1):
-            fh.write(_step_text(h, step))
+    write_lines(path, (f"# {k}={v}\n" for k, v in sorted(dataset.meta.items())), [_HEADER + "\n"],
+                (_step_text(h, step) for h, step in enumerate(dataset.steps, start=1)))
 
 
 def _read_meta(line: str, meta: dict) -> None:

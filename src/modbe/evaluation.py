@@ -14,13 +14,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basealg import DELTA_MAX, BaseAlgorithm, QSequence, make_discounted, make_fqi
+from .basealg import BaseAlgorithm, QSequence, check_delta, make_discounted, make_fqi
 from .dataset import (MAX_SAMPLES, MIN_SAMPLES, OfflineDataset, StepData, generate_from_mu,
-                      split_dataset)
+                      split_dataset, stream)
 from .funcclass import AbstractionClass, FunctionClass, LinearClass, NestedSequence, greedy_policy
 from .mdp import TabularMDP, bellman_backup, concentrability, regret
 from .selection import SelectionTrace, modbe, modbe_discounted, validation_losses
-from .textfile import read_lines
+from .textfile import read_lines, write_lines
 
 COMPLETE_ATOL = 1e-12       # largest Approx(F_k) that counts F_k as complete
 
@@ -225,8 +225,7 @@ class CBInstance:
     def __init__(self, capacity: int = 0):
         shape = (capacity, self.num_actions, self.ambient_dim)
         self.buffer = np.empty(shape) if capacity else None
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence((self.instance_seed, 99))))
+        rng = stream(self.instance_seed, 99)
         # equal magnitude on every active coordinate so each truncation short
         # of the active dimension carries a detectable loss gap
         theta = np.zeros(self.ambient_dim)
@@ -288,8 +287,7 @@ class ExperimentConfig:
             raise EvalError("seeds must be distinct and non-negative")
         if self.schedule not in ("practical", "theoretical"):
             raise EvalError(f"schedule must be practical or theoretical, got {self.schedule!r}")
-        if not 0.0 < self.delta <= DELTA_MAX:     # NaN fails the comparison too
-            raise EvalError(f"delta must lie in (0, 1/e], got {self.delta}")
+        check_delta(self.delta, EvalError)
         largest = max(self.n_list, default=0)
         if self.instance == "cb" and largest > CB_MAX_CONTEXTS:
             per = CBInstance.num_actions * CBInstance.ambient_dim * 8   # float64 bytes a context
@@ -480,7 +478,7 @@ def cb_policy_regrets(instance: CBInstance, seed: int, fits: Sequence[tuple]) ->
     the rows of one (len(fits), ambient_dim) matrix. Its scores may differ
     from the per-fit products feats[:, :, :dim] @ weights in the last bits,
     but the chosen actions, and so the regrets, are theirs."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 1))))
+    rng = stream(seed, 1)
     stacked = np.zeros((len(fits), instance.ambient_dim))
     for row, (dim, weights) in zip(stacked, fits):
         row[:dim] = weights
@@ -494,7 +492,7 @@ def cb_policy_regrets(instance: CBInstance, seed: int, fits: Sequence[tuple]) ->
 def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
                 delta: float, schedule: str) -> list[tuple]:
     """One (n, seed) cell of the contextual bandit; its rows keep (dim, weights) fits."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0, n))))
+    rng = stream(seed, 0, n)
     feats = instance.sample_features(n, rng)
     means = instance.mean_rewards(feats)
     actions = rng.integers(0, instance.num_actions, size=n)
@@ -555,12 +553,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
 
 
 def write_results_csv(rows: Sequence[tuple], path: str) -> None:
-    lines = ["n,seed,method,selected_k,regret,runtime_ms"]
-    for n, seed, method, k, reg, ms in rows:
-        ms_s = "" if ms == "" else f"{ms:.0f}"
-        lines.append(f"{n},{seed},{method},{k},{reg!r},{ms_s}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = (f"{n},{seed},{method},{k},{reg!r},{'' if ms == '' else format(ms, '.0f')}\n"
+             for n, seed, method, k, reg, ms in rows)
+    write_lines(path, ["n,seed,method,selected_k,regret,runtime_ms\n"], lines)
 
 
 def summarize(rows: Sequence[tuple]) -> str:

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mdp import Policy, greedy_policy_from_tables
-from .textfile import numbers, read_lines
+from .textfile import float_line, numbers, read_lines, write_lines
 
 ABSTRACTION_QUANTUM = 1.0 / 16.0   # declared value grid for complexity accounting
 ENUMERATION_CAP = 200_000          # largest member set enumerated for Approx / xi
@@ -310,20 +310,18 @@ class NestedSequence:
 
 
 def save_sequence(seq: NestedSequence, path: str) -> None:
-    lines = [f"classes {len(seq)}"]
+    lines = [f"classes {len(seq)}\n"]
     for c in seq.classes:
         if c.variant == "finite":
             S, A = c.tables[0].shape
-            lines.append(f"class finite {S} {A} members {len(c.tables)}")
-            for t in c.tables:
-                lines.append(" ".join(repr(float(v)) for v in t.reshape(-1)))
+            lines.append(f"class finite {S} {A} members {len(c.tables)}\n")
+            lines.extend(float_line(t.reshape(-1)) for t in c.tables)
         elif c.variant == "abstraction":
-            lines.append(f"class abstraction {len(c.blocks)} {c.num_actions} blocks {c.num_blocks}")
-            lines.append(" ".join(str(int(b)) for b in c.blocks))
+            lines += [f"class abstraction {len(c.blocks)} {c.num_actions} blocks {c.num_blocks}\n",
+                      " ".join(str(int(b)) for b in c.blocks) + "\n"]
         else:
             raise FunctionClassError(f"a {c.variant} class has no file form")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 MAX_TABLE_CELLS = 10 ** 7   # abstraction ERM and greedy policies build dense S*A tables

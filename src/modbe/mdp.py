@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textfile import numbers, read_lines
+from .textfile import float_line, numbers, read_lines, write_lines
 
 PROB_ATOL = 1e-12          # input validation tolerance on probability rows
 
@@ -235,20 +235,13 @@ def perf_diff_bound(mdp: TabularMDP, mu: np.ndarray, f_tables: np.ndarray) -> fl
 #   line 2: rho (S values)
 #   then for each h in 1..H, S*A lines: the distribution P_h(. | x, a),
 #   ordered x-major then a; then S lines of A reward values.
-# Floats are written with repr so a load/save round trip is value-exact.
+# Floats are written by textfile.float_line: a save/load round trip is value-exact.
 
 
 def save_mdp(mdp: TabularMDP, path: str) -> None:
-    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
-    lines = [f"{S} {A} {H}", " ".join(repr(float(v)) for v in mdp.initial_dist)]
-    for h in range(H):
-        for x in range(S):
-            for a in range(A):
-                lines.append(" ".join(repr(float(v)) for v in mdp.transitions[h, x, a]))
-    for x in range(S):
-        lines.append(" ".join(repr(float(v)) for v in mdp.rewards[x]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    S = mdp.num_states
+    rows = [mdp.initial_dist, *mdp.transitions.reshape(-1, S), *mdp.rewards]
+    write_lines(path, [f"{S} {mdp.num_actions} {mdp.horizon}\n"], map(float_line, rows))
 
 
 def load_mdp(path: str) -> TabularMDP:

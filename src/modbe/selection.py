@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basealg import DELTA_MAX, BaseAlgorithm, QSequence, make_discounted
+from .basealg import BaseAlgorithm, QSequence, check_delta, make_discounted
 from .dataset import DataSplit, OfflineDataset, StepData, split_dataset
 from .funcclass import FunctionClass, NestedSequence, QFunction
 
@@ -26,8 +26,7 @@ class SelectionError(ValueError):
 
 def zeta(horizon: int, num_classes: int, delta: float, n_valid: int) -> float:
     """Validation-side concentration width: 96 H^2 ln(16 M^2 H / delta) / n_valid."""
-    if not 0.0 < delta <= DELTA_MAX:
-        raise SelectionError(f"delta must lie in (0, 1/e], got {delta}")
+    check_delta(delta, SelectionError)
     if n_valid < 1:
         raise SelectionError("n_valid must be at least 1")
     return ZETA_CONSTANT * horizon ** 2 * \
@@ -170,8 +169,7 @@ def _eliminate(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequ
     (k', h). Any failing (k', h) rejects k for k + 1; all H steps of a
     (k, k') pair are recorded even after the first failure.
     """
-    if not 0.0 < delta <= DELTA_MAX:
-        raise SelectionError(f"delta must lie in (0, 1/e], got {delta}")
+    check_delta(delta, SelectionError)
     split = split_dataset(dataset, seed)
     sched = ToleranceSchedule(schedule, classes, dataset.horizon, delta,
                               split.train.n, split.valid.n, dataset.n, base.omega)

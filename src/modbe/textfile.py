@@ -1,7 +1,8 @@
-# The reading rule for every plain-text input file (MDP, class sequence,
-# config, dataset CSV, probability file): UTF-8 with an optional byte-order
-# mark, universal newlines, and a line carries no data if it is blank or its
-# first non-blank character is '#'.
+# The plain-text file rules. Every input file (MDP, class sequence, config,
+# dataset CSV, probability file) is read as UTF-8 with an optional byte-order
+# mark and universal newlines; a line carries no data if it is blank or its first
+# non-blank character is '#'. Every output file is written as UTF-8 text by
+# write_lines, and float_line formats floats that numbers reads back bit for bit.
 from __future__ import annotations
 
 
@@ -17,6 +18,18 @@ def read_lines(path: str) -> tuple[list[str], list[tuple[int, str]]]:
             elif text:
                 data.append((lineno, text))
     return comments, data
+
+
+def write_lines(path: str, *parts) -> None:
+    """Write each iterable of strings in parts to path in turn, adding no line ends."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for lines in parts:
+            fh.writelines(lines)
+
+
+def float_line(values) -> str:
+    """values as one line: the repr of each as a float, space-separated."""
+    return " ".join(repr(float(v)) for v in values) + "\n"
 
 
 def numbers(path: str, rows: list[tuple[int, str]], i: int, convert, count: int, what: str,

@@ -95,7 +95,7 @@ def reference_generate_from_mu(mdp, mu, n, seed) -> list:
     S, A = mdp.num_states, mdp.num_actions
     steps = []
     for h in range(mdp.horizon):
-        rng = dataset._rng(seed, dataset._STREAM_GENERATE, h)
+        rng = dataset.stream(seed, dataset._STREAM_GENERATE, h)
         flat = rng.choice(S * A, size=n, p=mu[h].reshape(-1))
         xs, as_ = np.divmod(flat, A)
         cdf = np.cumsum(mdp.transitions[h][xs, as_], axis=1)
@@ -176,7 +176,7 @@ class TestSamplerReference:
         equal to an entry counts it, and at a total below 1 only the
         normalised CDF leaves the entry above the draw."""
         seed = 4
-        u0 = dataset._rng(seed, dataset._STREAM_GENERATE, 0).random()
+        u0 = dataset.stream(seed, dataset._STREAM_GENERATE, 0).random()
         for j in range(S * A - 1):
             mu = np.zeros(S * A)
             mu[j], mu[-1] = u0, total - u0
