@@ -22,7 +22,7 @@ class CLIError(Exception):
     """Input-validation failure: bad flag value or malformed file."""
 
 
-# bad input: main() exits 1 on each, and _read names the flag whose file raised it
+# bad input: main() exits 1 on each, and _file names the flag whose file raised it
 INPUT_ERRORS = (CLIError, mdp_mod.MDPError, ds.DatasetError, fc.FunctionClassError,
                 ev.EvalError, SelectionError, basealg.BaseAlgError)
 
@@ -49,16 +49,22 @@ def _output_file(path: str) -> str:
         raise argparse.ArgumentTypeError(f"output directory {out_dir!r} does not exist")
     if not os.path.basename(path) or os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"output {path!r} does not name a file")
+    try:
+        os.stat(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:      # such as a name too long for the file system
+        raise argparse.ArgumentTypeError(f"output {path!r}: {exc.strerror}") from exc
     return path
 
 
-def _read(flag: str, load, path: str, *args):
-    """load(path, *args); a file that cannot be named, opened, decoded or
-    parsed exits 1 with an error named by flag."""
+def _file(flag: str, use, path: str, *args):
+    """use(path, *args); a file that cannot be named, opened, decoded, parsed
+    or written exits 1 with an error named by flag."""
     try:
         if "\0" in path:
             raise CLIError(f"file name {path!r} holds a NUL byte")
-        return load(path, *args)
+        return use(path, *args)
     except (OSError, UnicodeDecodeError, *INPUT_ERRORS) as exc:
         raise CLIError(f"{flag}: {exc}") from exc
 
@@ -66,8 +72,8 @@ def _read(flag: str, load, path: str, *args):
 def _load_data_and_classes(args) -> tuple[ds.OfflineDataset, fc.NestedSequence]:
     """The --data dataset and the --classes sequence clipped to its horizon,
     with every x and x_next in [0, S) and every a in [0, A) of the classes."""
-    data = _read("--data", ds.load_dataset_csv, args.data)
-    classes = _read("--classes", fc.load_sequence, args.classes, float(data.horizon))
+    data = _file("--data", ds.load_dataset_csv, args.data)
+    classes = _file("--classes", fc.load_sequence, args.classes, float(data.horizon))
     S, A = classes[len(classes)].shape
     for h, step in enumerate(data.steps, start=1):
         for name, col, size in (("x", step.x, S), ("a", step.a, A), ("x_next", step.x_next, S)):
@@ -94,12 +100,12 @@ def _probabilities(spec: str, mdp: mdp_mod.TabularMDP, uniform, check):
 
 
 def cmd_gen_data(args) -> int:
-    mdp = _read("--mdp", mdp_mod.load_mdp, args.mdp)
-    pol = _read("--behavior", _probabilities, args.behavior, mdp,
+    mdp = _file("--mdp", mdp_mod.load_mdp, args.mdp)
+    pol = _file("--behavior", _probabilities, args.behavior, mdp,
                 mdp_mod.Policy.uniform(mdp.horizon, mdp.num_states, mdp.num_actions),
                 mdp_mod.Policy)
     data, _mu = ds.generate_from_behavior(mdp, pol, args.n, args.seed)
-    ds.save_dataset_csv(data, args.out)
+    _file("--out", lambda path: ds.save_dataset_csv(data, path), args.out)
     print(f"wrote {data.horizon} x {data.n} transitions to {args.out}")
     return EXIT_OK
 
@@ -114,7 +120,7 @@ def cmd_run_fqi(args) -> int:
     for h, loss in enumerate(validation_losses(fseq, split.valid.steps), start=1):
         print(f"  h={h} validation_loss={loss:.6g}")
     if args.out:
-        write_lines(args.out, (float_line(f.clipped.ravel()) for f in fseq.funcs))
+        _file("--out", write_lines, args.out, (float_line(f.clipped.ravel()) for f in fseq.funcs))
         print(f"wrote Q tables to {args.out}")
     return EXIT_OK
 
@@ -124,7 +130,7 @@ def cmd_run_modbe(args) -> int:
     base = basealg.make_fqi(data.horizon)
     trace = modbe(data, base, classes, args.delta, args.schedule, args.seed)
     if args.trace:
-        write_lines(args.trace, [trace.to_text()])
+        _file("--trace", write_lines, args.trace, [trace.to_text()])
     print(f"selected class: {trace.k_hat} of {len(classes)}")
     print(f"test events: {len(trace.events)} "
           f"(rejections: {sum(e.reject for e in trace.events)})")
@@ -145,13 +151,13 @@ def cmd_run_holdout(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    mdp = _read("--mdp", mdp_mod.load_mdp, args.mdp)
-    classes = _read("--classes", fc.load_sequence, args.classes, float(mdp.horizon))
+    mdp = _file("--mdp", mdp_mod.load_mdp, args.mdp)
+    classes = _file("--classes", fc.load_sequence, args.classes, float(mdp.horizon))
     shape = classes[len(classes)].shape
     if shape != (mdp.num_states, mdp.num_actions):
         raise CLIError(f"--classes: tables of shape {shape} do not match the MDP's "
                        f"(S, A) = {(mdp.num_states, mdp.num_actions)}")
-    mu = _read("--mu", _probabilities, args.mu, mdp, ev.uniform_mu(mdp),
+    mu = _file("--mu", _probabilities, args.mu, mdp, ev.uniform_mu(mdp),
                lambda probs: mdp_mod.check_data_distribution(mdp, probs))
     report = ev.diagnose(classes, mdp, mu)
     print(report.to_text(), end="")
@@ -159,13 +165,13 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _read("--config", ev.parse_config, args.config)
+    cfg = _file("--config", ev.parse_config, args.config)
     try:
         _output_file(cfg.output)
     except argparse.ArgumentTypeError as exc:
         raise CLIError(f"--config: {exc}") from exc
     rows = ev.run_experiment(cfg, jobs=args.jobs, record_runtime=not args.no_runtime)
-    ev.write_results_csv(rows, cfg.output)
+    _file("--config", lambda path: ev.write_results_csv(rows, path), cfg.output)
     print(ev.summarize(rows), end="")
     print(f"wrote {len(rows)} rows to {cfg.output}")
     return EXIT_OK

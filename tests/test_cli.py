@@ -1,5 +1,6 @@
 # End-to-end checks of the command-line driver: every subcommand runs
 # in-process via cli.main(argv) so exit codes and printed output are exact.
+import errno
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from modbe import cli
+from modbe import dataset as ds
 from modbe import evaluation as ev
 from modbe.basealg import BaseAlgError
 from modbe.dataset import MAX_SAMPLES, DatasetError, load_dataset_csv
@@ -352,10 +354,11 @@ class TestBench:
         ("output = {tmp}\n", "does not name a file"),
         ("output = {tmp}/\n", "does not name a file"),
         ("output = {tmp}/a\0b.csv\n", "--config: output '{tmp}/a\\x00b.csv' holds a NUL byte"),
+        ("output = {tmp}/" + "x" * 300 + ".csv\n", "File name too long"),
         ("n_list = 40, 99999999999999999999\n", "n values must lie in"),
         ("n_list = 100, 100\n", "n values must be distinct")],
         ids=["negative-seed", "empty-output", "output-is-directory", "output-ends-in-slash",
-             "output-nul-byte", "n-beyond-bound", "repeated-n"])
+             "output-nul-byte", "output-name-too-long", "n-beyond-bound", "repeated-n"])
     def test_bad_seeds_or_output_rejected_before_any_cell(self, tmp_path, capsys,
                                                           monkeypatch, lines, message):
         monkeypatch.setattr(ev, "run_rl_cell", _no_cell)
@@ -648,8 +651,8 @@ class TestUsage:
     @pytest.mark.parametrize("target, message", [
         ("missing/dir/file.txt", "output directory"), ("", "does not name a file"),
         (".", "does not name a file"), ("sub/", "does not name a file"),
-        ("a\0b.txt", "holds a NUL byte")],
-        ids=["missing-dir", "empty", "directory", "trailing-slash", "nul-byte"])
+        ("a\0b.txt", "holds a NUL byte"), ("x" * 300 + ".txt", "File name too long")],
+        ids=["missing-dir", "empty", "directory", "trailing-slash", "nul-byte", "name-too-long"])
     def test_output_path_rejected_before_any_work(self, chain_data, tmp_path, capsys,
                                                   monkeypatch, command, flag, target, message):
         for name in ("cmd_gen_data", "cmd_run_fqi", "cmd_run_modbe"):
@@ -662,3 +665,25 @@ class TestUsage:
         assert cli.main([command, *inputs, flag, path]) == 1
         err = capsys.readouterr().err
         assert f"argument {flag}: output " in err and message in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen-data", "--mdp", "{mdp}", "--n", "50", "--out", "{out}"], "--out"),
+        (["run-fqi", "--data", "{data}", "--classes", "{cls}", "--out", "{out}"], "--out"),
+        (["run-modbe", "--data", "{data}", "--classes", "{cls}", "--trace", "{out}"], "--trace"),
+        (["bench", "--config", "{cfg}"], "--config")],
+        ids=["gen-data", "run-fqi", "run-modbe", "bench"])
+    def test_failed_write_exits_1(self, chain_data, tmp_path, capsys, monkeypatch, argv, flag):
+        def full_disk(_path, *_parts):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        for module in (cli, ds, ev):
+            monkeypatch.setattr(module, "write_lines", full_disk)
+        mdp_path, cls_path, data_path = chain_data
+        out, cfg = tmp_path / "out.txt", tmp_path / "bench.cfg"
+        cfg.write_text(f"instance = chain\nn_list = 40\nseeds = 0\nmethods = fixed-1\n"
+                       f"output = {out}\n")
+        argv = [a.format(mdp=mdp_path, cls=cls_path, data=data_path, out=out, cfg=cfg)
+                for a in argv]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {flag}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
