@@ -105,11 +105,10 @@ def holdout_select(losses: Sequence[Sequence[float]]):
     return int(np.argmin(scores)) + 1, scores
 
 
-def oracle_select(regret_of: Callable[[QSequence], float], fseqs: Sequence[QSequence]):
-    """Hindsight-best baseline: the fitted sequence with the smallest true
-    regret, as scored by regret_of, which needs the ground truth. Returns
-    (k, per-class regrets)."""
-    regrets = [regret_of(fseq) for fseq in fseqs]
+def oracle_select(regrets: Sequence[float]):
+    """Hindsight-best baseline: the class with the smallest true regret, which
+    needs the ground truth, given one regret per class in class order (that
+    of its fit); ties break to the smallest k. Returns (k, per-class regrets)."""
     return int(np.argmin(regrets)) + 1, regrets
 
 
@@ -420,7 +419,7 @@ def _scored(rows: list[tuple], regrets: dict[int, float]) -> list[tuple]:
     """A cell's _method_rows with regrets (class index -> regret) and oracle's k filled in."""
     scored = []
     for n, seed, method, k, _fits, ms in rows:
-        k = k or oracle_select(regrets.get, sorted(regrets))[0]
+        k = k or oracle_select([regrets[j] for j in sorted(regrets)])[0]
         scored.append((n, seed, method, k, regrets[k], ms))
     return scored
 

@@ -149,8 +149,9 @@ class TestBaselines:
         mdp = chain_mdp()
         ds = generate_from_mu(mdp, uniform_mu(mdp), 2000, seed=2)
         split, classes = split_dataset(ds, 0), chain_classes()
-        k, regrets = oracle_select(lambda fseq: regret(mdp, greedy_policy(fseq.funcs)),
-                                   [fqi(split.train.steps, classes[k]) for k in (1, 2, 3)])
+        k, regrets = oracle_select([regret(mdp, greedy_policy(fqi(split.train.steps,
+                                                                 classes[k]).funcs))
+                                    for k in (1, 2, 3)])
         assert regrets[k - 1] == min(regrets)
 
     def test_holdout_bias_instance_margins(self):
