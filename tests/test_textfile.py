@@ -1,19 +1,25 @@
-# The reading rule for plain-text input files (modbe.textfile): UTF-8 with an
-# optional byte-order mark, universal newlines, and a blank line or one whose
-# first non-blank character is '#' carries no data. Every input format reads
-# a copy of a valid file with a byte-order mark, or with indented '#' lines,
-# as it reads the file itself.
+# The plain-text file rules (modbe.textfile). Reading: UTF-8 with an optional
+# byte-order mark, universal newlines, and a blank line or one whose first
+# non-blank character is '#' carries no data. Every input format reads a copy
+# of a valid file with a byte-order mark, or with indented '#' lines, as it
+# reads the file itself. Writing: a float line reads back bit for bit.
 import contextlib
 import io
+import math
+import struct
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modbe import cli
 from modbe.dataset import load_dataset_csv, save_dataset_csv
 from modbe.evaluation import chain_classes, chain_mdp, parse_config
 from modbe.funcclass import load_sequence, save_sequence
 from modbe.mdp import load_mdp, save_mdp
-from modbe.textfile import numbers, read_lines
+from modbe.textfile import float_line, numbers, read_lines
 
 
 def test_read_lines_splits_comments_from_numbered_data(tmp_path):
@@ -35,6 +41,23 @@ def test_numbers_names_the_line(i, count, message):
     assert numbers("f", rows, 0, int, 2, "ids", RowError) == [1, 2]
     with pytest.raises(RowError, match=message):
         numbers("f", rows, i, int, count, "ids", RowError)
+
+
+# zeros of both signs, the smallest subnormal, the largest subnormal, the
+# smallest normal, the largest float and both infinities
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, sys.float_info.min,
+               sys.float_info.max, -sys.float_info.max, math.inf, -math.inf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False), min_size=1,
+                max_size=12))
+def test_float_line_reads_back_bit_for_bit(values):
+    line = float_line(values)
+    assert line.endswith("\n") and "\n" not in line[:-1]
+    assert float_line(np.array(values)) == line     # the writers pass numpy rows
+    back = numbers("f", [(1, line)], 0, float, len(values), "floats", RowError)
+    assert [struct.pack("<d", v) for v in back] == [struct.pack("<d", v) for v in values]
 
 
 def resaved(root, save, obj) -> str:

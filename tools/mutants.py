@@ -64,6 +64,14 @@ MUTANTS = (
      "key = fseq.funcs[0].clipped.argmax(axis=1).tobytes()"),
     ("hold-out reads ModBE's loss_g in place of loss_f",
      "losses.setdefault(e.k, []).append(e.loss_f)", "losses.setdefault(e.k, []).append(e.loss_g)"),
+    # str(float) is repr(float), so the mutant a float line can fail by is a lossy format
+    ("a float line keeps 15 significant digits",
+     'return " ".join(repr(float(v)) for v in values)',
+     'return " ".join(f"{float(v):.15g}" for v in values)'),
+    ("delta = 1/e is rejected",
+     "if not 0.0 < delta <= DELTA_MAX:", "if not 0.0 < delta < DELTA_MAX:"),
+    ("a seeded stream reads its key in reverse",
+     "np.random.SeedSequence(key)", "np.random.SeedSequence(key[::-1])"),
 )
 
 
