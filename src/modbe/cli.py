@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import basealg, dataset as ds, evaluation as ev, funcclass as fc, mdp as mdp_mod
-from .selection import SelectionError, modbe, validation_losses
+from .selection import SCHEDULES, SelectionError, modbe, validation_losses
 from .textfile import float_line, read_lines, write_lines
 
 EXIT_OK = 0
@@ -45,8 +45,12 @@ def _output_file(path: str) -> str:
     if "\0" in path:
         raise argparse.ArgumentTypeError(f"output {path!r} holds a NUL byte")
     out_dir = os.path.dirname(path) or "."
-    if not os.path.isdir(out_dir):
-        raise argparse.ArgumentTypeError(f"output directory {out_dir!r} does not exist")
+    try:
+        os.stat(os.path.join(out_dir, ""))      # the trailing separator fails on a file
+    except FileNotFoundError:
+        raise argparse.ArgumentTypeError(f"output directory {out_dir!r} does not exist") from None
+    except OSError as exc:      # such as a name too long, or a file on the path
+        raise argparse.ArgumentTypeError(f"output directory {out_dir!r}: {exc.strerror}") from exc
     if not os.path.basename(path) or os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"output {path!r} does not name a file")
     try:
@@ -207,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("run-modbe", parents=[split],
                        help="run the selection loop over nested classes")
     m.add_argument("--delta", type=float, default=0.1, help="failure probability (<= 1/e)")
-    m.add_argument("--schedule", choices=["theoretical", "practical"],
+    m.add_argument("--schedule", choices=SCHEDULES,
                    default="theoretical", help="tolerance schedule (default: theoretical)")
     m.add_argument("--trace", type=_output_file, default=None,
                    help="optional output path for the full trace")

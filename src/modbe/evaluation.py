@@ -19,7 +19,7 @@ from .dataset import (MAX_SAMPLES, MIN_SAMPLES, OfflineDataset, StepData, genera
                       split_dataset, stream)
 from .funcclass import AbstractionClass, FunctionClass, LinearClass, NestedSequence, greedy_policy
 from .mdp import TabularMDP, bellman_backup, concentrability, regret
-from .selection import SelectionTrace, modbe, modbe_discounted, validation_losses
+from .selection import SCHEDULES, SelectionTrace, modbe, modbe_discounted, validation_losses
 from .textfile import read_lines, write_lines
 
 COMPLETE_ATOL = 1e-12       # largest Approx(F_k) that counts F_k as complete
@@ -284,7 +284,7 @@ class ExperimentConfig:
             raise EvalError("n values must be distinct")
         if len(set(self.seeds)) != len(self.seeds) or any(s < 0 for s in self.seeds):
             raise EvalError("seeds must be distinct and non-negative")
-        if self.schedule not in ("practical", "theoretical"):
+        if self.schedule not in SCHEDULES:
             raise EvalError(f"schedule must be practical or theoretical, got {self.schedule!r}")
         check_delta(self.delta, EvalError)
         largest = max(self.n_list, default=0)
@@ -293,7 +293,7 @@ class ExperimentConfig:
             raise EvalError(f"cb n = {largest} needs a {largest * per}-byte feature buffer; "
                             f"at most {CB_MAX_CONTEXTS} contexts ({CB_MAX_CONTEXTS * per} bytes)")
         classes = CB_DIMS if self.instance == "cb" else _tabular_instance(self.instance)[1]
-        _expand_methods(self.methods, len(classes))     # CB_DIMS: one entry a class
+        self.methods = _expand_methods(self.methods, len(classes))  # CB_DIMS: one entry a class
 
 
 def _int_list(text: str) -> list[int]:
@@ -424,32 +424,28 @@ def _scored(rows: list[tuple], regrets: dict[int, float]) -> list[tuple]:
     return scored
 
 
-def run_rl_cell(n: int, seed: int, methods: Sequence[str], schedule: str,
-                delta: float, instance: str = "chain",
-                regrets: dict | None = None) -> list[tuple]:
-    """All requested methods on one (n, seed) cell of a tabular instance.
-
-    A fit's regret depends only on its greedy action table, so regrets maps
-    each table scored so far (as bytes) to its regret; the cells of one
-    run_experiment call share it, and a call without it starts an empty one.
-    On the one-action holdout_bias instance regret is uninformative: the
-    selected class index is the quantity of interest.
-    """
-    mdp, classes, mu = _tabular_instance(instance)
-    methods = _expand_methods(methods, len(classes))
-    base = make_fqi(mdp.horizon)
-    dataset = generate_from_mu(mdp, mu, n, seed)
-    rows = _method_rows(n, seed, methods, dataset, base, classes,
-                        lambda: modbe(dataset, base, classes, delta, schedule, seed))
-    regrets = {} if regrets is None else regrets
-    scores = {}
-    for k, fseq in rows[0][4].items():
+def tabular_regrets(mdp: TabularMDP, memo: dict, fits: Sequence[QSequence]) -> list[float]:
+    """Regret on mdp of each fit's greedy policy. A fit's regret depends only
+    on its greedy action table, so memo maps each table scored so far (as
+    bytes) to its regret; the cells of one run_experiment call share it."""
+    scores = []
+    for fseq in fits:
         # the argmax greedy_policy takes; ties break to the lowest action in both
         key = np.stack([f.clipped for f in fseq.funcs]).argmax(axis=2).tobytes()
-        if key not in regrets:
-            regrets[key] = regret(mdp, greedy_policy(fseq.funcs))
-        scores[k] = regrets[key]
-    return _scored(rows, scores)
+        if key not in memo:
+            memo[key] = regret(mdp, greedy_policy(fseq.funcs))
+        scores.append(memo[key])
+    return scores
+
+
+def run_rl_cell(n: int, seed: int, cfg: ExperimentConfig, instance: tuple) -> list[tuple]:
+    """One (n, seed) cell of a tabular instance (mdp, classes, mu); its rows keep
+    their fits. On the one-action holdout_bias instance only the picked k matters."""
+    mdp, classes, mu = instance
+    base = make_fqi(mdp.horizon)
+    dataset = generate_from_mu(mdp, mu, n, seed)
+    return _method_rows(n, seed, cfg.methods, dataset, base, classes,
+                        lambda: modbe(dataset, base, classes, cfg.delta, cfg.schedule, seed))
 
 
 CB_EVAL_CONTEXTS = 10_000
@@ -488,8 +484,7 @@ def cb_policy_regrets(instance: CBInstance, seed: int, fits: Sequence[tuple]) ->
     return [float(best_mean - row.mean()) for row in np.concatenate(picked, axis=1)]
 
 
-def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
-                delta: float, schedule: str) -> list[tuple]:
+def run_cb_cell(n: int, seed: int, cfg: ExperimentConfig, instance: CBInstance) -> list[tuple]:
     """One (n, seed) cell of the contextual bandit; its rows keep (dim, weights) fits."""
     rng = stream(seed, 0, n)
     feats = instance.sample_features(n, rng)
@@ -498,27 +493,26 @@ def run_cb_cell(n: int, seed: int, methods: Sequence[str], instance: CBInstance,
     rewards = means[np.arange(n), actions] + instance.noise_std * rng.standard_normal(n)
     data = StepData(np.arange(n), actions, rewards, np.zeros(n, dtype=int))
     classes = instance.classes(feats)
-    methods = _expand_methods(methods, len(classes))
-    return _method_rows(n, seed, methods, OfflineDataset((data,)), make_discounted(), classes,
-                        lambda: modbe_discounted(data, classes, delta, schedule, seed),
+    return _method_rows(n, seed, cfg.methods, OfflineDataset((data,)), make_discounted(), classes,
+                        lambda: modbe_discounted(data, classes, cfg.delta, cfg.schedule, seed),
                         lambda fseq: (fseq.func(1).dim, fseq.func(1).weights))
 
 
-def run_seed(seed: int, cfg: ExperimentConfig, regrets: dict | None = None) -> list[tuple]:
-    """Every n of one seed. A tabular seed's cells share regrets (see
-    run_rl_cell), an empty one when not given. A CB seed's cells all fit
-    first, then one pass over its evaluation set scores every fit they kept.
-    Every CB draw of the seed, training tensor or evaluation chunk, fills the
-    same buffer."""
-    if cfg.instance != "cb":
-        regrets = {} if regrets is None else regrets
-        return [row for n in cfg.n_list for row in
-                run_rl_cell(n, seed, cfg.methods, cfg.schedule, cfg.delta, cfg.instance,
-                            regrets)]
-    instance = CBInstance(max(max(cfg.n_list), CB_EVAL_CHUNK))
-    cells = [run_cb_cell(n, seed, cfg.methods, instance, cfg.delta, cfg.schedule)
-             for n in cfg.n_list]
-    regrets = iter(cb_policy_regrets(instance, seed, [f for c in cells for f in c[0][4].values()]))
+def run_seed(seed: int, cfg: ExperimentConfig, memo: dict | None = None) -> list[tuple]:
+    """Every n of one seed: its cells fit first, then one call of the family's
+    scorer fills in every fit they kept. The tabular scorer reads and extends
+    memo (see tabular_regrets), an empty one when not given; the CB scorer
+    makes one pass over the seed's evaluation set. Every CB draw of the seed,
+    training tensor or evaluation chunk, fills the same buffer."""
+    if cfg.instance == "cb":
+        instance = CBInstance(max(max(cfg.n_list), CB_EVAL_CHUNK))
+        cell, score = run_cb_cell, functools.partial(cb_policy_regrets, instance, seed)
+    else:
+        instance = _tabular_instance(cfg.instance)
+        memo = {} if memo is None else memo
+        cell, score = run_rl_cell, functools.partial(tabular_regrets, instance[0], memo)
+    cells = [cell(n, seed, cfg, instance) for n in cfg.n_list]
+    regrets = iter(score([f for c in cells for f in c[0][4].values()]))
     return [row for c in cells for row in _scored(c, {k: next(regrets) for k in c[0][4]})]
 
 
@@ -542,8 +536,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_seed, cfg.seeds, itertools.repeat(cfg)))
     else:
-        regrets: dict = {}
-        chunks = [run_seed(seed, cfg, regrets) for seed in cfg.seeds]
+        memo: dict = {}
+        chunks = [run_seed(seed, cfg, memo) for seed in cfg.seeds]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     if not record_runtime:

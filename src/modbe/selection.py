@@ -18,6 +18,7 @@ from .funcclass import FunctionClass, NestedSequence, QFunction
 
 ZETA_CONSTANT = 96.0
 ALPHA_CONSTANT = 200.0
+SCHEDULES = ("theoretical", "practical")    # the two Tol modes of ToleranceSchedule
 
 
 class SelectionError(ValueError):
@@ -54,7 +55,7 @@ class ToleranceSchedule:
     zeta_value: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        if self.mode not in ("theoretical", "practical"):
+        if self.mode not in SCHEDULES:
             raise SelectionError(f"unknown schedule mode {self.mode!r}")
         if self.mode == "theoretical":
             if self.omega is None:

@@ -12,7 +12,7 @@ from modbe import (AbstractionClass, FiniteClass, LinearClass, NestedSequence,
                    generate_from_mu, make_fqi, modbe)
 from modbe.basealg import fqi, fqi_oracle, omega_fqi
 from modbe.evaluation import (ExperimentConfig, chain_classes, chain_mdp, run_experiment,
-                              run_rl_cell, run_seed, uniform_mu, write_results_csv)
+                              run_seed, uniform_mu, write_results_csv)
 from modbe.mdp import (concentrability, greedy_policy_from_tables, max_reach,
                        optimal_q, perf_diff_bound, policy_value, regret)
 from modbe.selection import ToleranceSchedule, zeta
@@ -112,8 +112,8 @@ def test_criterion_5_oracle_inequality(capsys):
     for n in (100, 1000, 10_000):
         regrets: dict[str, list] = {}
         for seed in range(20):
-            for _n, _s, method, _k, reg, _ms in run_rl_cell(
-                    n, seed, ["modbe", "fixed"], "practical", 0.1):
+            cfg = ExperimentConfig("chain", [n], [seed], ["modbe", "fixed"])
+            for _n, _s, method, _k, reg, _ms in run_seed(seed, cfg):
                 regrets.setdefault(method, []).append(reg)
         modbe_mean = float(np.mean(regrets["modbe"]))
         best_fixed = min(float(np.mean(v)) for m, v in regrets.items()
@@ -150,8 +150,8 @@ def test_criterion_7_holdout_failure_mode(capsys):
     holdout_picks_biased = 0
     modbe_picks_biased = 0
     for seed in range(20):
-        for _n, _s, method, k, _reg, _ms in run_rl_cell(
-                2000, seed, ["modbe", "holdout"], "practical", 0.1, "holdout_bias"):
+        cfg = ExperimentConfig("holdout_bias", [2000], [seed], ["modbe", "holdout"])
+        for _n, _s, method, k, _reg, _ms in run_seed(seed, cfg):
             if method == "holdout" and k == 1:
                 holdout_picks_biased += 1
             if method == "modbe" and k == 1:

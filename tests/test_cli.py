@@ -355,10 +355,15 @@ class TestBench:
         ("output = {tmp}/\n", "does not name a file"),
         ("output = {tmp}/a\0b.csv\n", "--config: output '{tmp}/a\\x00b.csv' holds a NUL byte"),
         ("output = {tmp}/" + "x" * 300 + ".csv\n", "File name too long"),
+        ("output = {tmp}/" + "x" * 300 + "/x.csv\n",
+         "--config: output directory '{tmp}/" + "x" * 300 + "': File name too long"),
+        ("output = {tmp}/bench.cfg/x.csv\n",
+         "--config: output directory '{tmp}/bench.cfg': Not a directory"),
         ("n_list = 40, 99999999999999999999\n", "n values must lie in"),
         ("n_list = 100, 100\n", "n values must be distinct")],
         ids=["negative-seed", "empty-output", "output-is-directory", "output-ends-in-slash",
-             "output-nul-byte", "output-name-too-long", "n-beyond-bound", "repeated-n"])
+             "output-nul-byte", "output-name-too-long", "output-dir-name-too-long",
+             "output-dir-is-a-file", "n-beyond-bound", "repeated-n"])
     def test_bad_seeds_or_output_rejected_before_any_cell(self, tmp_path, capsys,
                                                           monkeypatch, lines, message):
         monkeypatch.setattr(ev, "run_rl_cell", _no_cell)
@@ -649,10 +654,14 @@ class TestUsage:
     @pytest.mark.parametrize("command, flag", [
         ("gen-data", "--out"), ("run-fqi", "--out"), ("run-modbe", "--trace")])
     @pytest.mark.parametrize("target, message", [
-        ("missing/dir/file.txt", "output directory"), ("", "does not name a file"),
-        (".", "does not name a file"), ("sub/", "does not name a file"),
-        ("a\0b.txt", "holds a NUL byte"), ("x" * 300 + ".txt", "File name too long")],
-        ids=["missing-dir", "empty", "directory", "trailing-slash", "nul-byte", "name-too-long"])
+        ("missing/dir/file.txt", "output directory {dir} does not exist"),
+        ("", "does not name a file"), (".", "does not name a file"),
+        ("sub/", "does not name a file"), ("a\0b.txt", "holds a NUL byte"),
+        ("x" * 300 + ".txt", "File name too long"),
+        ("x" * 300 + "/file.txt", "output directory {dir}: File name too long"),
+        ("chain.mdp/file.txt", "output directory {dir}: Not a directory")],
+        ids=["missing-dir", "empty", "directory", "trailing-slash", "nul-byte", "name-too-long",
+             "dir-name-too-long", "dir-is-a-file"])
     def test_output_path_rejected_before_any_work(self, chain_data, tmp_path, capsys,
                                                   monkeypatch, command, flag, target, message):
         for name in ("cmd_gen_data", "cmd_run_fqi", "cmd_run_modbe"):
@@ -664,6 +673,7 @@ class TestUsage:
         path = str(tmp_path / target) if target else ""
         assert cli.main([command, *inputs, flag, path]) == 1
         err = capsys.readouterr().err
+        message = message.format(dir=repr(os.path.dirname(path)))
         assert f"argument {flag}: output " in err and message in err
 
     @pytest.mark.parametrize("argv, flag", [

@@ -9,7 +9,7 @@ from modbe import (AbstractionClass, FiniteClass, NestedSequence, TabularMDP,
                    generate_from_mu, greedy_policy, make_fqi, modbe, regret, split_dataset)
 from modbe import basealg, evaluation, selection
 from modbe.basealg import fqi
-from modbe.dataset import MAX_SAMPLES
+from modbe.dataset import MAX_SAMPLES, stream
 from modbe.basealg import fqi_oracle
 from modbe.mdp import squared_bellman_errors
 from modbe.selection import validation_losses
@@ -19,10 +19,15 @@ from modbe.evaluation import (CB_DIMS, CB_EVAL_CHUNK, CB_EVAL_CONTEXTS, CB_MAX_C
                               chain_classes, chain_mdp, diagnose, global_xi,
                               holdout_bias_instance, holdout_select, oracle_select,
                               parse_config,
-                              run_experiment, run_rl_cell, run_seed, summarize,
+                              run_experiment, run_seed, summarize,
                               uniform_mu, write_results_csv)
 
 from conftest import never_overshoot_instance, random_mdp
+
+
+def one_cell(n, seed, methods, instance="chain"):
+    """The scored rows of one (n, seed) cell: run_seed on a one-cell config."""
+    return run_seed(seed, ExperimentConfig(instance, [n], [seed], methods))
 
 
 def one_state_two_action(r1=1.0, r2=0.0, H=1):
@@ -203,7 +208,7 @@ class TestCBInstance:
 
 
 def eval_rng(seed):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 1))))
+    return stream(seed, 1)
 
 
 class TestCBEvaluationStream:
@@ -387,7 +392,7 @@ class TestFitAndScoreOnlyWhatRowsRead:
         counts = {"fits": 0, "scores": 0}
         self._counted(monkeypatch, basealg, "fqi", counts, "fits")
         self._counted(monkeypatch, evaluation, "regret", counts, "scores")
-        rows = run_rl_cell(1000, 1, methods, "practical", 0.1)
+        rows = one_cell(1000, 1, methods)
         assert counts == {"fits": rows[0][3] if fits == "k_hat" else fits, "scores": scores}
 
     @pytest.mark.parametrize("methods, fits, scores", [
@@ -403,15 +408,13 @@ class TestFitAndScoreOnlyWhatRowsRead:
 
     def test_rows_do_not_depend_on_the_other_methods(self):
         methods = ["modbe", "holdout", "oracle", "fixed-1", "fixed-3"]
-        both = run_rl_cell(1000, 1, methods, "practical", 0.1)
-        alone = [row for m in methods for row in run_rl_cell(1000, 1, [m], "practical", 0.1)]
+        both = one_cell(1000, 1, methods)
+        alone = [row for m in methods for row in one_cell(1000, 1, [m])]
         assert [r[:5] for r in alone] == [r[:5] for r in both]
         cfg = ExperimentConfig("cb", [200], [0], ["modbe", "holdout", "oracle", "fixed-1",
                                                  "fixed-6"])
         both = run_seed(0, cfg)
-        alone = []
-        for m in cfg.methods:
-            alone += run_seed(0, ExperimentConfig("cb", [200], [0], [m]))
+        alone = [row for m in cfg.methods for row in one_cell(200, 0, [m], "cb")]
         assert [r[:5] for r in alone] == [r[:5] for r in both]
 
 
@@ -439,10 +442,9 @@ class TestComputeOnce:
         rows, policies = [], []
         for seed in cfg.seeds:
             for n in cfg.n_list:
-                methods = evaluation._expand_methods(cfg.methods, len(classes))
                 dataset = generate_from_mu(mdp, mu, n, seed)
                 cell = evaluation._method_rows(
-                    n, seed, methods, dataset, base, classes,
+                    n, seed, cfg.methods, dataset, base, classes,
                     lambda: modbe(dataset, base, classes, cfg.delta, cfg.schedule, seed))
                 greedy = {k: greedy_policy(fseq.funcs) for k, fseq in cell[0][4].items()}
                 policies += [pol.probs.tobytes() for pol in greedy.values()]
@@ -463,6 +465,20 @@ class TestComputeOnce:
         assert calls == {"greedy_policy": len(distinct), "regret": len(distinct)}
         assert [r[:5] for r in rows] == expected
 
+    def test_chain_sweep_expands_methods_at_construction_and_recheck(self, monkeypatch):
+        calls = {"_expand_methods": 0}
+        self._spy(monkeypatch, evaluation, "_expand_methods", calls)
+        cfg = parse_config(str(self.CHAIN_CFG))
+        run_experiment(cfg, jobs=1, record_runtime=False)
+        assert calls == {"_expand_methods": 2}
+
+    def test_config_holds_the_expanded_methods(self):
+        cfg = ExperimentConfig("chain", [100], [0], ["modbe", "fixed", "oracle"])
+        assert cfg.methods == ["modbe", "fixed-1", "fixed-2", "fixed-3", "oracle"]
+        assert ExperimentConfig("chain", [100], [0], ["fixed-03"]).methods == ["fixed-3"]
+        cb = ExperimentConfig("cb", [200], [0], ["holdout", "fixed"])
+        assert cb.methods == ["holdout", *(f"fixed-{k}" for k in range(1, len(CB_DIMS) + 1))]
+
     def test_back_to_back_sweeps_each_score(self, monkeypatch):
         calls = {"greedy_policy": 0, "regret": 0}
         self._spy(monkeypatch, evaluation, "greedy_policy", calls)
@@ -475,10 +491,11 @@ class TestComputeOnce:
         assert calls == {name: 2 * count for name, count in once.items()}
 
     def test_direct_cell_calls_each_score(self, monkeypatch):
+        # a run_seed call without a memo starts an empty one
         calls = {"regret": 0}
         self._spy(monkeypatch, evaluation, "regret", calls)
-        run_rl_cell(1000, 1, ["fixed-3"], "practical", 0.1)
-        run_rl_cell(1000, 1, ["fixed-3"], "practical", 0.1)
+        one_cell(1000, 1, ["fixed-3"])
+        one_cell(1000, 1, ["fixed-3"])
         assert calls == {"regret": 2}
 
     @pytest.mark.parametrize("seed", range(20))
@@ -499,7 +516,8 @@ class TestComputeOnce:
             traces.append(selection.modbe_discounted(*args, **kwargs))
             return traces[-1]
         monkeypatch.setattr(evaluation, "modbe_discounted", kept)
-        evaluation.run_cb_cell(500, 0, ["modbe"], CBInstance(), 0.1, "practical")
+        cfg = ExperimentConfig("cb", [500], [0], ["modbe"])
+        evaluation.run_cb_cell(500, 0, cfg, CBInstance())
         (trace,) = traces
         losses = trace.valid_losses
         assert set(losses) == {e.k for e in trace.events} and len(losses) > 1
@@ -516,11 +534,11 @@ class TestComputeOnce:
             return traces[-1]
         monkeypatch.setattr(evaluation, "modbe", kept)
         self._spy(monkeypatch, evaluation, "validation_losses", calls)
-        rows = run_rl_cell(n, seed, ["modbe", "holdout"], "practical", 0.1)
+        rows = one_cell(n, seed, ["modbe", "holdout"])
         (trace,) = traces
         assert len(trace.valid_losses) == tested
         assert calls["validation_losses"] == 3 - tested
-        assert rows[1][:5] == run_rl_cell(n, seed, ["holdout"], "practical", 0.1)[0][:5]
+        assert rows[1][:5] == one_cell(n, seed, ["holdout"])[0][:5]
 
 
 class TestExperimentPlumbing:
@@ -582,10 +600,10 @@ class TestExperimentPlumbing:
             run_experiment(ExperimentConfig("chain", [100], [0], methods))
 
     def test_fixed_index_written_in_plain_digits(self):
-        rows = run_rl_cell(100, 0, ["fixed-03", "fixed-\u0661"], "practical", 0.1)
+        rows = one_cell(100, 0, ["fixed-03", "fixed-\u0661"])
         assert [r[2:4] for r in rows] == [("fixed-3", 3), ("fixed-1", 1)]
         with pytest.raises(EvalError, match="class index outside"):
-            run_rl_cell(100, 0, ["fixed-\u00b2"], "practical", 0.1)
+            one_cell(100, 0, ["fixed-\u00b2"])
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -683,8 +701,7 @@ class TestExperimentPlumbing:
         assert "modbe" in text and "0.60000" in text
 
     def test_rl_cell_methods(self):
-        rows = run_rl_cell(100, 0, ["modbe", "holdout", "oracle", "fixed"],
-                           "practical", 0.1)
+        rows = one_cell(100, 0, ["modbe", "holdout", "oracle", "fixed"])
         methods = [r[2] for r in rows]
         assert methods == ["modbe", "holdout", "oracle", "fixed-1", "fixed-2", "fixed-3"]
 
@@ -708,14 +725,14 @@ class TestExperimentPlumbing:
         monkeypatch.setattr(evaluation, "split_dataset", counted("split", evaluation.split_dataset))
         monkeypatch.setattr(evaluation, "regret", counted("regret", evaluation.regret))
         monkeypatch.setattr(basealg, "fqi", counted_fqi)
-        rows = run_rl_cell(100, 0, ["modbe", "holdout", "oracle", "fixed"], "practical", 0.1)
+        rows = one_cell(100, 0, ["modbe", "holdout", "oracle", "fixed"])
         assert len(rows) == 6
         assert calls == {"split": 1, "regret": 3}
         assert len(fitted) == len({id(c) for c in fitted}) == 3
 
     def test_empty_method_list_rejected(self):
         with pytest.raises(EvalError, match="no methods"):
-            run_rl_cell(100, 0, [], "practical", 0.1)
+            one_cell(100, 0, [])
 
     @staticmethod
     def _no_cell(monkeypatch):

@@ -55,13 +55,17 @@ MUTANTS = (
      "return len(scores) - int(np.argmin(scores[::-1])), scores"),
     ("a (k, k') pair decides on its last step only",
      "rejected = rejected or rej", "rejected = rej"),
-    ("a config's methods go unchecked until its cells run",
-     "_expand_methods(self.methods, len(classes))", "len(classes)"),
+    ("a config checks its methods but keeps them unexpanded",
+     "self.methods = _expand_methods(self.methods, len(classes))",
+     "_expand_methods(self.methods, len(classes))"),
     ("linear feature prefixes may shrink",
      "if self.dim > larger.dim:", "if self.dim < larger.dim:"),
     ("a sweep's regrets keyed on step 1's greedy table only",
      "key = np.stack([f.clipped for f in fseq.funcs]).argmax(axis=2).tobytes()",
      "key = fseq.funcs[0].clipped.argmax(axis=1).tobytes()"),
+    ("the shared regret memo never stores a regret",
+     "memo[key] = regret(mdp, greedy_policy(fseq.funcs))",
+     "memo = {key: regret(mdp, greedy_policy(fseq.funcs))}"),
     ("hold-out reads ModBE's loss_g in place of loss_f",
      "losses.setdefault(e.k, []).append(e.loss_f)", "losses.setdefault(e.k, []).append(e.loss_g)"),
     # str(float) is repr(float), so the mutant a float line can fail by is a lossy format
