@@ -7,7 +7,7 @@ and baselines for validating selection behavior at desk scale.
 """
 
 from .basealg import (BaseAlgorithm, QSequence, fitted_q_discounted, fqi, fqi_oracle,
-                      make_discounted, make_fqi, omega_fqi)
+                      make_fqi, omega_fqi)
 from .dataset import (DataSplit, OfflineDataset, StepData, generate_from_behavior,
                       generate_from_mu, load_dataset_csv, save_dataset_csv, split_dataset)
 from .funcclass import (AbstractionClass, FiniteClass, FunctionClass, LinearClass,

@@ -65,23 +65,29 @@ class BaseAlgorithm:
     omega: Callable[[int, float, FunctionClass], float]
 
 
+def fitted_q_discounted(data: StepData, fclass: FunctionClass) -> QFunction:
+    """FQI's last step, all of FQI at H = 1: the class's regression onto the
+    rewards. perfbench's tracer wraps it by this name and counts its calls."""
+    if len(data) == 0:
+        raise BaseAlgError("empty dataset")
+    return fclass.erm(data.x, data.a, data.r)
+
+
 def fqi(train_steps: Sequence[StepData], fclass: FunctionClass) -> QSequence:
     """Single-pass backward Fitted Q-Iteration.
 
-    Targets at step h are r + f_{h+1}(x') with the next-step values clipped by
-    the class's clip bound; f_h only ever sees data slot h.
+    Step H regresses onto the rewards (fitted_q_discounted); every earlier
+    step h onto r + f_{h+1}(x') with the next-step values clipped by the
+    class's clip bound. f_h only ever sees data slot h.
     """
     H = len(train_steps)
     if H == 0 or any(len(s) == 0 for s in train_steps):
         raise BaseAlgError("FQI requires a nonempty slot for every step")
     funcs: list[QFunction] = [None] * H
-    for h in range(H, 0, -1):
+    funcs[H - 1] = fitted_q_discounted(train_steps[H - 1], fclass)
+    for h in range(H - 1, 0, -1):
         step = train_steps[h - 1]
-        if h < H:
-            next_vals = funcs[h].max_values(step.x_next)
-        else:
-            next_vals = np.zeros(len(step))
-        funcs[h - 1] = fclass.erm(step.x, step.a, step.r + next_vals)
+        funcs[h - 1] = fclass.erm(step.x, step.a, step.r + funcs[h].max_values(step.x_next))
     return QSequence(tuple(funcs))
 
 
@@ -119,19 +125,3 @@ def fqi_oracle(mdp: TabularMDP, mu: np.ndarray, fclass: FunctionClass) -> QSeque
         funcs[h - 1] = fclass.population_erm(mu[h - 1], target)
         next_table = funcs[h - 1].clipped
     return QSequence(tuple(funcs))
-
-
-def fitted_q_discounted(data: StepData, fclass: FunctionClass) -> QFunction:
-    """FQI on one flat transition list at horizon H = 1: the class's
-    regression onto the rewards."""
-    if len(data) == 0:
-        raise BaseAlgError("empty dataset")
-    return fclass.erm(data.x, data.a, data.r)
-
-
-def make_discounted() -> BaseAlgorithm:
-    """The one-step (H = 1) base learner on the single slot of a flat dataset;
-    omega is FQI's at horizon 1."""
-    def fit(train_steps, fclass):
-        return QSequence((fitted_q_discounted(train_steps[0], fclass),))
-    return BaseAlgorithm(fit=fit, omega=lambda n, delta, fclass: omega_fqi(n, delta, fclass, 1))

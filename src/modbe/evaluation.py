@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basealg import BaseAlgorithm, QSequence, check_delta, make_discounted, make_fqi
+from .basealg import BaseAlgorithm, QSequence, check_delta, make_fqi
 from .dataset import (MAX_SAMPLES, MIN_SAMPLES, OfflineDataset, StepData, generate_from_mu,
                       split_dataset, stream)
 from .funcclass import AbstractionClass, FunctionClass, LinearClass, NestedSequence, greedy_policy
@@ -278,6 +278,8 @@ class ExperimentConfig:
     output: str = "results.csv"
 
     def __post_init__(self):
+        if not (self.n_list and self.seeds):
+            raise EvalError(f"{'seeds' if self.n_list else 'n_list'} must not be empty")
         if any(not MIN_SAMPLES <= n <= MAX_SAMPLES for n in self.n_list):
             raise EvalError(f"all n values must lie in [{MIN_SAMPLES}, {MAX_SAMPLES}]")
         if len(set(self.n_list)) != len(self.n_list):
@@ -287,7 +289,7 @@ class ExperimentConfig:
         if self.schedule not in SCHEDULES:
             raise EvalError(f"schedule must be practical or theoretical, got {self.schedule!r}")
         check_delta(self.delta, EvalError)
-        largest = max(self.n_list, default=0)
+        largest = max(self.n_list)
         if self.instance == "cb" and largest > CB_MAX_CONTEXTS:
             per = CBInstance.num_actions * CBInstance.ambient_dim * 8   # float64 bytes a context
             raise EvalError(f"cb n = {largest} needs a {largest * per}-byte feature buffer; "
@@ -370,18 +372,14 @@ def _expand_methods(methods: Sequence[str], num_classes: int) -> list[str]:
 
 def _method_rows(n: int, seed: int, methods: Sequence[str], dataset: OfflineDataset,
                  base: BaseAlgorithm, classes: NestedSequence,
-                 select: Callable[[], SelectionTrace],
-                 keep: Callable[[QSequence], object] = lambda fseq: fseq) -> list[tuple]:
+                 select: Callable[[], SelectionTrace]) -> list[tuple]:
     """One row (n, seed, method, k, fits, runtime_ms) per expanded method, for
     _scored to fill in: fits maps each class a row reads (every class when
-    oracle runs, whose k stays None) to keep(its fit). ModBE (select()) runs
+    oracle runs, whose k stays None) to its QSequence. ModBE (select()) runs
     first when requested; the baselines reuse its split and fits, and base fits
     only the other classes a pick reads: every class for holdout and oracle.
     Holdout also reuses the validation losses of the classes ModBE tested.
     runtime_ms times a method's own choice (all of select() for modbe).
-    A CB cell must keep only (dim, weights): its features live in the seed's
-    buffer, which the next cell's draw overwrites, and a kept LinearQ would
-    read them through its feature_fn.
     """
     if "modbe" in methods:
         t0 = time.perf_counter()
@@ -411,7 +409,7 @@ def _method_rows(n: int, seed: int, methods: Sequence[str], dataset: OfflineData
         ms = modbe_ms if method == "modbe" else (time.perf_counter() - t0) * 1000.0
         rows.append((n, seed, method, k, ms))
     read = every if "oracle" in methods else sorted({row[3] for row in rows})
-    kept = {k: keep(fits[k]) for k in read}
+    kept = {k: fits[k] for k in read}
     return [(n, seed, method, k, kept, ms) for n, seed, method, k, ms in rows]
 
 
@@ -465,18 +463,19 @@ def _score_chunk(instance: CBInstance, rng: np.random.Generator,
     return means.max(axis=1), means[np.arange(CB_EVAL_CHUNK), actions]
 
 
-def cb_policy_regrets(instance: CBInstance, seed: int, fits: Sequence[tuple]) -> list[float]:
-    """Policy regret of each (dim, weights) in fits on a seed's evaluation set,
-    drawn CB_EVAL_CHUNK contexts at a time from the stream (seed, 1) for any n.
+def cb_policy_regrets(instance: CBInstance, seed: int, weights: Sequence) -> list[float]:
+    """Policy regret of each fit's weights (a vector as long as its class's dim)
+    on a seed's evaluation set, drawn CB_EVAL_CHUNK contexts at a time from
+    the stream (seed, 1) for any n.
 
     One product per chunk scores every fit: the weights sit zero-padded in
-    the rows of one (len(fits), ambient_dim) matrix. Its scores may differ
-    from the per-fit products feats[:, :, :dim] @ weights in the last bits,
-    but the chosen actions, and so the regrets, are theirs."""
+    the rows of one (len(weights), ambient_dim) matrix. Its scores may differ
+    from the per-fit products feats[:, :, :len(w)] @ w in the last bits, but
+    the chosen actions, and so the regrets, are theirs."""
     rng = stream(seed, 1)
-    stacked = np.zeros((len(fits), instance.ambient_dim))
-    for row, (dim, weights) in zip(stacked, fits):
-        row[:dim] = weights
+    stacked = np.zeros((len(weights), instance.ambient_dim))
+    for row, w in zip(stacked, weights):
+        row[:len(w)] = w
     best, picked = zip(*(_score_chunk(instance, rng, stacked)
                          for _ in range(CB_EVAL_CONTEXTS // CB_EVAL_CHUNK)))
     best_mean = np.concatenate(best).mean()
@@ -485,7 +484,9 @@ def cb_policy_regrets(instance: CBInstance, seed: int, fits: Sequence[tuple]) ->
 
 
 def run_cb_cell(n: int, seed: int, cfg: ExperimentConfig, instance: CBInstance) -> list[tuple]:
-    """One (n, seed) cell of the contextual bandit; its rows keep (dim, weights) fits."""
+    """One (n, seed) cell of the contextual bandit; its rows keep their fits. A
+    kept fit's features live in the seed's buffer, which the next draw overwrites;
+    after that draw only the scorer reads the fit, and only its weights."""
     rng = stream(seed, 0, n)
     feats = instance.sample_features(n, rng)
     means = instance.mean_rewards(feats)
@@ -493,9 +494,8 @@ def run_cb_cell(n: int, seed: int, cfg: ExperimentConfig, instance: CBInstance) 
     rewards = means[np.arange(n), actions] + instance.noise_std * rng.standard_normal(n)
     data = StepData(np.arange(n), actions, rewards, np.zeros(n, dtype=int))
     classes = instance.classes(feats)
-    return _method_rows(n, seed, cfg.methods, OfflineDataset((data,)), make_discounted(), classes,
-                        lambda: modbe_discounted(data, classes, cfg.delta, cfg.schedule, seed),
-                        lambda fseq: (fseq.func(1).dim, fseq.func(1).weights))
+    return _method_rows(n, seed, cfg.methods, OfflineDataset((data,)), make_fqi(1), classes,
+                        lambda: modbe_discounted(data, classes, cfg.delta, cfg.schedule, seed))
 
 
 def run_seed(seed: int, cfg: ExperimentConfig, memo: dict | None = None) -> list[tuple]:
@@ -506,7 +506,8 @@ def run_seed(seed: int, cfg: ExperimentConfig, memo: dict | None = None) -> list
     training tensor or evaluation chunk, fills the same buffer."""
     if cfg.instance == "cb":
         instance = CBInstance(max(max(cfg.n_list), CB_EVAL_CHUNK))
-        cell, score = run_cb_cell, functools.partial(cb_policy_regrets, instance, seed)
+        cell, score = run_cb_cell, lambda fits: cb_policy_regrets(
+            instance, seed, [f.func(1).weights for f in fits])
     else:
         instance = _tabular_instance(cfg.instance)
         memo = {} if memo is None else memo

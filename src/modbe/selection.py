@@ -2,8 +2,8 @@
 # test on shared regression targets: train/validation split, per-(k, k', h)
 # retraining, tolerance schedule (theoretical constants or the practical
 # complexity/n rule), and full trace recording. One elimination loop serves
-# modbe at any horizon and modbe_discounted, its H = 1 form on a flat
-# transition list that the contextual-bandit sweep runs.
+# modbe at any horizon and modbe_discounted, modbe with FQI at H = 1 on a flat
+# transition list, which the contextual-bandit sweep runs.
 from __future__ import annotations
 
 import math
@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basealg import BaseAlgorithm, QSequence, check_delta, make_discounted
+from .basealg import BaseAlgorithm, QSequence, check_delta, make_fqi
 from .dataset import DataSplit, OfflineDataset, StepData, split_dataset
 from .funcclass import FunctionClass, NestedSequence, QFunction
 
@@ -216,9 +216,8 @@ def modbe(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequence,
     return _eliminate(dataset, base, classes, delta, schedule, seed)
 
 
-def modbe_discounted(data: StepData, classes: NestedSequence, delta: float = 0.1,
-                     schedule: str = "practical", seed: int = 0) -> SelectionTrace:
-    """modbe at horizon H = 1 on a flat transition list, the contextual-bandit
-    case: the base learner is make_discounted(), every class regresses onto
-    the rewards, and the schedule's horizon is 1."""
-    return _eliminate(OfflineDataset((data,)), make_discounted(), classes, delta, schedule, seed)
+def modbe_discounted(data: StepData, classes: NestedSequence, delta: float,
+                     schedule: str = "theoretical", seed: int = 0) -> SelectionTrace:
+    """modbe with make_fqi(1) on a flat transition list, the contextual-bandit
+    case. It runs _eliminate itself, so that a trace counts it once, not twice."""
+    return _eliminate(OfflineDataset((data,)), make_fqi(1), classes, delta, schedule, seed)

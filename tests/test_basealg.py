@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from modbe import (AbstractionClass, FiniteClass, LinearClass, TabularMDP, fitted_q_discounted,
-                   fqi, fqi_oracle, generate_from_mu, make_discounted, make_fqi, omega_fqi,
+                   fqi, fqi_oracle, generate_from_mu, make_fqi, omega_fqi,
                    optimal_q)
+from modbe import basealg
 from modbe.basealg import DELTA_MAX, BaseAlgError
 from modbe.dataset import StepData
 from modbe.evaluation import chain_classes, chain_mdp, uniform_mu
@@ -179,18 +180,26 @@ class TestDiscounted:
         f = fitted_q_discounted(data, cls)
         assert np.all(f.values([0, 1], [0, 0]) == 0.0)
 
-    def test_make_discounted_is_one_step_fqi(self, rng):
-        data = StepData(rng.integers(0, 3, 50), rng.integers(0, 2, 50),
-                        rng.random(50), rng.integers(0, 3, 50))
+    def test_fqi_fits_its_last_step_with_fitted_q_discounted(self, monkeypatch):
+        # one call per fit, on the last slot: f_H is the regression onto its rewards
+        mdp, classes = chain_mdp(), chain_classes()
+        steps = generate_from_mu(mdp, uniform_mu(mdp), 400, seed=0).steps
+        calls = []
+
+        def recording(data, fclass):
+            calls.append((data, fclass))
+            return fitted_q_discounted(data, fclass)
+        monkeypatch.setattr(basealg, "fitted_q_discounted", recording)
+        xs, as_ = np.divmod(np.arange(8), 2)
+        for k in (1, 2, 3):
+            f = fqi(steps, classes[k]).func(4)
+            assert calls[-1][0] is steps[3] and calls[-1][1] is classes[k]
+            assert np.array_equal(f.values(xs, as_), classes[k].erm(
+                steps[3].x, steps[3].a, steps[3].r).values(xs, as_))
+        assert len(calls) == 3
+        # make_fqi(1)'s omega: 200 (complexity + ln(16 / delta)) / n
         cls = tabular_class(3, 2, clip=None)
-        base = make_discounted()
-        fseq = base.fit((data,), cls)
-        f = fqi((data,), cls)
-        xs, as_ = np.divmod(np.arange(6), 2)
-        assert fseq.horizon == f.horizon == 1
-        assert np.array_equal(fseq.func(1).values(xs, as_), f.func(1).values(xs, as_))
-        # omega is FQI's at horizon 1: 200 (complexity + ln(16 / delta)) / n
-        assert base.omega(40, 0.01, cls) == make_fqi(1).omega(40, 0.01, cls) == \
+        assert make_fqi(1).omega(40, 0.01, cls) == \
             200.0 * (cls.complexity + math.log(16.0 / 0.01)) / 40
 
 

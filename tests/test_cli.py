@@ -194,6 +194,34 @@ class TestRunHoldout:
         assert capsys.readouterr().out == plain_out
 
 
+class TestNegativeZeroRewards:
+    """FQI's last step regresses onto the rewards as loaded, so a reward
+    written -0.0 reaches its ERM as -0.0; the outputs stay those of 0.0."""
+
+    def test_q_tables_and_traces_equal_those_of_positive_zero(self, chain_data, tmp_path):
+        _, cls_path, data_path = chain_data
+        head, body = Path(data_path).read_text().split("h,x,a,r,x_next\n")
+        rows = [row.split(",") for row in body.splitlines()]
+        signed = tmp_path / "signed.csv"
+        signed.write_text(head + "h,x,a,r,x_next\n" + "".join(
+            ",".join(f[:3] + ["-0.0" if float(f[3]) == 0.0 else f[3]] + f[4:]) + "\n"
+            for f in rows))
+        rewards = np.concatenate([s.r for s in load_dataset_csv(str(signed)).steps])
+        assert np.signbit(rewards).any()        # the loader keeps the sign
+        outputs = {}
+        for data in (data_path, str(signed)):
+            files = []
+            for argv in ([["run-fqi", "--k", str(k), "--out"] for k in (1, 2, 3)]
+                         + [["run-modbe", "--schedule", s, "--trace"]
+                            for s in ("practical", "theoretical")]):
+                out = tmp_path / "out.txt"
+                assert cli.main([argv[0], "--data", data, "--classes", cls_path,
+                                 *argv[1:], str(out)]) == 0
+                files.append(out.read_bytes())
+            outputs[data] = files
+        assert outputs[str(signed)] == outputs[data_path]
+
+
 class TestDiagnose:
     def test_chain_report(self, chain_files, capsys):
         mdp_path, cls_path = chain_files

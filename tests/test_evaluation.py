@@ -226,14 +226,15 @@ class TestCBEvaluationStream:
     def test_streamed_regrets_match_whole_set(self):
         inst = CBInstance()
         draw = np.random.default_rng(5)
-        fits = [(d, w) for d in (15, 30, 200)
+        fits = [w for d in (15, 30, 200)
                 for w in (inst.theta[:d].copy(), draw.standard_normal(d))]
         feats = inst.sample_features(CB_EVAL_CONTEXTS, eval_rng(2))
         means = inst.mean_rewards(feats)
         best_mean = means.max(axis=1).mean()
         expected = []
-        for d, w in fits:
-            chosen = means[np.arange(CB_EVAL_CONTEXTS), (feats[:, :, :d] @ w).argmax(axis=1)]
+        for w in fits:
+            chosen = means[np.arange(CB_EVAL_CONTEXTS),
+                           (feats[:, :, :len(w)] @ w).argmax(axis=1)]
             expected.append(float(best_mean - chosen.mean()))
         del feats, means
         assert cb_policy_regrets(inst, 2, fits) == expected
@@ -258,18 +259,19 @@ class TestCBEvaluationStream:
         means = inst.mean_rewards(feats)
         best_mean = means.max(axis=1).mean()
         contexts = np.arange(CB_EVAL_CONTEXTS)
-        return [float(best_mean - means[contexts, (feats[:, :, :d] @ w).argmax(axis=1)].mean())
-                for d, w in fits]
+        return [float(best_mean
+                      - means[contexts, (feats[:, :, :len(w)] @ w).argmax(axis=1)].mean())
+                for w in fits]
 
     @pytest.mark.parametrize("case", ["every-dim", "single", "identical-pair", "all-zero"])
     def test_stacked_scoring_matches_per_fit_products(self, case):
         inst = CBInstance()
         draw = np.random.default_rng(11)
         fits = {
-            "every-dim": [(d, draw.standard_normal(d)) for d in CB_DIMS],
-            "single": [(28, draw.standard_normal(28))],
-            "identical-pair": [(29, w) for w in [draw.standard_normal(29)] * 2],
-            "all-zero": [(200, np.zeros(200)), (15, np.zeros(15))],
+            "every-dim": [draw.standard_normal(d) for d in CB_DIMS],
+            "single": [draw.standard_normal(28)],
+            "identical-pair": [draw.standard_normal(29)] * 2,
+            "all-zero": [np.zeros(200), np.zeros(15)],
         }[case]
         expected = self.per_fit_regrets(inst, 4, fits)
         assert cb_policy_regrets(inst, 4, fits) == expected
@@ -283,7 +285,7 @@ class TestCBEvaluationStream:
     def test_one_chunk_live_at_a_time(self):
         # the next chunk is drawn only after the last one is released
         inst = CBInstance()
-        fits = [(d, np.ones(d)) for d in (15, 30, 200)]
+        fits = [np.ones(d) for d in (15, 30, 200)]
         chunk_bytes = CB_EVAL_CHUNK * inst.num_actions * inst.ambient_dim * 8
         tracemalloc.start()
         try:
@@ -360,7 +362,7 @@ class TestCBFeatureBuffer:
     def test_buffered_scoring_allocates_far_less_than_one_chunk(self):
         # counterpart of test_one_chunk_live_at_a_time: the chunks reuse the buffer
         inst = CBInstance(CB_EVAL_CHUNK)
-        fits = [(d, np.ones(d)) for d in (15, 30, 200)]
+        fits = [np.ones(d) for d in (15, 30, 200)]
         chunk_bytes = CB_EVAL_CHUNK * inst.num_actions * inst.ambient_dim * 8
         tracemalloc.start()
         try:
@@ -405,6 +407,15 @@ class TestFitAndScoreOnlyWhatRowsRead:
                       lambda _inst, _seed, kept: len(kept))
         rows = run_seed(0, ExperimentConfig("cb", [500], [0], methods))
         assert counts == {"fits": rows[0][3] if fits == "k_hat" else fits, "scores": scores}
+
+    def test_cb_fits_go_through_fqi(self, monkeypatch):
+        # each base fit, ModBE's and the baselines', is make_fqi(1)'s
+        counts = {"fqi": 0, "fitted_q_discounted": 0}
+        self._counted(monkeypatch, basealg, "fqi", counts, "fqi")
+        self._counted(monkeypatch, basealg, "fitted_q_discounted", counts,
+                      "fitted_q_discounted")
+        run_seed(0, ExperimentConfig("cb", [500], [0], ["modbe", "holdout", "oracle"]))
+        assert counts["fqi"] == counts["fitted_q_discounted"] == len(CB_DIMS)
 
     def test_rows_do_not_depend_on_the_other_methods(self):
         methods = ["modbe", "holdout", "oracle", "fixed-1", "fixed-3"]
@@ -574,6 +585,11 @@ class TestExperimentPlumbing:
         for n in (MAX_SAMPLES + 1, 99999999999999999999):
             with pytest.raises(EvalError, match="n values must lie in"):
                 ExperimentConfig("chain", [100, n], [0], ["modbe"])
+        for instance in ("cb", "chain"):
+            with pytest.raises(EvalError, match="^n_list must not be empty$"):
+                ExperimentConfig(instance, [], [0], ["modbe"])
+        with pytest.raises(EvalError, match="^seeds must not be empty$"):
+            ExperimentConfig("chain", [100], [], ["modbe"])
 
     def test_cb_n_capped_by_feature_buffer(self):
         ExperimentConfig("cb", [200, CB_MAX_CONTEXTS], [0], ["modbe"])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modbe import (AbstractionClass, FiniteClass, NestedSequence, TabularMDP,
-                   generate_from_mu, make_discounted, make_fqi, modbe, modbe_discounted, zeta)
+                   generate_from_mu, make_fqi, modbe, modbe_discounted, zeta)
 from modbe.basealg import fqi
 from modbe.dataset import OfflineDataset, StepData, split_dataset
 from modbe.funcclass import TableQ
@@ -259,7 +259,7 @@ class TestModbeDiscounted:
                         rng.random(100), rng.integers(0, 3, 100))
         cls = AbstractionClass(np.arange(3), 2)
         classes = NestedSequence((cls, AbstractionClass(np.arange(3), 2)))
-        trace = modbe_discounted(data, classes, schedule="practical")
+        trace = modbe_discounted(data, classes, 0.1, schedule="practical")
         assert trace.k_hat == 1
         assert not any(e.reject for e in trace.events)
 
@@ -275,7 +275,7 @@ class TestModbeDiscounted:
             classes = NestedSequence((
                 AbstractionClass(np.zeros(2, dtype=int), 1, clip_high=1.0),
                 AbstractionClass(np.arange(2), 1, clip_high=1.0)))
-            trace = modbe_discounted(data, classes, schedule="practical", seed=seed)
+            trace = modbe_discounted(data, classes, 0.1, schedule="practical", seed=seed)
             hits += trace.k_hat == 2
         assert hits >= 8
 
@@ -304,6 +304,14 @@ class TestModbeDiscounted:
         assert rejections > 0              # the reject path is exercised too
         for n, seed in ((200, 0), (2000, 1)):
             self.assert_matches_modbe(*cb_data(n, seed), seed)
+
+    @pytest.mark.parametrize("n, seed", [(200, 0), (2000, 1)])
+    def test_defaults_are_modbes(self, n, seed):
+        # both on their default schedule and seed: theoretical, 0
+        data, classes = cb_data(n, seed)
+        expected = modbe(OfflineDataset((data,)), make_fqi(1), classes, 0.1).to_text()
+        assert modbe_discounted(data, classes, 0.1).to_text() == expected
+        assert expected.endswith("seed 0\nschedule theoretical\n")
 
     @pytest.mark.parametrize("schedule", ["practical", "theoretical"])
     def test_delta_validated(self, schedule):
@@ -341,7 +349,7 @@ class TestSharedFits:
         data, classes = cb_data(n, seed)
         trace = modbe_discounted(data, classes, 0.1, "practical", seed)
         assert trace.k_hat > 1
-        self.assert_refits_identical(trace, make_discounted(), classes)
+        self.assert_refits_identical(trace, make_fqi(1), classes)
 
 
 class TestTraceSerialization:
@@ -426,7 +434,7 @@ class TestPaperTranscription:
         if cb:
             data, classes = cb_data(n, seed)
             trace = modbe_discounted(data, classes, 0.1, schedule, seed)
-            dataset, base = OfflineDataset((data,)), make_discounted()
+            dataset, base = OfflineDataset((data,)), make_fqi(1)
         else:
             S, A, H = (int(v) for v in rng.integers((2, 1, 1), (7, 4, 5)))
             tables = [np.zeros((S, A))] + [rng.uniform(0.0, H + 1.0, (S, A)) for _ in range(8)]

@@ -76,6 +76,11 @@ MUTANTS = (
      "if not 0.0 < delta <= DELTA_MAX:", "if not 0.0 < delta < DELTA_MAX:"),
     ("a seeded stream reads its key in reverse",
      "np.random.SeedSequence(key)", "np.random.SeedSequence(key[::-1])"),
+    ("FQI fits its last step on slot 1's data",
+     "fitted_q_discounted(train_steps[H - 1], fclass)",
+     "fitted_q_discounted(train_steps[0], fclass)"),
+    ("the CB scorer drops each fit's last weight",
+     "row[:len(w)] = w", "row[:len(w) - 1] = w[:-1]"),
 )
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 # configs bench must reject before any cell runs: (name, key, value)
 BAD_CONFIGS = (("lava", "instance", "lava"), ("bogus_method", "methods", "bogus"),
-               ("fixed_9", "methods", "modbe, fixed-9"))
+               ("fixed_9", "methods", "modbe, fixed-9"), ("empty_n_list", "n_list", ""))
 
 
 def write_inputs(out: Path):
