@@ -219,5 +219,5 @@ def modbe(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequence,
 def modbe_discounted(data: StepData, classes: NestedSequence, delta: float,
                      schedule: str = "theoretical", seed: int = 0) -> SelectionTrace:
     """modbe with make_fqi(1) on a flat transition list, the contextual-bandit
-    case. It runs _eliminate itself, so that a trace counts it once, not twice."""
+    case. It calls _eliminate, not modbe, so perfbench's tracer counts one selection."""
     return _eliminate(OfflineDataset((data,)), make_fqi(1), classes, delta, schedule, seed)
