@@ -57,12 +57,13 @@ class BaseAlgorithm:
     """A pluggable base learner plus its known estimation-error function.
 
     fit(train_steps, fclass) must return per-step members of fclass with
-    f_{h+1} depending only on data slots h+1..H; omega(n, delta, fclass) must
-    be monotone in class complexity and decreasing in n.
+    f_{h+1} depending only on data slots h+1..H; omega(n, delta, fclass,
+    horizon) must be monotone in class complexity and decreasing in n. The
+    horizon is the data's, which ToleranceSchedule passes.
     """
 
     fit: Callable[[Sequence[StepData], FunctionClass], QSequence]
-    omega: Callable[[int, float, FunctionClass], float]
+    omega: Callable[[int, float, FunctionClass, int], float]
 
 
 def fitted_q_discounted(data: StepData, fclass: FunctionClass) -> QFunction:
@@ -104,9 +105,10 @@ def omega_fqi(n: int, delta: float, fclass: FunctionClass, horizon: int) -> floa
     return OMEGA_CONSTANT * horizon ** 2 * (fclass.complexity + math.log(16.0 * horizon / delta)) / n
 
 
-def make_fqi(horizon: int) -> BaseAlgorithm:
-    return BaseAlgorithm(fit=fqi,
-                         omega=lambda n, delta, fclass: omega_fqi(n, delta, fclass, horizon))
+def make_fqi() -> BaseAlgorithm:
+    """FQI and its omega. Built per call, so that it binds whatever the module
+    name fqi holds then (perfbench's tracer wraps that binding)."""
+    return BaseAlgorithm(fit=fqi, omega=omega_fqi)
 
 
 def fqi_oracle(mdp: TabularMDP, mu: np.ndarray, fclass: FunctionClass) -> QSequence:

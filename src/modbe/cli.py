@@ -131,8 +131,7 @@ def cmd_run_fqi(args) -> int:
 
 def cmd_run_modbe(args) -> int:
     data, classes = _load_data_and_classes(args)
-    base = basealg.make_fqi(data.horizon)
-    trace = modbe(data, base, classes, args.delta, args.schedule, args.seed)
+    trace = modbe(data, basealg.make_fqi(), classes, args.delta, args.schedule, args.seed)
     if args.trace:
         _file("--trace", write_lines, args.trace, [trace.to_text()])
     print(f"selected class: {trace.k_hat} of {len(classes)}")

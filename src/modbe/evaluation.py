@@ -370,10 +370,10 @@ def _expand_methods(methods: Sequence[str], num_classes: int) -> list[str]:
     return out
 
 
-def _method_rows(n: int, seed: int, methods: Sequence[str], dataset: OfflineDataset,
+def _method_rows(seed: int, methods: Sequence[str], dataset: OfflineDataset,
                  base: BaseAlgorithm, classes: NestedSequence,
                  select: Callable[[], SelectionTrace]) -> list[tuple]:
-    """One row (n, seed, method, k, fits, runtime_ms) per expanded method, for
+    """One row (dataset.n, seed, method, k, fits, runtime_ms) per expanded method, for
     _scored to fill in: fits maps each class a row reads (every class when
     oracle runs, whose k stays None) to its QSequence. ModBE (select()) runs
     first when requested; the baselines reuse its split and fits, and base fits
@@ -407,10 +407,10 @@ def _method_rows(n: int, seed: int, methods: Sequence[str], dataset: OfflineData
         else:
             k = int(method.split("-")[1])
         ms = modbe_ms if method == "modbe" else (time.perf_counter() - t0) * 1000.0
-        rows.append((n, seed, method, k, ms))
-    read = every if "oracle" in methods else sorted({row[3] for row in rows})
+        rows.append((method, k, ms))
+    read = every if "oracle" in methods else sorted({k for _, k, _ in rows})
     kept = {k: fits[k] for k in read}
-    return [(n, seed, method, k, kept, ms) for n, seed, method, k, ms in rows]
+    return [(dataset.n, seed, method, k, kept, ms) for method, k, ms in rows]
 
 
 def _scored(rows: list[tuple], regrets: dict[int, float]) -> list[tuple]:
@@ -440,9 +440,9 @@ def run_rl_cell(n: int, seed: int, cfg: ExperimentConfig, instance: tuple) -> li
     """One (n, seed) cell of a tabular instance (mdp, classes, mu); its rows keep
     their fits. On the one-action holdout_bias instance only the picked k matters."""
     mdp, classes, mu = instance
-    base = make_fqi(mdp.horizon)
+    base = make_fqi()
     dataset = generate_from_mu(mdp, mu, n, seed)
-    return _method_rows(n, seed, cfg.methods, dataset, base, classes,
+    return _method_rows(seed, cfg.methods, dataset, base, classes,
                         lambda: modbe(dataset, base, classes, cfg.delta, cfg.schedule, seed))
 
 
@@ -494,7 +494,7 @@ def run_cb_cell(n: int, seed: int, cfg: ExperimentConfig, instance: CBInstance) 
     rewards = means[np.arange(n), actions] + instance.noise_std * rng.standard_normal(n)
     data = StepData(np.arange(n), actions, rewards, np.zeros(n, dtype=int))
     classes = instance.classes(feats)
-    return _method_rows(n, seed, cfg.methods, OfflineDataset((data,)), make_fqi(1), classes,
+    return _method_rows(seed, cfg.methods, OfflineDataset((data,)), make_fqi(), classes,
                         lambda: modbe_discounted(data, classes, cfg.delta, cfg.schedule, seed))
 
 

@@ -69,13 +69,12 @@ class TableQ(QFunction):
 
 @dataclass(frozen=True)
 class LinearQ(QFunction):
-    weights: np.ndarray               # (d,)
+    weights: np.ndarray               # (d,): reads the first d feature coordinates
     feature_fn: Callable              # (xs, as_) -> (n, D) ambient features
-    dim: int                          # coordinate prefix actually used
     num_actions: int
 
     def values(self, xs, as_):
-        phi = self.feature_fn(xs, as_)[:, : self.dim]
+        phi = self.feature_fn(xs, as_)[:, : len(self.weights)]
         return phi @ self.weights
 
     def max_values(self, xs):
@@ -259,7 +258,7 @@ class LinearClass(FunctionClass):
         lam = RIDGE_SCALE * len(ys)
         gram = phi.T @ phi + lam * np.eye(self.dim)
         w = np.linalg.solve(gram, phi.T @ ys)
-        return LinearQ(w, self.feature_fn, self.dim, self.num_actions)
+        return LinearQ(w, self.feature_fn, self.num_actions)
 
 
 def greedy_policy(q_funcs: Sequence[TableQ]) -> Policy:

@@ -194,17 +194,11 @@ def max_reach(mdp: TabularMDP) -> np.ndarray:
 def concentrability(mdp: TabularMDP, mu: np.ndarray) -> float:
     """C(mu) = sup_{h,x,a,pi} P^pi_h(x,a) / mu_h(x,a); +inf when mu misses a reachable pair."""
     mu = check_data_distribution(mdp, mu)
-    reach = max_reach(mdp)
-    best = 0.0
-    for h in range(mdp.horizon):
-        for x in range(mdp.num_states):
-            if reach[h, x] <= 0.0:
-                continue
-            for a in range(mdp.num_actions):
-                if mu[h, x, a] <= 0.0:
-                    return math.inf
-                best = max(best, reach[h, x] / mu[h, x, a])
-    return float(best)
+    reach = np.broadcast_to(max_reach(mdp)[:, :, None], mu.shape)
+    reachable = reach > 0.0
+    if np.any(mu[reachable] <= 0.0):
+        return math.inf
+    return float(np.max(reach[reachable] / mu[reachable], initial=0.0))
 
 
 def squared_bellman_errors(mdp: TabularMDP, mu: np.ndarray, f_tables: np.ndarray) -> np.ndarray:

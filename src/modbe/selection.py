@@ -41,7 +41,7 @@ class ToleranceSchedule:
     theoretical: Tol = 2 alpha(k') + 2 zeta + omega_{n_train, delta/4M}(F_k)
     with alpha(k') = max(omega_{n_train, delta/4M}(F_k'),
                          200 H^2 ln(8 M^2 H |F_k'| / delta) / n_train).
-    practical:   Tol = complexity(F_k') / n.
+    practical:   Tol = complexity(F_k') / n with n = n_train + n_valid.
     """
 
     mode: str
@@ -50,8 +50,7 @@ class ToleranceSchedule:
     delta: float
     n_train: int
     n_valid: int
-    n_total: int
-    omega: Callable[[int, float, FunctionClass], float] | None = None
+    omega: Callable[[int, float, FunctionClass, int], float] | None = None
     zeta_value: float = field(init=False, default=0.0)
 
     def __post_init__(self):
@@ -64,7 +63,8 @@ class ToleranceSchedule:
             object.__setattr__(self, "zeta_value", z)
 
     def _omega_at(self, k: int) -> float:
-        return self.omega(self.n_train, self.delta / (4 * len(self.classes)), self.classes[k])
+        delta = self.delta / (4 * len(self.classes))
+        return self.omega(self.n_train, delta, self.classes[k], self.horizon)
 
     def alpha(self, k_prime: int) -> float:
         m = len(self.classes)
@@ -75,7 +75,7 @@ class ToleranceSchedule:
 
     def tol(self, k: int, k_prime: int) -> float:
         if self.mode == "practical":
-            return self.classes[k_prime].complexity / self.n_total
+            return self.classes[k_prime].complexity / (self.n_train + self.n_valid)
         return 2.0 * self.alpha(k_prime) + 2.0 * self.zeta_value + self._omega_at(k)
 
 
@@ -173,7 +173,7 @@ def _eliminate(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequ
     check_delta(delta, SelectionError)
     split = split_dataset(dataset, seed)
     sched = ToleranceSchedule(schedule, classes, dataset.horizon, delta,
-                              split.train.n, split.valid.n, dataset.n, base.omega)
+                              split.train.n, split.valid.n, base.omega)
     M = len(classes)
     events: list[TraceEvent] = []
     fits: dict[int, QSequence] = {}
@@ -218,6 +218,6 @@ def modbe(dataset: OfflineDataset, base: BaseAlgorithm, classes: NestedSequence,
 
 def modbe_discounted(data: StepData, classes: NestedSequence, delta: float,
                      schedule: str = "theoretical", seed: int = 0) -> SelectionTrace:
-    """modbe with make_fqi(1) on a flat transition list, the contextual-bandit
+    """modbe with make_fqi() on a flat transition list (H = 1), the contextual-bandit
     case. It calls _eliminate, not modbe, so perfbench's tracer counts one selection."""
-    return _eliminate(OfflineDataset((data,)), make_fqi(1), classes, delta, schedule, seed)
+    return _eliminate(OfflineDataset((data,)), make_fqi(), classes, delta, schedule, seed)

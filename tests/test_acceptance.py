@@ -97,7 +97,7 @@ def test_criterion_3_fqi_consistency(capsys):
 
 def test_criterion_4_never_overshoot(capsys):
     mdp, classes, mu = never_overshoot_instance()
-    base = make_fqi(mdp.horizon)
+    base = make_fqi()
     hits = sum(
         modbe(generate_from_mu(mdp, mu, 1000, seed), base, classes,
               0.1, "theoretical", seed).k_hat <= 2
@@ -171,17 +171,17 @@ def test_criterion_8_formula_fidelity(capsys):
 
     fin_seq = NestedSequence((finite(4), finite(16)))
     fin_sched = ToleranceSchedule("theoretical", fin_seq, 2, 0.25,
-                                  800, 200, 1000, make_fqi(2).omega)
+                                  800, 200, make_fqi().omega)
     lin_seq = NestedSequence(tuple(
         LinearClass(dummy30, d, 1) for d in (5, 10, 15, 20, 21, 22, 23, 24, 25, 30)))
     lin_sched = ToleranceSchedule("theoretical", lin_seq, 1, 0.1,
-                                  1600, 400, 2000, make_fqi(1).omega)
-    lin_prac = ToleranceSchedule("practical", lin_seq, 1, 0.1, 1600, 400, 2000)
+                                  1600, 400, make_fqi().omega)
+    lin_prac = ToleranceSchedule("practical", lin_seq, 1, 0.1, 1600, 400)
     abs_seq = NestedSequence((AbstractionClass(np.zeros(8, dtype=int), 2),
                               AbstractionClass(np.arange(8), 2)))
-    abs_prac = ToleranceSchedule("practical", abs_seq, 2, 0.1, 800, 200, 1000)
+    abs_prac = ToleranceSchedule("practical", abs_seq, 2, 0.1, 800, 200)
     fin5_seq = NestedSequence((finite(1), finite(5)))
-    fin5_prac = ToleranceSchedule("practical", fin5_seq, 2, 0.1, 400, 100, 500)
+    fin5_prac = ToleranceSchedule("practical", fin5_seq, 2, 0.1, 400, 100)
 
     cases = [
         ("omega n=1e3 H=2 |F|=8", omega_fqi(1000, 0.1, finite(8), 2), 6.27821002998),
@@ -220,7 +220,7 @@ def test_criterion_9_budget_and_determinism(capsys):
             never_overshoot_instance()[:2] + ("theoretical",)]
     for mdp, classes, schedule in runs:
         mu = uniform_mu(mdp)
-        base = make_fqi(mdp.horizon)
+        base = make_fqi()
         H, M = mdp.horizon, len(classes)
         for seed in range(5):
             data = generate_from_mu(mdp, mu, 400, seed)

@@ -7,7 +7,7 @@ from modbe import (AbstractionClass, FiniteClass, LinearClass, TabularMDP, fitte
                    fqi, fqi_oracle, generate_from_mu, make_fqi, omega_fqi,
                    optimal_q)
 from modbe import basealg
-from modbe.basealg import DELTA_MAX, BaseAlgError
+from modbe.basealg import DELTA_MAX, BaseAlgError, BaseAlgorithm
 from modbe.dataset import StepData
 from modbe.evaluation import chain_classes, chain_mdp, uniform_mu
 
@@ -158,10 +158,11 @@ class TestOmega:
         with pytest.raises(BaseAlgError):
             omega_fqi(100, 0.0, cls, 1)
 
-    def test_make_fqi_binds_horizon(self):
-        cls = FiniteClass((np.zeros((1, 1)), np.ones((1, 1))))
-        base = make_fqi(3)
-        assert base.omega(100, 0.1, cls) == pytest.approx(omega_fqi(100, 0.1, cls, 3))
+    def test_make_fqi_takes_no_horizon(self):
+        # omega takes the data's horizon from ToleranceSchedule, so make_fqi binds none
+        assert make_fqi() == BaseAlgorithm(fit=fqi, omega=omega_fqi)
+        with pytest.raises(TypeError):
+            make_fqi(4)
 
 
 class TestDiscounted:
@@ -197,9 +198,9 @@ class TestDiscounted:
             assert np.array_equal(f.values(xs, as_), classes[k].erm(
                 steps[3].x, steps[3].a, steps[3].r).values(xs, as_))
         assert len(calls) == 3
-        # make_fqi(1)'s omega: 200 (complexity + ln(16 / delta)) / n
+        # make_fqi()'s omega at H = 1: 200 (complexity + ln(16 / delta)) / n
         cls = tabular_class(3, 2, clip=None)
-        assert make_fqi(1).omega(40, 0.01, cls) == \
+        assert make_fqi().omega(40, 0.01, cls, 1) == \
             200.0 * (cls.complexity + math.log(16.0 / 0.01)) / 40
 
 

@@ -409,7 +409,7 @@ class TestFitAndScoreOnlyWhatRowsRead:
         assert counts == {"fits": rows[0][3] if fits == "k_hat" else fits, "scores": scores}
 
     def test_cb_fits_go_through_fqi(self, monkeypatch):
-        # each base fit, ModBE's and the baselines', is make_fqi(1)'s
+        # each base fit, ModBE's and the baselines', is make_fqi()'s
         counts = {"fqi": 0, "fitted_q_discounted": 0}
         self._counted(monkeypatch, basealg, "fqi", counts, "fqi")
         self._counted(monkeypatch, basealg, "fitted_q_discounted", counts,
@@ -449,13 +449,13 @@ class TestComputeOnce:
         """The chain sweep's rows with every fit scored on its own, and the
         greedy policy of each fit as bytes."""
         mdp, classes, mu = evaluation._tabular_instance(cfg.instance)
-        base = make_fqi(mdp.horizon)
+        base = make_fqi()
         rows, policies = [], []
         for seed in cfg.seeds:
             for n in cfg.n_list:
                 dataset = generate_from_mu(mdp, mu, n, seed)
                 cell = evaluation._method_rows(
-                    n, seed, cfg.methods, dataset, base, classes,
+                    seed, cfg.methods, dataset, base, classes,
                     lambda: modbe(dataset, base, classes, cfg.delta, cfg.schedule, seed))
                 greedy = {k: greedy_policy(fseq.funcs) for k, fseq in cell[0][4].items()}
                 policies += [pol.probs.tobytes() for pol in greedy.values()]
@@ -513,7 +513,7 @@ class TestComputeOnce:
     def test_trace_losses_are_validation_losses_chain(self, seed):
         mdp, classes, mu = evaluation._tabular_instance("chain")
         for n in (100, 1000):
-            trace = modbe(generate_from_mu(mdp, mu, n, seed), make_fqi(mdp.horizon), classes,
+            trace = modbe(generate_from_mu(mdp, mu, n, seed), make_fqi(), classes,
                           0.1, "practical", seed)
             losses = trace.valid_losses
             assert set(losses) == {e.k for e in trace.events}
@@ -782,7 +782,7 @@ class TestNeverOvershootInstance:
         hits = 0
         for seed in range(10):
             ds = generate_from_mu(mdp, mu, 1000, seed=seed)
-            trace = modbe(ds, make_fqi(2), classes, delta=0.1,
+            trace = modbe(ds, make_fqi(), classes, delta=0.1,
                           schedule="theoretical", seed=seed)
             hits += trace.k_hat <= 2
         assert hits >= 9

@@ -38,9 +38,9 @@ class TestEvaluation:
     def test_linear_dot_product_before_clipping(self):
         # linear classes carry no clip bound: values are the plain dot product
         from modbe.funcclass import LinearQ
-        f = LinearQ(np.array([1.0, -2.0]), ident_features(2), 2, 1)
+        f = LinearQ(np.array([1.0, -2.0]), ident_features(2), 1)
         assert f.values([1, 2], [0, 0]).tolist() == [1.0 - 2.0 * 2.0, 1.0 - 2.0 * 3.0]
-        f = LinearQ(np.array([1.0, 2.0]), ident_features(2), 2, 1)
+        f = LinearQ(np.array([1.0, 2.0]), ident_features(2), 1)
         assert f.values([1], [0])[0] == 5.0   # above any [0, H] bound
 
     def test_table_values_equal_clipped_raw_values(self):

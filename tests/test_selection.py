@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from modbe import (AbstractionClass, FiniteClass, NestedSequence, TabularMDP,
                    generate_from_mu, make_fqi, modbe, modbe_discounted, zeta)
-from modbe.basealg import fqi
+from modbe.basealg import fqi, omega_fqi
 from modbe.dataset import OfflineDataset, StepData, split_dataset
 from modbe.funcclass import TableQ
 from modbe.selection import (SelectionError, ToleranceSchedule, generalization_test,
@@ -38,9 +38,9 @@ def finite_classes_for_schedule():
 def theoretical_schedule(n=1000):
     classes = finite_classes_for_schedule()
     n_train, n_valid = math.ceil(0.8 * n), n - math.ceil(0.8 * n)
-    base = make_fqi(2)
+    base = make_fqi()
     return ToleranceSchedule("theoretical", classes, 2, 0.25,
-                             n_train, n_valid, n, base.omega)
+                             n_train, n_valid, base.omega)
 
 
 class TestFormulas:
@@ -77,13 +77,51 @@ class TestFormulas:
 
     def test_tol_practical_rule(self):
         classes = finite_classes_for_schedule()
-        sched = ToleranceSchedule("practical", classes, 2, 0.25, 800, 200, 1000)
+        sched = ToleranceSchedule("practical", classes, 2, 0.25, 800, 200)
         assert sched.tol(1, 2) == pytest.approx(math.log(16) / 1000)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(SelectionError):
             ToleranceSchedule("magic", finite_classes_for_schedule(),
-                              2, 0.25, 800, 200, 1000)
+                              2, 0.25, 800, 200)
+
+
+class TestScheduleFromData:
+    """modbe builds Tol from the data it tests: its horizon and split sizes."""
+
+    @staticmethod
+    def assert_theoretical_tols(trace, classes, horizon, delta):
+        split = trace.split
+        assert trace.events
+        sched = ToleranceSchedule("theoretical", classes, horizon, delta,
+                                  split.train.n, split.valid.n, omega_fqi)
+        for e in trace.events:
+            assert e.tol == sched.tol(e.k, e.k_prime)
+        for k in range(1, len(classes) + 1):
+            assert sched._omega_at(k) == omega_fqi(split.train.n, delta / (4 * len(classes)),
+                                                   classes[k], horizon)
+
+    def test_theoretical_tol_at_horizon_four(self):
+        mdp, classes = chain_mdp(), chain_classes()
+        ds = generate_from_mu(mdp, uniform_mu(mdp), 500, seed=2)
+        trace = modbe(ds, make_fqi(), classes, 0.1, "theoretical", seed=2)
+        self.assert_theoretical_tols(trace, classes, 4, 0.1)
+
+    def test_theoretical_tol_at_horizon_one(self):
+        data, classes = cb_data(300, 3)
+        trace = modbe_discounted(data, classes, 0.1, "theoretical", seed=3)
+        self.assert_theoretical_tols(trace, classes, 1, 0.1)
+
+    def test_practical_tol_over_all_samples(self):
+        classes = finite_classes_for_schedule()
+        sched = ToleranceSchedule("practical", classes, 2, 0.25, 9, 3)
+        assert sched.tol(1, 2) == classes[2].complexity / (9 + 3)
+        mdp = chain_mdp()
+        ds = generate_from_mu(mdp, uniform_mu(mdp), 1001, seed=5)
+        trace = modbe(ds, make_fqi(), chain_classes(), 0.1, "practical", seed=5)
+        assert trace.events
+        for e in trace.events:
+            assert e.tol == chain_classes()[e.k_prime].complexity / ds.n
 
 
 class TestGeneralizationTest:
@@ -162,7 +200,7 @@ class TestLossPieces:
 
 
 def zero_tol_base():
-    return make_fqi(2)
+    return make_fqi()
 
 
 class TestModbeLoop:
@@ -170,14 +208,14 @@ class TestModbeLoop:
         mdp = random_mdp(rng, 2, 2, 2)
         ds = generate_from_mu(mdp, np.full((2, 2, 2), 0.25), 50, seed=0)
         classes = NestedSequence((AbstractionClass(np.arange(2), 2, clip_high=2.0),))
-        trace = modbe(ds, make_fqi(2), classes, delta=0.1)
+        trace = modbe(ds, make_fqi(), classes, delta=0.1)
         assert trace.k_hat == 1 and trace.events == [] and trace.base_calls == 1
 
     def test_huge_tol_keeps_k1(self):
         mdp = chain_mdp()
         ds = generate_from_mu(mdp, uniform_mu(mdp), 200, seed=1)
         # theoretical tolerances at this scale exceed the loss range entirely
-        trace = modbe(ds, make_fqi(4), chain_classes(), delta=0.1, schedule="theoretical")
+        trace = modbe(ds, make_fqi(), chain_classes(), delta=0.1, schedule="theoretical")
         assert trace.k_hat == 1
         assert not any(e.reject for e in trace.events)
 
@@ -191,7 +229,7 @@ class TestModbeLoop:
             AbstractionClass(np.arange(4), 2, clip_high=4.0)))
         for seed in range(20):
             ds = generate_from_mu(mdp, uniform_mu(mdp), 10_000, seed=seed)
-            trace = modbe(ds, make_fqi(4), classes, delta=0.1, schedule="practical",
+            trace = modbe(ds, make_fqi(), classes, delta=0.1, schedule="practical",
                           seed=seed)
             hits += trace.k_hat == 2
         assert hits >= 18
@@ -199,7 +237,7 @@ class TestModbeLoop:
     def test_k_increments_by_one(self):
         mdp = chain_mdp()
         ds = generate_from_mu(mdp, uniform_mu(mdp), 5000, seed=3)
-        trace = modbe(ds, make_fqi(4), chain_classes(), delta=0.1,
+        trace = modbe(ds, make_fqi(), chain_classes(), delta=0.1,
                       schedule="practical", seed=3)
         ks = [e.k for e in trace.events]
         assert all(b - a in (0, 1) for a, b in zip(ks, ks[1:]))
@@ -207,7 +245,7 @@ class TestModbeLoop:
     def test_all_h_recorded_per_pair(self):
         mdp = chain_mdp()
         ds = generate_from_mu(mdp, uniform_mu(mdp), 1000, seed=4)
-        trace = modbe(ds, make_fqi(4), chain_classes(), delta=0.1,
+        trace = modbe(ds, make_fqi(), chain_classes(), delta=0.1,
                       schedule="practical", seed=4)
         seen = {}
         for e in trace.events:
@@ -221,7 +259,7 @@ class TestModbeLoop:
         for seed in range(10):
             ds = generate_from_mu(mdp, uniform_mu(mdp), 500, seed=seed)
             for sched in ("practical", "theoretical"):
-                trace = modbe(ds, make_fqi(H), chain_classes(), delta=0.1,
+                trace = modbe(ds, make_fqi(), chain_classes(), delta=0.1,
                               schedule=sched, seed=seed)
                 assert trace.erm_calls == len(trace.events) <= H * M * M
                 assert trace.base_calls <= trace.k_hat + 1 <= M + 1
@@ -229,8 +267,8 @@ class TestModbeLoop:
     def test_trace_replay_byte_identical(self):
         mdp = chain_mdp()
         ds = generate_from_mu(mdp, uniform_mu(mdp), 800, seed=6)
-        a = modbe(ds, make_fqi(4), chain_classes(), 0.1, "practical", seed=6)
-        b = modbe(ds, make_fqi(4), chain_classes(), 0.1, "practical", seed=6)
+        a = modbe(ds, make_fqi(), chain_classes(), 0.1, "practical", seed=6)
+        b = modbe(ds, make_fqi(), chain_classes(), 0.1, "practical", seed=6)
         assert a.to_text() == b.to_text()
 
     def test_zero_reward_rejection_rate(self):
@@ -241,7 +279,7 @@ class TestModbeLoop:
         rejections = 0
         for seed in range(50):
             ds = generate_from_mu(mdp, uniform_mu(mdp), 100, seed=seed)
-            trace = modbe(ds, make_fqi(4), chain_classes(), delta=0.1,
+            trace = modbe(ds, make_fqi(), chain_classes(), delta=0.1,
                           schedule="theoretical", seed=seed)
             rejections += any(e.reject for e in trace.events)
         assert rejections <= 5
@@ -250,7 +288,7 @@ class TestModbeLoop:
         mdp = chain_mdp()
         ds = generate_from_mu(mdp, uniform_mu(mdp), 100, seed=0)
         with pytest.raises(SelectionError):
-            modbe(ds, make_fqi(4), chain_classes(), delta=0.9)
+            modbe(ds, make_fqi(), chain_classes(), delta=0.9)
 
 
 class TestModbeDiscounted:
@@ -281,9 +319,9 @@ class TestModbeDiscounted:
 
     @staticmethod
     def assert_matches_modbe(data, classes, seed):
-        """modbe_discounted is modbe with make_fqi(1) on the one-step dataset:
+        """modbe_discounted is modbe with make_fqi() on the one-step dataset:
         same trace text (erm_calls included) and same fitted values."""
-        a = modbe(OfflineDataset((data,)), make_fqi(1), classes, 0.1, "practical", seed)
+        a = modbe(OfflineDataset((data,)), make_fqi(), classes, 0.1, "practical", seed)
         b = modbe_discounted(data, classes, 0.1, "practical", seed)
         assert b.to_text() == a.to_text()
         assert list(b.fits) == list(a.fits)
@@ -309,7 +347,7 @@ class TestModbeDiscounted:
     def test_defaults_are_modbes(self, n, seed):
         # both on their default schedule and seed: theoretical, 0
         data, classes = cb_data(n, seed)
-        expected = modbe(OfflineDataset((data,)), make_fqi(1), classes, 0.1).to_text()
+        expected = modbe(OfflineDataset((data,)), make_fqi(), classes, 0.1).to_text()
         assert modbe_discounted(data, classes, 0.1).to_text() == expected
         assert expected.endswith("seed 0\nschedule theoretical\n")
 
@@ -341,22 +379,22 @@ class TestSharedFits:
     def test_chain_fits_match_refits(self, n, seed):
         mdp, classes = chain_mdp(), chain_classes()
         ds = generate_from_mu(mdp, uniform_mu(mdp), n, seed)
-        trace = modbe(ds, make_fqi(mdp.horizon), classes, 0.1, "practical", seed)
-        self.assert_refits_identical(trace, make_fqi(mdp.horizon), classes)
+        trace = modbe(ds, make_fqi(), classes, 0.1, "practical", seed)
+        self.assert_refits_identical(trace, make_fqi(), classes)
 
     @pytest.mark.parametrize("n, seed", [(200, 0), (2000, 1)])
     def test_cb_fits_match_refits(self, n, seed):
         data, classes = cb_data(n, seed)
         trace = modbe_discounted(data, classes, 0.1, "practical", seed)
         assert trace.k_hat > 1
-        self.assert_refits_identical(trace, make_fqi(1), classes)
+        self.assert_refits_identical(trace, make_fqi(), classes)
 
 
 class TestTraceSerialization:
     def test_event_lines_and_summary(self):
         mdp = chain_mdp()
         ds = generate_from_mu(mdp, uniform_mu(mdp), 300, seed=8)
-        trace = modbe(ds, make_fqi(4), chain_classes(), 0.1, "practical", seed=8)
+        trace = modbe(ds, make_fqi(), chain_classes(), 0.1, "practical", seed=8)
         text = trace.to_text()
         lines = text.strip().splitlines()
         assert lines[-5].startswith("selected_k ")
@@ -371,7 +409,7 @@ def paper_modbe(dataset, base, classes, delta, schedule, seed):
     split = split_dataset(dataset, seed)
     train, valid = split.train.steps, split.valid.steps
     sched = ToleranceSchedule(schedule, classes, dataset.horizon, delta,
-                              split.train.n, split.valid.n, dataset.n, base.omega)
+                              split.train.n, split.valid.n, base.omega)
     H, M, tests = dataset.horizon, len(classes), []
     for k in range(1, M + 1):
         f = base.fit(train, classes[k])
@@ -419,8 +457,8 @@ class TestPaperTranscription:
             data = generate_from_mu(random_mdp(rng, S, A, H), random_full_support_mu(rng, S, A, H),
                                     int(rng.integers(5, 400)), case)
             for schedule in ("practical", "theoretical"):
-                trace = modbe(data, make_fqi(H), classes, 0.1, schedule, case)
-                assert trace_tests(trace) == paper_modbe(data, make_fqi(H), classes, 0.1,
+                trace = modbe(data, make_fqi(), classes, 0.1, schedule, case)
+                assert trace_tests(trace) == paper_modbe(data, make_fqi(), classes, 0.1,
                                                          schedule, case)
                 rejections += sum(e.reject for e in trace.events)
         assert rejections > 0               # the reject path is exercised too
@@ -434,7 +472,7 @@ class TestPaperTranscription:
         if cb:
             data, classes = cb_data(n, seed)
             trace = modbe_discounted(data, classes, 0.1, schedule, seed)
-            dataset, base = OfflineDataset((data,)), make_fqi(1)
+            dataset, base = OfflineDataset((data,)), make_fqi()
         else:
             S, A, H = (int(v) for v in rng.integers((2, 1, 1), (7, 4, 5)))
             tables = [np.zeros((S, A))] + [rng.uniform(0.0, H + 1.0, (S, A)) for _ in range(8)]
@@ -443,6 +481,6 @@ class TestPaperTranscription:
                                            for m in sizes))
             dataset = generate_from_mu(random_mdp(rng, S, A, H),
                                        random_full_support_mu(rng, S, A, H), n, seed)
-            base = make_fqi(H)
+            base = make_fqi()
             trace = modbe(dataset, base, classes, 0.1, schedule, seed)
         assert trace_tests(trace) == paper_modbe(dataset, base, classes, 0.1, schedule, seed)

@@ -39,7 +39,9 @@ MUTANTS = (
     ("a nested sequence may mix class variants",
      "if len(variants) > 1:", "if False:"),
     ("practical Tol over n_train",
-     "complexity / self.n_total", "complexity / self.n_train"),
+     "complexity / (self.n_train + self.n_valid)", "complexity / self.n_train"),
+    ("omega at horizon 1 whatever the data's horizon",
+     "self.classes[k], self.horizon)", "self.classes[k], 1)"),
     ("M instead of M^2 in zeta",
      "16.0 * num_classes ** 2 * horizon", "16.0 * num_classes * horizon"),
     ("M instead of M^2 in alpha",
