@@ -5,14 +5,14 @@
 from __future__ import annotations
 
 import math
-import os
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mdp import Policy, TabularMDP, check_data_distribution, concentrability, occupancy
-from .textfile import read_lines, write_lines
+from .textfile import split_lines, text_lines, write_lines
 
 _STREAM_GENERATE = 0
 _STREAM_SPLIT = 1
@@ -22,10 +22,10 @@ MAX_SAMPLES = 10 ** 7   # largest n per step accepted from a flag or a config
 MAX_INDEX = np.iinfo(np.int64).max   # largest state or action index an array holds
 
 _HEADER = "h,x,a,r,x_next"
-# file suffixes that np.loadtxt would decompress
-_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
 _ROW_DTYPE = np.dtype([("h", np.int64), ("x", np.int64), ("a", np.int64),
                        ("r", np.float64), ("x_next", np.int64)])
+# split_lines' comment rule, a line whose first non-blank character is '#', with its "\n"
+_COMMENT_LINE = re.compile(r"\n([^\S\n]*#.*)")
 
 
 class DatasetError(ValueError):
@@ -188,74 +188,56 @@ def save_dataset_csv(dataset: OfflineDataset, path: str) -> None:
                 (_step_text(h, step) for h, step in enumerate(dataset.steps, start=1)))
 
 
-def _read_meta(line: str, meta: dict) -> None:
-    if "=" in line:
-        k, v = line[1:].split("=", 1)
-        meta[k.strip()] = v.strip()
+def _meta(comments: list[str]) -> dict:
+    pairs = (line[1:].split("=", 1) for line in comments if "=" in line)
+    return {k.strip(): v.strip() for k, v in pairs}
 
 
 def load_dataset_csv(path: str) -> OfflineDataset:
-    dataset = _load_table(path)
-    return dataset if dataset is not None else _load_rows(path)
+    """The dataset in the CSV file at path, opened once. numpy parses the rows
+    from memory; only if that parse or a row check fails does the per-line
+    pass `_load_rows` run, to accept the rows or name the first bad line."""
+    with open(path, encoding="utf-8-sig") as fh:
+        comments, head = split_lines(fh, stop=1)    # the metadata and the header
+        body = fh.read()
+    if head and head[0][1] == _HEADER:
+        # comment lines after the header are metadata too; numpy parses the rest
+        parts = _COMMENT_LINE.split("\n" + body) if "#" in body else [body]
+        steps = _table_steps("".join(parts[::2]))
+        if steps is not None:
+            return OfflineDataset(steps, _meta(comments + [c.strip() for c in parts[1::2]]))
+    more, rows = split_lines(text_lines(body), start=head[0][0] + 1 if head else 1)
+    return _load_rows(path, comments + more, head + rows)
 
 
-def _load_table(path: str) -> OfflineDataset | None:
-    """Parse the rows in numpy, or return None for any file that is not a
-    regular, valid one; `_load_rows` then accepts it or names the bad line."""
-    # numpy opens the path again: only a regular file reads the same twice, and
-    # numpy would decompress a file with one of these suffixes
-    if not os.path.isfile(path) or os.path.splitext(path)[1] in _COMPRESSED:
+def _table_steps(body: str) -> tuple | None:
+    """The steps of body's rows, or None if numpy cannot parse one or one breaks a rule."""
+    if not (body := body.lstrip()):     # numpy fails on a line of blanks, warns on no rows
         return None
-    meta: dict = {}
-    header = None
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for skip, line in enumerate(fh):
-                text = line.strip()
-                if header is None and text.startswith("#"):
-                    _read_meta(text, meta)
-                elif header is None:
-                    header = text or None
-                elif text:
-                    break
-            else:
-                return None     # no header or no row: numpy would warn on an empty body
-        if header != _HEADER:
-            return None
-        # numpy's C reader reads the file in the same universal-newline UTF-8
-        # text mode, so it skips the `skip` lines before the first row, and with
-        # them any byte-order mark the scan above dropped; an absolute path is
-        # never taken for a URL. comments=None: a '#' line after the header
-        # fails the parse; the structured dtype rejects rows of any other width
-        # (usecols would drop extra fields); the indices never pass through
-        # float64.
-        table = np.loadtxt(os.path.abspath(path), delimiter=",", dtype=_ROW_DTYPE,
-                           comments=None, skiprows=skip, ndmin=1, encoding="utf-8")
+        # comments=None: a '#' left in a row fails; the structured dtype rejects a row of
+        # any other width (usecols drops fields), and no index passes through float64
+        table = np.loadtxt(text_lines(body), delimiter=",", dtype=_ROW_DTYPE, comments=None,
+                           ndmin=1)
     except (ValueError, OverflowError):
         return None
     h, r = table["h"], table["r"]
-    # h.max() is bounded before bincount allocates h.max() + 1 counters
-    if h.min() < 1 or h.max() > len(h):
-        return None
-    if min(table[name].min() for name in ("x", "a", "x_next")) < 0:
-        return None
-    if not np.all((r >= 0.0) & (r <= 1.0)):
+    # h.max() is bounded before bincount allocates h.max() + 1 counters; a nan r fails
+    if (h.min() < 1 or h.max() > len(h) or min(table[k].min() for k in ("x", "a", "x_next")) < 0
+            or not (r.min() >= 0.0 and r.max() <= 1.0)):
         return None
     counts = np.bincount(h)[1:]
     if np.any(counts != counts[0]):
         return None
-    order = np.argsort(h, kind="stable")    # file order kept within a step
-    columns = [table[name][order] for name in ("x", "a", "r", "x_next")]
+    if np.any(h[1:] < h[:-1]):      # interleaved steps: sort them, keeping file order within one
+        table = table[np.argsort(h, kind="stable")]
     n = int(counts[0])
-    return OfflineDataset(tuple(StepData(*(col[i:i + n] for col in columns))
-                                for i in range(0, len(h), n)), meta)
+    return tuple(StepData(*(table[k][i:i + n] for k in ("x", "a", "r", "x_next")))
+                 for i in range(0, len(table), n))
 
 
-def _load_rows(path: str) -> OfflineDataset:
-    comments, lines = read_lines(path)
-    meta: dict = {}
-    for line in comments:
-        _read_meta(line, meta)
+def _load_rows(path: str, comments: list[str], lines: list[tuple[int, str]]) -> OfflineDataset:
+    """The per-line pass over split_lines' split of the file at path."""
     if lines and lines[0][1] != _HEADER:
         raise DatasetError(f"{path}:{lines[0][0]}: expected header 'h,x,a,r,x_next'")
     rows: dict[int, list] = defaultdict(list)
@@ -264,19 +246,16 @@ def _load_rows(path: str) -> OfflineDataset:
         if len(parts) != 5:
             raise DatasetError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
         try:
-            h = int(parts[0])
-            rec = (int(parts[1]), int(parts[2]), float(parts[3]), int(parts[4]))
+            h, x, a, r, xn = (read(v) for read, v in zip((int, int, int, float, int), parts))
         except ValueError as exc:
             raise DatasetError(f"{path}:{lineno}: malformed row: {exc}") from exc
         if h < 1:
             raise DatasetError(f"{path}:{lineno}: step index {h} out of range")
-        if not (0 <= rec[0] <= MAX_INDEX and 0 <= rec[1] <= MAX_INDEX
-                and 0 <= rec[3] <= MAX_INDEX):
-            raise DatasetError(f"{path}:{lineno}: x, a and x_next must lie in "
-                               f"[0, {MAX_INDEX}]")
-        if not 0.0 <= rec[2] <= 1.0:
-            raise DatasetError(f"{path}:{lineno}: reward {rec[2]} outside [0, 1]")
-        rows[h].append(rec)
+        if not all(0 <= v <= MAX_INDEX for v in (x, a, xn)):
+            raise DatasetError(f"{path}:{lineno}: x, a and x_next must lie in [0, {MAX_INDEX}]")
+        if not 0.0 <= r <= 1.0:
+            raise DatasetError(f"{path}:{lineno}: reward {r} outside [0, 1]")
+        rows[h].append((x, a, r, xn))
     if not rows:
         raise DatasetError(f"{path}: no transition rows found")
     H = max(rows)
@@ -285,10 +264,5 @@ def _load_rows(path: str) -> OfflineDataset:
     counts = {h: len(v) for h, v in rows.items()}
     if len(set(counts.values())) != 1:
         raise DatasetError(f"{path}: unequal slot sizes {counts}")
-    steps = []
-    for h in range(1, H + 1):
-        steps.append(StepData(np.array([t[0] for t in rows[h]]),
-                              np.array([t[1] for t in rows[h]]),
-                              np.array([t[2] for t in rows[h]]),
-                              np.array([t[3] for t in rows[h]])))
-    return OfflineDataset(tuple(steps), meta)
+    return OfflineDataset(tuple(StepData(*map(np.array, zip(*rows[h]))) for h in range(1, H + 1)),
+                          _meta(comments))

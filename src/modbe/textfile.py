@@ -5,19 +5,44 @@
 # write_lines, and float_line formats floats that numbers reads back bit for bit.
 from __future__ import annotations
 
+import itertools
+
+_PIECE = 1 << 16    # characters text_lines splits at a time
+
+
+def text_lines(text: str):
+    r"""The lines of text.split("\n"), split a piece at a time so that only one
+    piece's strings are alive at once. As in a file read with universal newlines,
+    only "\n" ends a line, never U+2028 or U+0085 as with str.splitlines()."""
+    def pieces():
+        start = 0
+        while (end := text.find("\n", start + _PIECE)) >= 0:
+            yield text[start:end].split("\n")
+            start = end + 1
+        yield text[start:].split("\n")
+    return itertools.chain.from_iterable(pieces())
+
+
+def split_lines(lines, start: int = 1, stop: int | None = None) -> tuple[list, list]:
+    """(comment lines, data lines) of lines (a text file, text_lines) numbered
+    from start, each stripped; a data line comes with its number. With stop, it
+    ends after the stop-th data line and leaves an iterator's later lines unread."""
+    comments, data = [], []
+    for lineno, line in enumerate(lines, start=start):
+        text = line.strip()
+        if text.startswith("#"):
+            comments.append(text)
+        elif text:
+            data.append((lineno, text))
+            if len(data) == stop:
+                break
+    return comments, data
+
 
 def read_lines(path: str) -> tuple[list[str], list[tuple[int, str]]]:
-    """(comment lines, data lines) of the file at path, in file order, each
-    stripped; a data line comes with its 1-based line number."""
-    comments, data = [], []
+    """split_lines of the file at path."""
     with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if text.startswith("#"):
-                comments.append(text)
-            elif text:
-                data.append((lineno, text))
-    return comments, data
+        return split_lines(fh)
 
 
 def write_lines(path: str, *parts) -> None:

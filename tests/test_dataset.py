@@ -1,3 +1,6 @@
+import builtins
+import collections
+import contextlib
 import math
 import os
 import subprocess
@@ -12,13 +15,15 @@ from hypothesis import strategies as st
 from modbe import (Policy, TabularMDP, dataset, evaluation, generate_from_behavior,
                    generate_from_mu, load_dataset_csv, occupancy, save_dataset_csv, split_dataset)
 from modbe.dataset import MAX_INDEX, MIN_SAMPLES, DatasetError, OfflineDataset, StepData
+from modbe.textfile import read_lines
 
 from conftest import random_mdp
 from test_fuzz import NUMBERS, variants
 
 COLUMNS = ("x", "a", "r", "x_next")
 # spellings that only Python's int()/float() accept, or that both parsers read alike
-CSV_TOKENS = NUMBERS + ["1_0", "\uff11", "+1", "-0", " 2 ", "007", "0.25", "-0.0", "1e-400"]
+CSV_TOKENS = NUMBERS + ["1_0", "\uff11", "+1", "-0", " 2 ", "007", "0.25", "-0.0", "1e-400",
+                       "0 # note", "#", "1\u2028", "\x85"]
 
 
 def point_mass_mu(H, S, A, x, a):
@@ -397,9 +402,62 @@ class TestPersistence:
         assert loaded.meta["seed"] == "6"
 
 
+@contextlib.contextmanager
+def per_line_spy():
+    """The calls of the per-line pass `_load_rows` made inside the block; the
+    pass itself still runs."""
+    calls, real = [], dataset._load_rows
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    dataset._load_rows = spy
+    try:
+        yield calls
+    finally:
+        dataset._load_rows = real
+
+
+def per_line(path: str) -> OfflineDataset:
+    """The per-line pass over read_lines' split of the file at path."""
+    return dataset._load_rows(path, *read_lines(path))
+
+
+def same_outcome(path: str) -> bool:
+    """load_dataset_csv gives the same dataset as the per-line pass, or raises
+    the same message from that pass. Returns whether the loader ran the pass."""
+    with per_line_spy() as calls:
+        try:
+            loaded = load_dataset_csv(path)
+        except DatasetError as exc:
+            assert calls        # every error comes from the per-line pass
+            with pytest.raises(DatasetError) as expected:
+                per_line(path)
+            assert str(exc) == str(expected.value)
+            return True
+    expected = per_line(path)
+    assert loaded.meta == expected.meta
+    assert_same_steps(loaded, expected)
+    return bool(calls)
+
+
+@pytest.fixture
+def opens(monkeypatch):
+    """How often each path is opened through open() while the test runs."""
+    counts, real = collections.Counter(), builtins.open
+
+    def counting(file, *args, **kwargs):
+        counts[file] += 1
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    return counts
+
+
 class TestFastLoad:
-    """`load_dataset_csv` parses in numpy (`_load_table`) and falls back to the
-    per-line parser (`_load_rows`) for any file the numpy path declines."""
+    """`load_dataset_csv` parses the rows in numpy (`_table_steps`) and runs
+    the per-line pass (`_load_rows`) only for the rows numpy declines."""
 
     @pytest.fixture(scope="class")
     def valid(self, tmp_path_factory):
@@ -413,12 +471,7 @@ class TestFastLoad:
     @given(data=st.data())
     def test_fast_path_agrees_with_per_line_parser(self, tmp_path_factory, valid, data):
         text = data.draw(variants(valid, ",", CSV_TOKENS))
-        path = write_csv(tmp_path_factory.getbasetemp() / "fast.csv", text)
-        fast = dataset._load_table(path)
-        if fast is not None:
-            rows = dataset._load_rows(path)
-            assert fast.meta == rows.meta
-            assert_same_steps(fast, rows)
+        same_outcome(write_csv(tmp_path_factory.getbasetemp() / "fast.csv", text))
 
     @pytest.mark.parametrize("body,error", [
         ("1,0,0,0.5,0,1\n", r"data\.csv:3: expected 5 fields, got 6"),
@@ -428,31 +481,52 @@ class TestFastLoad:
         ("0,0,0,0.5,0\n", r"data\.csv:3: step index 0 out of range"),
         ("1,0,0,nan,0\n", r"data\.csv:3: reward nan outside \[0, 1\]"),
         ("1,0,0,-0.5,0\n", r"data\.csv:3: reward -0.5 outside \[0, 1\]"),
+        ("2,0,0,0.5,0\n2,1,0,0.5,0\n", r"data\.csv: unequal slot sizes \{1: 1, 2: 2\}"),
     ], ids=["six-fields", "four-fields", "huge-step", "index-2**63", "step-0", "nan-reward",
-            "negative-reward"])
+            "negative-reward", "unequal-slots"])
     def test_declined_file_raises_the_per_line_error(self, tmp_path, body, error):
         path = write_csv(tmp_path / "data.csv", "h,x,a,r,x_next\n1,0,0,0.5,0\n" + body)
-        assert dataset._load_table(path) is None
+        assert same_outcome(path)
         with pytest.raises(DatasetError, match=error):
             load_dataset_csv(path)
 
-    @pytest.mark.parametrize("body,meta,x", [
-        ("# late=1\n1,4,0,0.5,0\n", {"late": "1"}, [0, 4]),
-        ("1,1_0,0,0.5,0\n", {}, [0, 10]),
-        ("1,\uff11,0,0.5,0\n", {}, [0, 1]),
-    ], ids=["comment-after-header", "underscore-digit", "full-width-digit"])
-    def test_declined_file_accepted_by_per_line_parser(self, tmp_path, body, meta, x):
+    @pytest.mark.parametrize("body,x", [("1,1_0,0,0.5,0\n", [0, 10]),
+                                        ("1,\uff11,0,0.5,0\n", [0, 1])],
+                             ids=["underscore-digit", "full-width-digit"])
+    def test_declined_file_accepted_by_per_line_parser(self, tmp_path, body, x):
+        # spellings only Python's int() reads
         path = write_csv(tmp_path / "data.csv", "h,x,a,r,x_next\n1,0,0,0.5,0\n" + body)
-        assert dataset._load_table(path) is None
-        loaded = load_dataset_csv(path)
-        assert loaded.meta == meta and loaded.steps[0].x.tolist() == x
+        assert same_outcome(path)
+        assert load_dataset_csv(path).steps[0].x.tolist() == x
+
+    @pytest.mark.parametrize("text,meta", [
+        ("h,x,a,r,x_next\n# late=1\n" + "1,0,1,0.5,2\n1,4,0,0.25,1\n", {"late": "1"}),
+        ("# seed=1\nh,x,a,r,x_next\n1,0,1,0.5,2\n  # seed=2\n1,4,0,0.25,1\n# end\n",
+         {"seed": "2"}),
+        ("h,x,a,r,x_next\n1,0,1,0.5,2\n#\n1,4,0,0.25,1\n# last=x", {"last": "x"}),
+    ], ids=["after-header", "indented-between-rows", "bare-and-unterminated"])
+    def test_comment_lines_after_header(self, tmp_path, opens, text, meta):
+        path = write_csv(tmp_path / "data.csv", text)
+        opens.clear()
+        with per_line_spy() as calls:
+            loaded = load_dataset_csv(path)
+        assert opens[path] == 1 and not calls
+        assert loaded.meta == meta and loaded.steps[0].x.tolist() == [0, 4]
+        assert not same_outcome(path)
+
+    @pytest.mark.parametrize("row", ["1,4,0,0.25,1 # note", "1,4,0,0.25,1#", "1,4,0 #,0.25,1"])
+    def test_trailing_comment_is_a_bad_row(self, tmp_path, row):
+        path = write_csv(tmp_path / "data.csv", f"h,x,a,r,x_next\n# k=v\n1,0,1,0.5,2\n{row}\n")
+        assert same_outcome(path)
+        with pytest.raises(DatasetError, match=r"data\.csv:4: malformed row"):
+            load_dataset_csv(path)
 
     @pytest.mark.parametrize("text", ["", "# seed=1\n", "# seed=1\nh,x,a,r,x_next\n",
                                       "h,x,a,r,x_next\n\n"],
                              ids=["empty", "comment-only", "header-only", "header-blank-lines"])
     def test_no_rows(self, tmp_path, recwarn, text):
         path = write_csv(tmp_path / "data.csv", text)
-        assert dataset._load_table(path) is None
+        assert same_outcome(path)
         assert not recwarn.list     # numpy's empty-input warning is never raised
         with pytest.raises(DatasetError, match="no transition rows"):
             load_dataset_csv(path)
@@ -463,10 +537,9 @@ class TestFastLoad:
         text = "# seed=1\nh,x,a,r,x_next\n1,0,1,0.5,2\n1,3,0,0.25,1\n"
         (tmp_path / "data.csv").write_bytes(text.replace("\n", newline).encode())
         path = str(tmp_path / "data.csv")
-        assert (dataset._load_table(path) is not None) == fast
+        assert same_outcome(path) != fast
         loaded = load_dataset_csv(path)
         assert loaded.meta == {"seed": "1"}
-        assert_same_steps(loaded, dataset._load_rows(path))
         assert loaded.steps[0].x.tolist() == [0, 3]
 
     def test_interleaved_steps_keep_file_order(self, tmp_path):
@@ -474,33 +547,17 @@ class TestFastLoad:
         hs = np.random.default_rng(0).permutation(np.repeat([1, 2, 3], 40)).tolist()
         path = write_csv(tmp_path / "data.csv", "h,x,a,r,x_next\n" + "".join(
             f"{h},{i},0,0.5,0\n" for i, h in enumerate(hs)))
-        fast = dataset._load_table(path)
-        assert fast is not None
-        for h, step in enumerate(fast.steps, start=1):
+        assert not same_outcome(path)
+        for h, step in enumerate(load_dataset_csv(path).steps, start=1):
             assert step.x.tolist() == [i for i, g in enumerate(hs) if g == h]
-        assert_same_steps(fast, dataset._load_rows(path))
-
-
-def same_outcome(path: str) -> None:
-    """load_dataset_csv gives the same dataset as `_load_rows`, or the same error."""
-    try:
-        expected = dataset._load_rows(path)
-    except DatasetError as exc:
-        with pytest.raises(DatasetError) as got:
-            load_dataset_csv(path)
-        assert str(got.value) == str(exc)
-        return
-    loaded = load_dataset_csv(path)
-    assert loaded.meta == expected.meta
-    assert_same_steps(loaded, expected)
 
 
 ROWS_TEXT = "h,x,a,r,x_next\n1,0,1,0.5,2\n1,3,0,0.25,1\n2,1,1,0.75,0\n2,2,0,0.0,3\n"
 
 
 class TestPathRead:
-    """`_load_table` hands the path to numpy's C reader with `skiprows` set to
-    the lines before the first row; these files must read as `_load_rows` reads them."""
+    """The loader opens its file once, as text, and never hands the path to
+    numpy; these files must read as the per-line pass reads them."""
 
     @pytest.mark.parametrize("text,fast", [
         ("# seed=1\n" + ROWS_TEXT.replace("\n", "\r"), True),
@@ -515,8 +572,7 @@ class TestPathRead:
     def test_hazard_reads_as_per_line_parser(self, tmp_path, text, fast):
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert (dataset._load_table(str(path)) is not None) == fast
-        same_outcome(str(path))
+        assert same_outcome(str(path)) != fast
 
     @pytest.mark.parametrize("text", ["# seed=1\n" + ROWS_TEXT, ROWS_TEXT],
                              ids=["before-meta", "before-header"])
@@ -526,7 +582,7 @@ class TestPathRead:
         marked = tmp_path / "marked.csv"
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
         expected = load_dataset_csv(plain)
-        for loaded in (load_dataset_csv(str(marked)), dataset._load_rows(str(marked))):
+        for loaded in (load_dataset_csv(str(marked)), per_line(str(marked))):
             assert loaded.meta == expected.meta
             assert_same_steps(loaded, expected)
 
@@ -541,29 +597,36 @@ class TestPathRead:
             "ds = d.OfflineDataset((d.StepData([0, 1], [1, 0], [0.5, 0.25], [1, 0]),),"
             " {'note': '\\u00e9'})\n"
             "d.save_dataset_csv(ds, sys.argv[1])\n"
-            "assert d._load_table(sys.argv[1]) is not None\n"
+            "def per_line(*args):\n"
+            "    raise AssertionError('the per-line pass ran')\n"
+            "d._load_rows = per_line\n"
             "assert d.load_dataset_csv(sys.argv[1]).meta == {'note': '\\u00e9'}\n")
         path = tmp_path / "data.csv"
         subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
         assert path.read_bytes().startswith("# note=\u00e9\n".encode("utf-8"))
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
-    def test_compressed_suffix_is_read_as_text(self, tmp_path, suffix):
-        # numpy would decompress a path with this suffix; the file is plain text
+    def test_compressed_suffix_is_read_as_text(self, tmp_path, opens, suffix):
+        # np.loadtxt would decompress a path with this suffix; the file is plain text
         path = write_csv(tmp_path / f"data.csv{suffix}", "# seed=1\n" + ROWS_TEXT)
-        assert dataset._load_table(path) is None
-        assert load_dataset_csv(path).steps[1].x.tolist() == [1, 2]
+        opens.clear()
+        with per_line_spy() as calls:
+            assert load_dataset_csv(path).steps[1].x.tolist() == [1, 2]
+        assert opens[path] == 1 and not calls
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_pipe_is_read_once(self):
+    def test_pipe_is_read_once(self, opens):
         # a pipe, as from `--data <(zcat data.csv.gz)`, gives its bytes to one open only
         read_end, write_end = os.pipe()
         os.write(write_end, ("# seed=1\n" + ROWS_TEXT).encode())
         os.close(write_end)
+        path = f"/dev/fd/{read_end}"
         try:
-            assert load_dataset_csv(f"/dev/fd/{read_end}").steps[1].x.tolist() == [1, 2]
+            with per_line_spy() as calls:
+                assert load_dataset_csv(path).steps[1].x.tolist() == [1, 2]
         finally:
             os.close(read_end)
+        assert opens[path] == 1 and not calls
 
     def test_url_like_path_is_read_from_disk(self, tmp_path, monkeypatch):
         def no_network(*args, **kwargs):
@@ -573,5 +636,4 @@ class TestPathRead:
         (tmp_path / "http:" / "host").mkdir(parents=True)
         write_csv(tmp_path / "http:" / "host" / "data.csv", "# seed=1\n" + ROWS_TEXT)
         monkeypatch.chdir(tmp_path)
-        assert dataset._load_table("http://host/data.csv") is not None
-        same_outcome("http://host/data.csv")
+        assert not same_outcome("http://host/data.csv")

@@ -6,6 +6,7 @@
 import contextlib
 import io
 import math
+import random
 import struct
 import sys
 
@@ -14,18 +15,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modbe import cli
+from modbe import cli, textfile
 from modbe.dataset import load_dataset_csv, save_dataset_csv
 from modbe.evaluation import chain_classes, chain_mdp, parse_config
 from modbe.funcclass import load_sequence, save_sequence
 from modbe.mdp import load_mdp, save_mdp
-from modbe.textfile import float_line, numbers, read_lines
+from modbe.textfile import float_line, numbers, read_lines, split_lines, text_lines
 
 
 def test_read_lines_splits_comments_from_numbered_data(tmp_path):
     path = tmp_path / "f.txt"
     path.write_bytes("\ufeff# head\r\n\r\n  1 2 \r  # indented\n3\t4 # tail\n".encode("utf-8"))
     assert read_lines(str(path)) == (["# head", "# indented"], [(3, "1 2"), (5, "3\t4 # tail")])
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3, 7, 1 << 16])
+def test_text_lines_split_on_newline_only(monkeypatch, piece):
+    # every piece size gives the lines of one split on "\n", wherever a piece ends
+    monkeypatch.setattr(textfile, "_PIECE", piece)
+    rng = random.Random(piece)
+    for _ in range(300):
+        text = "".join(rng.choice("ab\n\r \u2028\x85#") for _ in range(rng.randrange(40)))
+        assert list(text_lines(text)) == text.split("\n")
+    assert list(text_lines("a\u2028b\x85c\nd")) == ["a\u2028b\x85c", "d"]
+
+
+def test_split_lines_stops_after_the_stop_th_data_line():
+    lines = iter(["# a", "", "h,x", "1,2", "# b"])
+    assert split_lines(lines, stop=1) == (["# a"], [(3, "h,x")])
+    assert list(lines) == ["1,2", "# b"]     # left unread
+    assert split_lines(["x", " # c", " ", "y"], start=7) == (["# c"], [(7, "x"), (10, "y")])
 
 
 class RowError(Exception):

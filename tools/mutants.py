@@ -83,6 +83,10 @@ MUTANTS = (
      "fitted_q_discounted(train_steps[0], fclass)"),
     ("the CB scorer drops each fit's last weight",
      "row[:len(w)] = w", "row[:len(w) - 1] = w[:-1]"),
+    ("the numpy row check lets a reward above 1 through",
+     "r.min() >= 0.0 and r.max() <= 1.0", "r.min() >= 0.0"),
+    ("the numpy row check drops the equal slot sizes",
+     "if np.any(counts != counts[0]):", "if False:"),
 )
 
 

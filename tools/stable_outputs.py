@@ -101,11 +101,26 @@ def main(tree: Path, out: Path):
     cli("run-fqi", *finite, "--k", "2", "--out", "qtables_finite.txt", stdout="fqi_finite.txt")
     cli("run-modbe", *finite, "--schedule", "practical", "--trace", "trace_finite.txt",
         stdout="modbe_finite.txt")
-    # failing commands, but no argparse usage error: a parser refactor may reorder its options
     lines = (out / "data.csv").read_text().splitlines()
     i = lines.index("h,x,a,r,x_next") + 1
-    lines[i] = ",".join(v if j != 1 else "99" for j, v in enumerate(lines[i].split(",")))
-    (out / "data_x99.csv").write_text("\n".join(lines) + "\n")
+
+    def data_copy(name: str, *rows: str):
+        """data.csv with its first row replaced by rows, written to out/name."""
+        (out / name).write_text("\n".join(lines[:i] + list(rows) + lines[i + 1:]) + "\n")
+
+    first = lines[i].split(",")
+    data_copy("data_x99.csv", ",".join(first[:1] + ["99"] + first[2:]))
+    # valid copies the loader reads by other routes: a comment line after the
+    # header, a name numpy would decompress, and a spelling only int() reads
+    data_copy("data_note.csv", "# note", lines[i])
+    data_copy("data_copy.csv.gz", lines[i])
+    data_copy("data_underscore.csv", ",".join(first[:1] + ["0_" + first[1]] + first[2:]))
+    for data, holdout in (("data_note.csv", "holdout_note.txt"),
+                          ("data_copy.csv.gz", "holdout_gz.txt"),
+                          ("data_underscore.csv", "holdout_underscore.txt")):
+        cli("run-holdout", "--data", data, *chain, stdout=holdout)
+    # failing commands, but no argparse usage error: a parser refactor may reorder its options
+    data_copy("data_trailing_comment.csv", lines[i] + " # note")
     for bad in ("missing", "binary"):
         cli("gen-data", "--mdp", bad, "--n", "5", "--out", "out.csv", fail=f"mdp_{bad}")
         cli(*gen, "5", "--behavior", bad, "--out", "out.csv", fail=f"behavior_{bad}")
@@ -117,6 +132,7 @@ def main(tree: Path, out: Path):
         cli("bench", "--config", f"{name}.cfg", fail=f"config_{name}")
     cli(*gen, "5", "--behavior", "values30.txt", "--out", "out.csv", fail="behavior_30_values")
     cli("run-fqi", "--data", "data_x99.csv", "--classes", "chain.classes", fail="data_x99")
+    cli("run-holdout", "--data", "data_trailing_comment.csv", *chain, fail="data_trailing_comment")
     faults += [f"{f.name}: the command must exit 1" for f in sorted(out.glob("fail_*.txt"))
                if f.read_bytes().splitlines()[-1] != b"exit 1"]
     # the verdict lines; pytest's progress dots may precede a line's "[acceptance]"
