@@ -42,8 +42,8 @@ def _projection_error(fclass: FunctionClass, target: np.ndarray, weights: np.nda
 def _completeness_error(inner: FunctionClass, outer: FunctionClass,
                         mdp: TabularMDP, mu: np.ndarray) -> float | None:
     """max over h and outer members f' of min over inner f of ||f - T*_h f'||^2_mu;
-    None when outer is not enumerable, which covers every linear sequence."""
-    members = outer.enumerate_members()
+    None when outer has no extreme members, which covers every linear sequence."""
+    members = outer.extreme_members()
     if members is None:
         return None
     worst = 0.0
@@ -55,7 +55,7 @@ def _completeness_error(inner: FunctionClass, outer: FunctionClass,
 
 
 def approx_error(fclass: FunctionClass, mdp: TabularMDP, mu: np.ndarray) -> float | None:
-    """Completeness error Approx(F); None when the class is not enumerable."""
+    """Completeness error Approx(F); None when the class has no extreme members."""
     return _completeness_error(fclass, fclass, mdp, mu)
 
 

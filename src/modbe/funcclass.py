@@ -17,7 +17,7 @@ from .mdp import Policy, greedy_policy_from_tables
 from .textfile import float_line, numbers, read_lines, write_lines
 
 ABSTRACTION_QUANTUM = 1.0 / 16.0   # declared value grid for complexity accounting
-ENUMERATION_CAP = 200_000          # largest member set enumerated for Approx / xi
+ENUMERATION_CAP = 200_000          # largest member set backed up for Approx / xi
 RIDGE_SCALE = 1e-6                 # lambda = scale * n
 
 
@@ -94,8 +94,8 @@ class FunctionClass:
         """Raise FunctionClassError unless this class is a subset of `larger`."""
         raise NotImplementedError
 
-    def enumerate_members(self) -> list | None:
-        """Clipped member tables, or None when the class is not enumerable."""
+    def extreme_members(self) -> list | None:
+        """Clipped member tables whose backups attain Approx and xi, or None."""
         return None
 
     def erm(self, xs, as_, ys) -> QFunction:
@@ -145,7 +145,7 @@ class FiniteClass(FunctionClass):
             if not any(t.shape == u.shape and np.array_equal(t, u) for u in larger.tables):
                 raise FunctionClassError("finite classes are not nested (missing member)")
 
-    def enumerate_members(self):
+    def extreme_members(self):
         return [m.clipped for m in self.members]     # every member, whatever ENUMERATION_CAP
 
     def erm(self, xs, as_, ys):
@@ -165,9 +165,7 @@ class AbstractionClass(FunctionClass):
 
     ERM is the exact per-(block, action) mean of the targets; the fit's
     TableQ clips it to [0, clip_high]. `complexity` counts 1 / ABSTRACTION_QUANTUM
-    = 16 values per (block, action) cell (B * A * ln 16); `enumerate_members`
-    steps [0, clip_high] by the quantum: 16 * clip_high + 1 values per cell
-    (65 at a clip of 4; 17 over [0, 1] with no clip).
+    = 16 values per (block, action) cell (B * A * ln 16).
     """
 
     blocks: np.ndarray                # (S,) state -> block id in [0, B)
@@ -197,15 +195,17 @@ class AbstractionClass(FunctionClass):
             if len(coarse) > 1:
                 raise FunctionClassError("abstraction partitions do not refine in order")
 
-    def enumerate_members(self):
-        """Every table on the quantum grid per cell; None beyond ENUMERATION_CAP."""
-        high = self.clip_high if self.clip_high is not None else 1.0
-        grid = np.arange(0.0, high + ABSTRACTION_QUANTUM / 2, ABSTRACTION_QUANTUM)
-        cells = self.num_blocks * self.num_actions
-        if len(grid) ** cells > ENUMERATION_CAP:
+    def extreme_members(self):
+        """The 2**B tables equal on each block to 0 or the clip bound (1 with no
+        clip); None beyond ENUMERATION_CAP. A backup is affine in a member's block
+        maxima in [0, bound]**B, and the inner class, of the same variant in a
+        NestedSequence, projects onto a convex set: the squared distance is convex
+        in those maxima, so its maximum over the box is at one of these vertices."""
+        if 2 ** self.num_blocks > ENUMERATION_CAP:
             return None
-        return [np.array(combo).reshape(self.num_blocks, self.num_actions)[self.blocks]
-                for combo in itertools.product(grid, repeat=cells)]
+        high = self.clip_high if self.clip_high is not None else 1.0
+        return [np.repeat(np.array(v)[self.blocks, None], self.num_actions, axis=1)
+                for v in itertools.product((0.0, high), repeat=self.num_blocks)]
 
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)

@@ -1,13 +1,16 @@
 # Shared test fixtures and independent oracles: random MDP generation,
-# exhaustive policy enumeration, brute-force max-reach, and Monte-Carlo
-# rollout simulation. These deliberately avoid the library's DP code paths
+# exhaustive policy enumeration, brute-force max-reach, grid-enumerated
+# completeness errors, and Monte-Carlo rollout simulation. These deliberately avoid the library's DP code paths
 # so they can serve as ground truth for it.
+import itertools
+
 import numpy as np
 import pytest
 
 from modbe import FiniteClass, NestedSequence, Policy, QFunction, TabularMDP
-from modbe.evaluation import uniform_mu
-from modbe.funcclass import FunctionClassError
+from modbe.evaluation import _projection_error, uniform_mu
+from modbe.funcclass import ABSTRACTION_QUANTUM, ENUMERATION_CAP, FunctionClassError
+from modbe.mdp import bellman_backup
 
 
 def random_mdp(rng: np.random.Generator, S: int, A: int, H: int) -> TabularMDP:
@@ -77,6 +80,29 @@ def brute_max_reach(mdp: TabularMDP) -> np.ndarray:
             m = np.take_along_axis(prod, rows[:, :, None], axis=1)
         out[h] = np.matmul(mdp.initial_dist, m).max(axis=0)
     return out
+
+
+def grid_members(fclass) -> list | None:
+    """Every table of an abstraction class whose (block, action) cells take values
+    on the ABSTRACTION_QUANTUM grid over [0, clip] ([0, 1] with no clip):
+    16 * clip + 1 values per cell; None beyond ENUMERATION_CAP tables."""
+    high = fclass.clip_high if fclass.clip_high is not None else 1.0
+    grid = np.arange(0.0, high + ABSTRACTION_QUANTUM / 2, ABSTRACTION_QUANTUM)
+    B, A = fclass.num_blocks, fclass.num_actions
+    if len(grid) ** (B * A) > ENUMERATION_CAP:
+        return None
+    return [np.array(combo).reshape(B, A)[fclass.blocks]
+            for combo in itertools.product(grid, repeat=B * A)]
+
+
+def grid_completeness_error(inner, outer, mdp: TabularMDP, mu: np.ndarray) -> float | None:
+    """max over h and the grid members f' of outer of min over inner f of
+    ||f - T*_h f'||^2_mu, by enumeration; None when the grid is too large."""
+    members = grid_members(outer)
+    if members is None:
+        return None
+    return max(_projection_error(inner, bellman_backup(mdp, h, table), mu[h - 1])
+               for h in range(1, mdp.horizon + 1) for table in members)
 
 
 def rollout_values(mdp: TabularMDP, policy: Policy, n_rollouts: int,

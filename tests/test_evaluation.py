@@ -22,7 +22,8 @@ from modbe.evaluation import (CB_DIMS, CB_EVAL_CHUNK, CB_EVAL_CONTEXTS, CB_MAX_C
                               run_experiment, run_seed, summarize,
                               uniform_mu, write_results_csv)
 
-from conftest import never_overshoot_instance, random_mdp
+from conftest import (grid_completeness_error, never_overshoot_instance, random_full_support_mu,
+                      random_mdp)
 
 
 def one_cell(n, seed, methods, instance="chain"):
@@ -79,6 +80,23 @@ class TestApproxError:
         target = np.full((1, 1), 2.0)
         assert evaluation._projection_error(cls, target, np.ones((1, 1))) == 0.0
 
+    def test_vertices_equal_the_grid_reference(self, rng):
+        # the 2**B extreme members give the grid's Approx and xi on random
+        # classes small enough to enumerate, clipped or not, with a coarse inner
+        shapes = [(clip, A, B) for clip in (None, 1.0, 2.0) for A, B in ((1, 2), (2, 1))]
+        for clip, A, B in 4 * shapes + [(4.0, 1, 1), (4.0, 1, 2)]:
+            S, H = B + int(rng.integers(0, 3)), int(rng.integers(1, 4))
+            outer_blocks = rng.permutation(np.arange(S) % B)
+            coarse = rng.permutation(np.arange(B) % int(rng.integers(1, B + 1)))
+            inner = AbstractionClass(coarse[outer_blocks], A, clip)
+            outer = AbstractionClass(outer_blocks, A, clip)
+            mdp, mu = random_mdp(rng, S, A, H), random_full_support_mu(rng, S, A, H)
+            xi = global_xi(NestedSequence((inner, outer)), 1, mdp, mu)
+            for got, (small, large) in ((approx_error(inner, mdp, mu), (inner, inner)),
+                                        (approx_error(outer, mdp, mu), (outer, outer)),
+                                        (xi, (inner, outer))):
+                assert abs(got - grid_completeness_error(small, large, mdp, mu)) <= 1e-15
+
     def test_linear_not_computable(self):
         inst = CBInstance()
         feats = inst.sample_features(4, np.random.default_rng(0))
@@ -121,13 +139,15 @@ class TestDiagnose:
         assert "concentrability" in text and "class 3" in text
 
     def test_chain_diagnosis(self):
-        # the finer chain abstractions exceed the enumeration cap: their
-        # Approx is reported not-computable, so no k_star can be certified
+        # every class is backed up at its 2**B extreme members. Even the full
+        # tabular class 3 is not complete: a member at the clip bound 4 backs
+        # up to r + 4 > 4 on the pairs with a positive reward, so no k_star
         mdp = chain_mdp()
         report = diagnose(chain_classes(), mdp, uniform_mu(mdp))
         assert report.conc == pytest.approx(8.0)
-        assert report.approx[0] is not None and report.approx[0] > 0.0
-        assert report.approx[1] is None and report.k_star is None
+        assert report.approx == [0.25125, 1.868125, 0.25125]
+        assert report.xi == [3.8721875000000003, 1.868125, 0.25125]
+        assert report.k_star is None
 
 
 class TestBaselines:
@@ -161,12 +181,11 @@ class TestBaselines:
 
     def test_holdout_bias_instance_margins(self):
         # the constant class has the larger true Bellman error yet wins
-        # hold-out in expectation (double-sampling variance penalty); the
-        # tabular class enumeration exceeds the cap so compare population
-        # fits directly
+        # hold-out in expectation (double-sampling variance penalty). The
+        # tabular class's Approx is the clip's, so compare population fits
         mdp, classes, mu = holdout_bias_instance()
         assert approx_error(classes[1], mdp, mu) > 0.01
-        assert approx_error(classes[2], mdp, mu) is None
+        assert approx_error(classes[2], mdp, mu) == 0.275
         errs = []
         for k in (1, 2):
             seq = fqi_oracle(mdp, mu, classes[k])

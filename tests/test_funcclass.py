@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from modbe import (AbstractionClass, FiniteClass, LinearClass, NestedSequence,
                    greedy_policy, load_sequence, save_sequence)
-from modbe.funcclass import ABSTRACTION_QUANTUM, FunctionClassError, TableQ
+from modbe.funcclass import ABSTRACTION_QUANTUM, ENUMERATION_CAP, FunctionClassError, TableQ
 
 from conftest import empirical_sq_loss, reference_one_hot
 
@@ -226,17 +227,38 @@ class TestTabularShape:
         assert LinearClass(ident_features(1), dim=1).shape is None
 
 
-class TestEnumeration:
+class TestExtremeMembers:
     def test_members_per_variant(self):
-        # 16 * clip + 1 grid values per (block, action) cell: 17 with no clip, 65 at clip 4
-        assert len(AbstractionClass(np.zeros(2, dtype=int)).enumerate_members()) == 17
-        tables = AbstractionClass(np.zeros(2, dtype=int), clip_high=4.0).enumerate_members()
-        assert len(tables) == 65 and tables[-1].tolist() == [[4.0], [4.0]]
-        assert AbstractionClass(np.array([0, 0, 1]), 2, clip_high=4.0).enumerate_members() is None
+        # one table per vertex of [0, bound]**B, constant over each block's actions
+        assert [t.tolist() for t in AbstractionClass(np.zeros(2, dtype=int)).extreme_members()] \
+            == [[[0.0], [0.0]], [[1.0], [1.0]]]
+        blocks = np.array([0, 0, 1])
+        tables = AbstractionClass(blocks, 2, clip_high=4.0).extreme_members()
+        assert len(tables) == 4 and {t.shape for t in tables} == {(3, 2)}
+        assert sorted(tuple(t[[0, 2], 0]) for t in tables) == [
+            (0.0, 0.0), (0.0, 4.0), (4.0, 0.0), (4.0, 4.0)]
+        assert all(np.array_equal(t, np.repeat(t[[0, 0, 2], :1], 2, axis=1)) for t in tables)
         # a finite class lists every clipped member, whatever ENUMERATION_CAP
         finite = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 9.0)), clip_high=2.0)
-        assert [t.tolist() for t in finite.enumerate_members()] == [[[0.0]], [[2.0]]]
-        assert LinearClass(ident_features(1), dim=1).enumerate_members() is None
+        assert [t.tolist() for t in finite.extreme_members()] == [[[0.0]], [[2.0]]]
+        assert LinearClass(ident_features(1), dim=1).extreme_members() is None
+
+    def test_two_to_the_b_members_up_to_the_cap(self):
+        cls = AbstractionClass(np.array([2, 0, 1, 1, 2]), 2, clip_high=3.0)
+        tables = cls.extreme_members()
+        assert len(tables) == 2 ** 3
+        assert len({t.tobytes() for t in tables}) == 8
+        assert all(set(np.unique(t)) <= {0.0, 3.0} for t in tables)
+        # B = 18: 2**18 exceeds ENUMERATION_CAP, and no 576 kB table is built
+        big = AbstractionClass(np.arange(18).repeat(1000), 4, clip_high=4.0)
+        assert 2 ** 17 <= ENUMERATION_CAP < 2 ** 18
+        tracemalloc.start()
+        try:
+            assert big.extreme_members() is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18_000 * 4 * 8 // 8
 
 
 class TestComplexity:
