@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mdp import Policy, TabularMDP, check_data_distribution, concentrability, occupancy
-from .textfile import split_lines, text_lines, write_lines
+from .textfile import open_text, split_lines, text_lines, write_lines
 
 _STREAM_GENERATE = 0
 _STREAM_SPLIT = 1
@@ -197,7 +197,7 @@ def load_dataset_csv(path: str) -> OfflineDataset:
     """The dataset in the CSV file at path, opened once. numpy parses the rows
     from memory; only if that parse or a row check fails does the per-line
     pass `_load_rows` run, to accept the rows or name the first bad line."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         comments, head = split_lines(fh, stop=1)    # the metadata and the header
         body = fh.read()
     if head and head[0][1] == _HEADER:

@@ -1,10 +1,12 @@
 # The plain-text file rules. Every input file (MDP, class sequence, config,
-# dataset CSV, probability file) is read as UTF-8 with an optional byte-order
-# mark and universal newlines; a line carries no data if it is blank or its first
-# non-blank character is '#'. Every output file is written as UTF-8 text by
-# write_lines, and float_line formats floats that numbers reads back bit for bit.
+# dataset CSV, probability file) is opened by open_text as UTF-8 with an
+# optional byte-order mark and universal newlines; a line carries no data if it
+# is blank or its first non-blank character is '#'. Every output file is written
+# as UTF-8 text by write_lines, and float_line formats floats that numbers reads
+# back bit for bit.
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 _PIECE = 1 << 16    # characters text_lines splits at a time
@@ -39,9 +41,32 @@ def split_lines(lines, start: int = 1, stop: int | None = None) -> tuple[list, l
     return comments, data
 
 
+@contextlib.contextmanager
+def open_text(path: str):
+    """The file at path opened for reading as text. A byte that is not UTF-8 raises
+    UnicodeDecodeError with its offset in the file and its line, as split_lines
+    numbers it; a file that cannot seek, such as a pipe, keeps the decoder's error."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            if not fh.buffer.seekable():
+                raise
+            fh.buffer.seek(0)
+            data = fh.buffer.read()
+            try:
+                data.decode("utf-8")    # the byte-order mark decodes, so offsets are the file's
+            except UnicodeDecodeError as bad:
+                head = data[:bad.start]
+                line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+                raise UnicodeDecodeError(bad.encoding, data, bad.start, bad.end,
+                                         f"{bad.reason} (line {line})") from None
+            raise
+
+
 def read_lines(path: str) -> tuple[list[str], list[tuple[int, str]]]:
     """split_lines of the file at path."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         return split_lines(fh)
 
 

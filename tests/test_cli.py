@@ -464,7 +464,8 @@ class TestInputMismatch:
                 "--data": ["run-modbe", "--data", str(binary), "--classes", cls_path],
                 "--config": ["bench", "--config", str(binary)]}[flag]
         assert cli.main(argv) == 1
-        assert f"error: {flag}:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {flag}: 'utf-8' codec can't decode byte 0x80 "
+                                           "in position 0: invalid start byte (line 1)\n")
 
 
     @pytest.mark.parametrize("command", ["run-modbe", "diagnose"])

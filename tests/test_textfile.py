@@ -6,6 +6,7 @@
 import contextlib
 import io
 import math
+import os
 import random
 import struct
 import sys
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modbe import cli, textfile
-from modbe.dataset import load_dataset_csv, save_dataset_csv
-from modbe.evaluation import chain_classes, chain_mdp, parse_config
+from modbe.dataset import generate_from_mu, load_dataset_csv, save_dataset_csv
+from modbe.evaluation import chain_classes, chain_mdp, parse_config, uniform_mu
 from modbe.funcclass import load_sequence, save_sequence
 from modbe.mdp import load_mdp, save_mdp
 from modbe.textfile import float_line, numbers, read_lines, split_lines, text_lines
@@ -134,3 +135,60 @@ def test_bom_and_indented_comments_read_as_the_plain_file(valid_files, tmp_path,
         path = tmp_path / f"{variant}-{name}"
         path.write_text(copy, encoding="utf-8")
         assert read(valid_files, str(path)) == expected, variant
+
+
+@pytest.fixture(scope="module")
+def large_csv(tmp_path_factory):
+    """The bytes of an 80 000-sample chain dataset CSV."""
+    path = tmp_path_factory.mktemp("large") / "data.csv"
+    mdp = chain_mdp()
+    save_dataset_csv(generate_from_mu(mdp, uniform_mu(mdp), 80_000, seed=0), str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("offset", [100_003, 2], ids=["deep", "first-line"])
+def test_bad_byte_names_its_line_and_file_offset(large_csv, tmp_path, bom, offset):
+    # the decoder reads in chunks, yet the error gives the byte's offset in the file
+    data = bytearray(bom + large_csv)
+    pos = len(bom) + offset
+    data[pos] = 0xFF
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    line = data[:pos].count(b"\n") + 1
+    assert (line > 8000) == (offset > 2)
+    with pytest.raises(UnicodeDecodeError) as err:
+        load_dataset_csv(str(path))
+    assert str(err.value) == (f"'utf-8' codec can't decode byte 0xff in position {pos}: "
+                              f"invalid start byte (line {line})")
+
+
+@pytest.mark.parametrize("fmt", ["mdp", "classes", "config", "csv"])
+def test_every_reader_names_the_bad_byte(valid_files, tmp_path, fmt):
+    # the line is numbered as split_lines numbers it, whatever the line ends
+    name, read = FORMATS[fmt]
+    lines = (valid_files / name).read_bytes().splitlines()
+    rng = random.Random(fmt)
+    for _ in range(10):
+        body = [line + rng.choice([b"\n", b"\r\n", b"\r"]) for line in lines]
+        j = rng.randrange(len(body))
+        body[j] = body[j][:1] + b"\xc3(" + body[j][1:]
+        path = tmp_path / name
+        path.write_bytes(b"".join(body))
+        with pytest.raises(UnicodeDecodeError) as err:
+            read(valid_files, str(path))
+        assert err.value.start == len(b"".join(body[:j])) + 1
+        assert str(err.value).endswith(f": invalid continuation byte (line {j + 1})")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_keeps_the_decoder_error():
+    # a pipe cannot be read again, so its error stays the decoder's own
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"h,x,a,r,x_next\n\xff\n")
+    os.close(write_end)
+    try:
+        with pytest.raises(UnicodeDecodeError, match=r"invalid start byte$"):
+            load_dataset_csv(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
