@@ -87,6 +87,12 @@ MUTANTS = (
      "r.min() >= 0.0 and r.max() <= 1.0", "r.min() >= 0.0"),
     ("the numpy row check drops the equal slot sizes",
      "if np.any(counts != counts[0]):", "if False:"),
+    ("the vertex set drops the zero vertex",
+     "for v in itertools.product((0.0, high), repeat=self.num_blocks)]",
+     "for v in itertools.product((0.0, high), repeat=self.num_blocks) if any(v)]"),
+    ("an unclipped class's vertex is 2, not 1",
+     "self.clip_high if self.clip_high is not None else 1.0",
+     "self.clip_high if self.clip_high is not None else 2.0"),
 )
 
 

@@ -23,9 +23,14 @@ BAD_CONFIGS = (("lava", "instance", "lava"), ("bogus_method", "methods", "bogus"
 
 
 def write_inputs(out: Path):
-    from modbe import evaluation as ev, funcclass, mdp
+    from modbe import evaluation as ev, funcclass, mdp, textfile
     mdp.save_mdp(ev.chain_mdp(), str(out / "chain.mdp"))
     funcclass.save_sequence(ev.chain_classes(), str(out / "chain.classes"))
+    # the holdout_bias instance with its own data distribution, for diagnose
+    bias_mdp, bias_classes, bias_mu = ev.holdout_bias_instance()
+    mdp.save_mdp(bias_mdp, str(out / "bias.mdp"))
+    funcclass.save_sequence(bias_classes, str(out / "bias.classes"))
+    (out / "bias_mu.txt").write_text("".join(textfile.float_line(m.ravel()) for m in bias_mu))
     # a nested finite sequence: the zero table, each Q*_h and each Q*_h / 2, all in [0, 4]
     q = mdp.optimal_q(ev.chain_mdp())
     tabs = [0 * q[0]] + [q[h] for h in range(4)] + [q[h] / 2 for h in range(4)]
@@ -98,6 +103,8 @@ def main(tree: Path, out: Path):
     # the finite class reads its members through other code than the chain classes
     finite = ("--data", "data.csv", "--classes", "finite.classes", "--seed", "0")
     cli(*diag, "finite.classes", stdout="diagnose_finite.txt")
+    cli("diagnose", "--mdp", "bias.mdp", "--classes", "bias.classes", "--mu", "bias_mu.txt",
+        stdout="diagnose_bias.txt")
     cli("run-fqi", *finite, "--k", "2", "--out", "qtables_finite.txt", stdout="fqi_finite.txt")
     cli("run-modbe", *finite, "--schedule", "practical", "--trace", "trace_finite.txt",
         stdout="modbe_finite.txt")
