@@ -39,30 +39,21 @@ def _projection_error(fclass: FunctionClass, target: np.ndarray, weights: np.nda
     return float((weights * (table - target) ** 2).sum())
 
 
-def _completeness_error(inner: FunctionClass, outer: FunctionClass,
-                        mdp: TabularMDP, mu: np.ndarray) -> float | None:
-    """max over h and outer members f' of min over inner f of ||f - T*_h f'||^2_mu;
-    None when outer has no extreme members, which covers every linear sequence."""
-    members = outer.extreme_members()
-    if members is None:
-        return None
-    worst = 0.0
+def _completeness_errors(inners: Sequence[FunctionClass], outer: FunctionClass,
+                         mdp: TabularMDP, mu: np.ndarray) -> list:
+    """Per inner class, max over h and outer's extreme members f' of min over its f
+    of ||f - T*_h f'||^2_mu, each f' backed up once and projected onto every inner
+    class; all None when outer has no extreme members (every linear sequence)."""
+    worst = [0.0] * len(inners)
     for h in range(1, mdp.horizon + 1):
+        members = outer.extreme_members()
+        if members is None:
+            return [None] * len(inners)
         for table in members:
             backup = bellman_backup(mdp, h, table)
-            worst = max(worst, _projection_error(inner, backup, mu[h - 1]))
+            worst = [max(w, _projection_error(inner, backup, mu[h - 1]))
+                     for w, inner in zip(worst, inners)]
     return worst
-
-
-def approx_error(fclass: FunctionClass, mdp: TabularMDP, mu: np.ndarray) -> float | None:
-    """Completeness error Approx(F); None when the class has no extreme members."""
-    return _completeness_error(fclass, fclass, mdp, mu)
-
-
-def global_xi(classes: NestedSequence, k: int, mdp: TabularMDP,
-              mu: np.ndarray) -> float | None:
-    """Global completeness error xi_k: backups taken over F_M, projected onto F_k."""
-    return _completeness_error(classes[k], classes[len(classes)], mdp, mu)
 
 
 @dataclass
@@ -84,12 +75,14 @@ class DiagnosticReport:
 
 
 def diagnose(classes: NestedSequence, mdp: TabularMDP, mu: np.ndarray) -> DiagnosticReport:
-    approx = [approx_error(classes[k], mdp, mu) for k in range(1, len(classes) + 1)]
-    xi = [global_xi(classes, k, mdp, mu) for k in range(1, len(classes) + 1)]
+    """Approx(F_k) backs up F_k's own members, xi_k F_M's; Approx(F_M) is xi_M."""
+    *inner, largest = classes.classes
+    xi = _completeness_errors(classes.classes, largest, mdp, mu)
+    approx = [_completeness_errors([c], c, mdp, mu)[0] for c in inner] + xi[-1:]
     k_star = next((k for k, a in enumerate(approx, start=1)
                    if a is not None and a <= COMPLETE_ATOL), None)
     return DiagnosticReport(approx, xi, k_star, concentrability(mdp, mu),
-                            [classes[k].complexity for k in range(1, len(classes) + 1)])
+                            [c.complexity for c in classes.classes])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,8 +94,9 @@ class FunctionClass:
         """Raise FunctionClassError unless this class is a subset of `larger`."""
         raise NotImplementedError
 
-    def extreme_members(self) -> list | None:
-        """Clipped member tables whose backups attain Approx and xi, or None."""
+    def extreme_members(self) -> Iterator[np.ndarray] | None:
+        """Clipped member tables whose backups attain Approx and xi, one at a
+        time, or None."""
         return None
 
     def erm(self, xs, as_, ys) -> QFunction:
@@ -146,7 +147,7 @@ class FiniteClass(FunctionClass):
                 raise FunctionClassError("finite classes are not nested (missing member)")
 
     def extreme_members(self):
-        return [m.clipped for m in self.members]     # every member, whatever ENUMERATION_CAP
+        return (m.clipped for m in self.members)     # every member, whatever ENUMERATION_CAP
 
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)
@@ -204,8 +205,8 @@ class AbstractionClass(FunctionClass):
         if 2 ** self.num_blocks > ENUMERATION_CAP:
             return None
         high = self.clip_high if self.clip_high is not None else 1.0
-        return [np.repeat(np.array(v)[self.blocks, None], self.num_actions, axis=1)
-                for v in itertools.product((0.0, high), repeat=self.num_blocks)]
+        return (np.repeat(np.array(v)[self.blocks, None], self.num_actions, axis=1)
+                for v in itertools.product((0.0, high), repeat=self.num_blocks))
 
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)

@@ -15,8 +15,8 @@ from modbe.mdp import squared_bellman_errors
 from modbe.selection import validation_losses
 from modbe.evaluation import (CB_DIMS, CB_EVAL_CHUNK, CB_EVAL_CONTEXTS, CB_MAX_CONTEXTS,
                               CBInstance, EvalError,
-                              ExperimentConfig, approx_error, cb_policy_regrets,
-                              chain_classes, chain_mdp, diagnose, global_xi,
+                              ExperimentConfig, cb_policy_regrets,
+                              chain_classes, chain_mdp, diagnose,
                               holdout_bias_instance, holdout_select, oracle_select,
                               parse_config,
                               run_experiment, run_seed, summarize,
@@ -29,6 +29,11 @@ from conftest import (grid_completeness_error, never_overshoot_instance, random_
 def one_cell(n, seed, methods, instance="chain"):
     """The scored rows of one (n, seed) cell: run_seed on a one-cell config."""
     return run_seed(seed, ExperimentConfig(instance, [n], [seed], methods))
+
+
+def approx_of(cls, mdp, mu):
+    """Approx(F) of a lone class: diagnose on its one-class sequence."""
+    return diagnose(NestedSequence((cls,)), mdp, mu).approx[0]
 
 
 def one_state_two_action(r1=1.0, r2=0.0, H=1):
@@ -44,14 +49,14 @@ class TestApproxError:
         mdp = TabularMDP(P, np.zeros((2, 1)), np.array([1.0, 0.0]))
         mu = np.full((2, 2, 1), 0.5)
         cls = AbstractionClass(np.arange(2), 1, clip_high=1.0)
-        assert approx_error(cls, mdp, mu) == pytest.approx(0.0, abs=1e-18)
+        assert approx_of(cls, mdp, mu) == pytest.approx(0.0, abs=1e-18)
 
     def test_singleton_zero_on_zero_reward_mdp(self):
         P = np.ones((2, 1, 1, 1))
         mdp = TabularMDP(P, np.zeros((1, 1)), np.ones(1))
         mu = np.ones((2, 1, 1))
         cls = FiniteClass((np.zeros((1, 1)),), clip_high=2.0)
-        assert approx_error(cls, mdp, mu) == 0.0
+        assert approx_of(cls, mdp, mu) == 0.0
 
     def test_hand_enumerated_two_member_class(self):
         # 1 state, 1 action, H=1, r=0.75; members {0, 1}.  Worst backup is of
@@ -61,7 +66,7 @@ class TestApproxError:
         mdp = TabularMDP(P, np.full((1, 1), 0.75), np.ones(1))
         mu = np.ones((1, 1, 1))
         cls = FiniteClass((np.zeros((1, 1)), np.ones((1, 1))), clip_high=1.0)
-        assert approx_error(cls, mdp, mu) == pytest.approx(0.5625, abs=1e-12)
+        assert approx_of(cls, mdp, mu) == pytest.approx(0.5625, abs=1e-12)
 
     def test_finite_members_backed_up_clipped(self):
         # 1 state, 1 action, H=2, r=0.5, clip 2: members {0, 9} and {0, 2}
@@ -72,7 +77,7 @@ class TestApproxError:
         mu = uniform_mu(mdp)
         for top in (9.0, 2.0):
             cls = FiniteClass((np.zeros((1, 1)), np.full((1, 1), top)), clip_high=2.0)
-            assert approx_error(cls, mdp, mu) == 0.25
+            assert approx_of(cls, mdp, mu) == 0.25
 
     def test_finite_projection_on_clipped_values(self):
         # the 7.5 member evaluates to the clip bound 2, which is the target
@@ -91,10 +96,11 @@ class TestApproxError:
             inner = AbstractionClass(coarse[outer_blocks], A, clip)
             outer = AbstractionClass(outer_blocks, A, clip)
             mdp, mu = random_mdp(rng, S, A, H), random_full_support_mu(rng, S, A, H)
-            xi = global_xi(NestedSequence((inner, outer)), 1, mdp, mu)
-            for got, (small, large) in ((approx_error(inner, mdp, mu), (inner, inner)),
-                                        (approx_error(outer, mdp, mu), (outer, outer)),
-                                        (xi, (inner, outer))):
+            report = diagnose(NestedSequence((inner, outer)), mdp, mu)
+            for got, (small, large) in ((report.approx[0], (inner, inner)),
+                                        (report.approx[1], (outer, outer)),
+                                        (report.xi[0], (inner, outer)),
+                                        (report.xi[1], (outer, outer))):
                 assert abs(got - grid_completeness_error(small, large, mdp, mu)) <= 1e-15
 
     def test_linear_not_computable(self):
@@ -102,22 +108,22 @@ class TestApproxError:
         feats = inst.sample_features(4, np.random.default_rng(0))
         cls = inst.classes(feats)[1]
         mdp = one_state_two_action()
-        assert approx_error(cls, mdp, np.full((1, 1, 2), 0.5)) is None
+        assert approx_of(cls, mdp, np.full((1, 1, 2), 0.5)) is None
 
 
 class TestGlobalXi:
     def test_xi_at_m_equals_approx(self):
+        # Approx(F_M) is read from xi_M; it must equal F_M's Approx on its own
         mdp, classes, mu = never_overshoot_instance()
-        M = len(classes)
-        assert global_xi(classes, M, mdp, mu) == pytest.approx(
-            approx_error(classes[M], mdp, mu), abs=1e-15)
+        report = diagnose(classes, mdp, mu)
+        assert report.approx[-1] == report.xi[-1] == approx_of(classes[len(classes)], mdp, mu)
+        assert report.xi[0] != report.xi[-1]
 
     def test_xi_dominates_approx_and_decreases(self):
         mdp, classes, mu = never_overshoot_instance()
-        xis, approxes = [], []
-        for k in range(1, len(classes) + 1):
-            xis.append(global_xi(classes, k, mdp, mu))
-            approxes.append(approx_error(classes[k], mdp, mu))
+        report = diagnose(classes, mdp, mu)
+        xis, approxes = report.xi, report.approx
+        assert len(xis) == len(approxes) == len(classes)
         assert all(x >= a - 1e-15 for x, a in zip(xis, approxes))
         assert all(a >= b - 1e-15 for a, b in zip(xis, xis[1:]))
 
@@ -125,8 +131,22 @@ class TestGlobalXi:
         # F_2 on the never-overshoot instance is complete (Approx = 0) but the
         # F_3 member w backs up outside F_2, so xi_2 > 0
         mdp, classes, mu = never_overshoot_instance()
-        assert approx_error(classes[2], mdp, mu) == pytest.approx(0.0, abs=1e-15)
-        assert global_xi(classes, 2, mdp, mu) > 1e-4
+        report = diagnose(classes, mdp, mu)
+        assert report.approx[1] == pytest.approx(0.0, abs=1e-15)
+        assert report.xi[1] > 1e-4
+
+    def test_each_member_backed_up_once(self, monkeypatch):
+        # one backup per h of each member of every F_k, k < M, for Approx, and
+        # of each member of F_M for all of xi: sum_{k<M} 2**B_k * H + 2**B_M * H
+        calls = []
+        real = evaluation.bellman_backup
+        monkeypatch.setattr(evaluation, "bellman_backup",
+                            lambda *args: calls.append(args[1]) or real(*args))
+        mdp, classes = chain_mdp(), chain_classes()
+        diagnose(classes, mdp, uniform_mu(mdp))
+        H, blocks = mdp.horizon, [classes[k].num_blocks for k in (1, 2, 3)]
+        assert blocks == [1, 2, 4]
+        assert len(calls) == sum(2 ** b * H for b in blocks) == 88
 
 
 class TestDiagnose:
@@ -184,8 +204,9 @@ class TestBaselines:
         # hold-out in expectation (double-sampling variance penalty). The
         # tabular class's Approx is the clip's, so compare population fits
         mdp, classes, mu = holdout_bias_instance()
-        assert approx_error(classes[1], mdp, mu) > 0.01
-        assert approx_error(classes[2], mdp, mu) == 0.275
+        approx = diagnose(classes, mdp, mu).approx
+        assert approx[0] > 0.01
+        assert approx[1] == 0.275
         errs = []
         for k in (1, 2):
             seq = fqi_oracle(mdp, mu, classes[k])
@@ -793,8 +814,9 @@ class TestExperimentPlumbing:
 class TestNeverOvershootInstance:
     def test_f2_complete_f1_not(self):
         mdp, classes, mu = never_overshoot_instance()
-        assert approx_error(classes[1], mdp, mu) > 1e-4
-        assert approx_error(classes[2], mdp, mu) == pytest.approx(0.0, abs=1e-15)
+        approx = diagnose(classes, mdp, mu).approx
+        assert approx[0] > 1e-4
+        assert approx[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_theoretical_schedule_keeps_low_k(self):
         mdp, classes, mu = never_overshoot_instance()

@@ -233,7 +233,7 @@ class TestExtremeMembers:
         assert [t.tolist() for t in AbstractionClass(np.zeros(2, dtype=int)).extreme_members()] \
             == [[[0.0], [0.0]], [[1.0], [1.0]]]
         blocks = np.array([0, 0, 1])
-        tables = AbstractionClass(blocks, 2, clip_high=4.0).extreme_members()
+        tables = list(AbstractionClass(blocks, 2, clip_high=4.0).extreme_members())
         assert len(tables) == 4 and {t.shape for t in tables} == {(3, 2)}
         assert sorted(tuple(t[[0, 2], 0]) for t in tables) == [
             (0.0, 0.0), (0.0, 4.0), (4.0, 0.0), (4.0, 4.0)]
@@ -245,7 +245,7 @@ class TestExtremeMembers:
 
     def test_two_to_the_b_members_up_to_the_cap(self):
         cls = AbstractionClass(np.array([2, 0, 1, 1, 2]), 2, clip_high=3.0)
-        tables = cls.extreme_members()
+        tables = list(cls.extreme_members())
         assert len(tables) == 2 ** 3
         assert len({t.tobytes() for t in tables}) == 8
         assert all(set(np.unique(t)) <= {0.0, 3.0} for t in tables)
@@ -259,6 +259,18 @@ class TestExtremeMembers:
         finally:
             tracemalloc.stop()
         assert peak < 18_000 * 4 * 8 // 8
+
+    def test_members_stream_one_at_a_time(self):
+        # B = 17: the first of 2**17 tables comes back before the others are built
+        cls = AbstractionClass(np.arange(1088) % 17, 1, clip_high=4.0)
+        tracemalloc.start()
+        try:
+            first = next(cls.extreme_members())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.shape == (1088, 1) and not first.any()
+        assert peak < 4 * first.nbytes
 
 
 class TestComplexity:
