@@ -41,12 +41,12 @@ def _projection_error(fclass: FunctionClass, target: np.ndarray, weights: np.nda
 
 def _completeness_errors(inners: Sequence[FunctionClass], outer: FunctionClass,
                          mdp: TabularMDP, mu: np.ndarray) -> list:
-    """Per inner class, max over h and outer's extreme members f' of min over its f
-    of ||f - T*_h f'||^2_mu, each f' backed up once and projected onto every inner
-    class; all None when outer has no extreme members (every linear sequence)."""
+    """Per inner class, max over h and outer's extreme members f' in [0, H - h] (so
+    f_{H+1} = 0, as FQI fits) of min over its f of ||f - T*_h f'||^2_mu, each f' backed
+    up once for every inner class; all None when outer has none (every linear class)."""
     worst = [0.0] * len(inners)
     for h in range(1, mdp.horizon + 1):
-        members = outer.extreme_members()
+        members = outer.extreme_members(mdp.horizon - h)
         if members is None:
             return [None] * len(inners)
         for table in members:
@@ -76,9 +76,8 @@ class DiagnosticReport:
 
 def diagnose(classes: NestedSequence, mdp: TabularMDP, mu: np.ndarray) -> DiagnosticReport:
     """Approx(F_k) backs up F_k's own members, xi_k F_M's; Approx(F_M) is xi_M."""
-    *inner, largest = classes.classes
-    xi = _completeness_errors(classes.classes, largest, mdp, mu)
-    approx = [_completeness_errors([c], c, mdp, mu)[0] for c in inner] + xi[-1:]
+    xi = _completeness_errors(classes.classes, classes.classes[-1], mdp, mu)
+    approx = [_completeness_errors([c], c, mdp, mu)[0] for c in classes.classes[:-1]] + xi[-1:]
     k_star = next((k for k, a in enumerate(approx, start=1)
                    if a is not None and a <= COMPLETE_ATOL), None)
     return DiagnosticReport(approx, xi, k_star, concentrability(mdp, mu),

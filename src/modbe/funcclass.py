@@ -94,9 +94,9 @@ class FunctionClass:
         """Raise FunctionClassError unless this class is a subset of `larger`."""
         raise NotImplementedError
 
-    def extreme_members(self) -> Iterator[np.ndarray] | None:
-        """Clipped member tables whose backups attain Approx and xi, one at a
-        time, or None."""
+    def extreme_members(self, bound: float) -> Iterator[np.ndarray] | None:
+        """Clipped member tables with values in [0, bound] whose backups attain
+        Approx and xi, one at a time, or None."""
         return None
 
     def erm(self, xs, as_, ys) -> QFunction:
@@ -146,8 +146,9 @@ class FiniteClass(FunctionClass):
             if not any(t.shape == u.shape and np.array_equal(t, u) for u in larger.tables):
                 raise FunctionClassError("finite classes are not nested (missing member)")
 
-    def extreme_members(self):
-        return (m.clipped for m in self.members)     # every member, whatever ENUMERATION_CAP
+    def extreme_members(self, bound):
+        # every member in [0, bound], whatever ENUMERATION_CAP; the zero member always is
+        return (m.clipped for m in self.members if 0 <= m.clipped.min() <= m.clipped.max() <= bound)
 
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)
@@ -196,17 +197,17 @@ class AbstractionClass(FunctionClass):
             if len(coarse) > 1:
                 raise FunctionClassError("abstraction partitions do not refine in order")
 
-    def extreme_members(self):
-        """The 2**B tables equal on each block to 0 or the clip bound (1 with no
-        clip); None beyond ENUMERATION_CAP. A backup is affine in a member's block
-        maxima in [0, bound]**B, and the inner class, of the same variant in a
-        NestedSequence, projects onto a convex set: the squared distance is convex
-        in those maxima, so its maximum over the box is at one of these vertices."""
+    def extreme_members(self, bound):
+        """The 2**B tables equal on each block to 0 or to high = min(bound, clip),
+        every action alike (one zero table at high 0); None beyond ENUMERATION_CAP.
+        A backup is affine in a member's block maxima in [0, high]**B, and the inner
+        class (same variant) projects onto a convex set, so the squared distance is
+        convex in those maxima and peaks at one of these vertices."""
         if 2 ** self.num_blocks > ENUMERATION_CAP:
             return None
-        high = self.clip_high if self.clip_high is not None else 1.0
+        high = bound if self.clip_high is None else min(bound, self.clip_high)
         return (np.repeat(np.array(v)[self.blocks, None], self.num_actions, axis=1)
-                for v in itertools.product((0.0, high), repeat=self.num_blocks))
+                for v in itertools.product(sorted({0.0, high}), repeat=self.num_blocks))
 
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)

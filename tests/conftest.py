@@ -82,11 +82,11 @@ def brute_max_reach(mdp: TabularMDP) -> np.ndarray:
     return out
 
 
-def grid_members(fclass) -> list | None:
+def grid_members(fclass, bound: float) -> list | None:
     """Every table of an abstraction class whose (block, action) cells take values
-    on the ABSTRACTION_QUANTUM grid over [0, clip] ([0, 1] with no clip):
-    16 * clip + 1 values per cell; None beyond ENUMERATION_CAP tables."""
-    high = fclass.clip_high if fclass.clip_high is not None else 1.0
+    on the ABSTRACTION_QUANTUM grid over [0, high], high = min(bound, clip):
+    16 * high + 1 values per cell; None beyond ENUMERATION_CAP tables."""
+    high = bound if fclass.clip_high is None else min(bound, fclass.clip_high)
     grid = np.arange(0.0, high + ABSTRACTION_QUANTUM / 2, ABSTRACTION_QUANTUM)
     B, A = fclass.num_blocks, fclass.num_actions
     if len(grid) ** (B * A) > ENUMERATION_CAP:
@@ -96,13 +96,14 @@ def grid_members(fclass) -> list | None:
 
 
 def grid_completeness_error(inner, outer, mdp: TabularMDP, mu: np.ndarray) -> float | None:
-    """max over h and the grid members f' of outer of min over inner f of
-    ||f - T*_h f'||^2_mu, by enumeration; None when the grid is too large."""
-    members = grid_members(outer)
-    if members is None:
+    """max over h and the grid members f' of outer in [0, H - h] of min over inner f
+    of ||f - T*_h f'||^2_mu, by enumeration; None when a grid is too large."""
+    H = mdp.horizon
+    members = [grid_members(outer, H - h) for h in range(1, H + 1)]
+    if any(m is None for m in members):
         return None
     return max(_projection_error(inner, bellman_backup(mdp, h, table), mu[h - 1])
-               for h in range(1, mdp.horizon + 1) for table in members)
+               for h in range(1, H + 1) for table in members[h - 1])
 
 
 def rollout_values(mdp: TabularMDP, policy: Policy, n_rollouts: int,

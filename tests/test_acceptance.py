@@ -11,8 +11,8 @@ import pytest
 from modbe import (AbstractionClass, FiniteClass, LinearClass, NestedSequence,
                    generate_from_mu, make_fqi, modbe)
 from modbe.basealg import fqi, fqi_oracle, omega_fqi
-from modbe.evaluation import (ExperimentConfig, chain_classes, chain_mdp, run_experiment,
-                              run_seed, uniform_mu, write_results_csv)
+from modbe.evaluation import (ExperimentConfig, chain_classes, chain_mdp, diagnose,
+                              run_experiment, run_seed, uniform_mu, write_results_csv)
 from modbe.mdp import (concentrability, greedy_policy_from_tables, max_reach,
                        optimal_q, perf_diff_bound, policy_value, regret)
 from modbe.selection import ToleranceSchedule, zeta
@@ -97,12 +97,15 @@ def test_criterion_3_fqi_consistency(capsys):
 
 def test_criterion_4_never_overshoot(capsys):
     mdp, classes, mu = never_overshoot_instance()
+    k_star = diagnose(classes, mdp, mu).k_star
+    assert k_star is not None, "diagnose names no complete class"
     base = make_fqi()
-    hits = sum(
-        modbe(generate_from_mu(mdp, mu, 1000, seed), base, classes,
-              0.1, "theoretical", seed).k_hat <= 2
-        for seed in range(50))
-    report(capsys, 4, "never-overshoot", hits >= 48, f"k_hat <= 2 in {hits}/50 runs")
+    traces = [modbe(generate_from_mu(mdp, mu, 1000, seed), base, classes,
+                    0.1, "theoretical", seed) for seed in range(50)]
+    hits = sum(t.k_hat <= k_star for t in traces)
+    rejecting = sum(any(e.reject for e in t.events) for t in traces)
+    report(capsys, 4, "never-overshoot", hits >= 48,
+           f"k_hat <= k* = {k_star} in {hits}/50 runs, a class rejected in {rejecting}/50")
 
 
 def test_criterion_5_oracle_inequality(capsys):

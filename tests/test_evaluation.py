@@ -59,25 +59,37 @@ class TestApproxError:
         assert approx_of(cls, mdp, mu) == 0.0
 
     def test_hand_enumerated_two_member_class(self):
-        # 1 state, 1 action, H=1, r=0.75; members {0, 1}.  Worst backup is of
-        # the 1-function: T*(1) = 0.75 + 1 = 1.75; best fit among {0, 1} is 1,
-        # distance (1 - 1.75)^2 = 0.5625 (the 0-function gives min 0.0625)
-        P = np.ones((1, 1, 1, 1))
+        # 1 state, 1 action, H=2, r=0.75; members {0, 1}. Step 2 backs up only
+        # f_3 = 0: T*(0) = 0.75, 0.0625 from the member 1. Step 1 backs up both
+        # members, since each lies in [0, H - 1]: the worst is the 1-function,
+        # T*(1) = 0.75 + 1 = 1.75, whose best fit 1 is (1 - 1.75)^2 = 0.5625 away
+        P = np.ones((2, 1, 1, 1))
         mdp = TabularMDP(P, np.full((1, 1), 0.75), np.ones(1))
-        mu = np.ones((1, 1, 1))
+        mu = np.ones((2, 1, 1))
         cls = FiniteClass((np.zeros((1, 1)), np.ones((1, 1))), clip_high=1.0)
         assert approx_of(cls, mdp, mu) == pytest.approx(0.5625, abs=1e-12)
 
-    def test_finite_members_backed_up_clipped(self):
-        # 1 state, 1 action, H=2, r=0.5, clip 2: members {0, 9} and {0, 2}
-        # evaluate alike, so they back up alike. T*(2) = 2.5 is 0.25 from
-        # the member 2, and T*(0) = 0.5 is 0.25 from the member 0.
+    def test_backups_range_over_the_remaining_horizon(self):
+        # 1 state, 1 action, H=2, r=0.5; members {0, 0.5, 1, 1.5}. Step 2 backs
+        # up f_3 = 0 alone and step 1 the members in [0, 1]; each backup r + f'
+        # is a member, so the class is complete. The member 1.5 lies above both
+        # ranges: its backup 2 would be 0.25 from the class
         P = np.ones((2, 1, 1, 1))
         mdp = TabularMDP(P, np.full((1, 1), 0.5), np.ones(1))
-        mu = uniform_mu(mdp)
-        for top in (9.0, 2.0):
-            cls = FiniteClass((np.zeros((1, 1)), np.full((1, 1), top)), clip_high=2.0)
-            assert approx_of(cls, mdp, mu) == 0.25
+        cls = FiniteClass(tuple(np.full((1, 1), v) for v in (0.0, 0.5, 1.0, 1.5)))
+        report = diagnose(NestedSequence((cls,)), mdp, uniform_mu(mdp))
+        assert report.approx == report.xi == [0.0] and report.k_star == 1
+
+    def test_finite_members_backed_up_clipped(self):
+        # 1 state, 1 action, H=2, r=0.75, clip 1: members {0, 9} and {0, 1}
+        # evaluate alike, so they back up alike. Clipped to 1, the member 9
+        # lies in step 1's range [0, 1], and T*(1) = 1.75 is 0.5625 from the
+        # member 1; out of range, it would leave step 2's T*(0) = 0.75, 0.0625
+        P = np.ones((2, 1, 1, 1))
+        mdp = TabularMDP(P, np.full((1, 1), 0.75), np.ones(1))
+        for top in (9.0, 1.0):
+            cls = FiniteClass((np.zeros((1, 1)), np.full((1, 1), top)), clip_high=1.0)
+            assert approx_of(cls, mdp, uniform_mu(mdp)) == 0.5625
 
     def test_finite_projection_on_clipped_values(self):
         # the 7.5 member evaluates to the clip bound 2, which is the target
@@ -137,7 +149,8 @@ class TestGlobalXi:
 
     def test_each_member_backed_up_once(self, monkeypatch):
         # one backup per h of each member of every F_k, k < M, for Approx, and
-        # of each member of F_M for all of xi: sum_{k<M} 2**B_k * H + 2**B_M * H
+        # of each member of F_M for all of xi, each once: 2**B_k at every step
+        # but H, whose one member is f_{H+1} = 0, so sum_k (2**B_k * (H - 1) + 1)
         calls = []
         real = evaluation.bellman_backup
         monkeypatch.setattr(evaluation, "bellman_backup",
@@ -146,7 +159,8 @@ class TestGlobalXi:
         diagnose(classes, mdp, uniform_mu(mdp))
         H, blocks = mdp.horizon, [classes[k].num_blocks for k in (1, 2, 3)]
         assert blocks == [1, 2, 4]
-        assert len(calls) == sum(2 ** b * H for b in blocks) == 88
+        assert len(calls) == sum(2 ** b * (H - 1) + 1 for b in blocks) == 69
+        assert calls.count(H) == len(blocks)
 
 
 class TestDiagnose:
@@ -159,15 +173,15 @@ class TestDiagnose:
         assert "concentrability" in text and "class 3" in text
 
     def test_chain_diagnosis(self):
-        # every class is backed up at its 2**B extreme members. Even the full
-        # tabular class 3 is not complete: a member at the clip bound 4 backs
-        # up to r + 4 > 4 on the pairs with a positive reward, so no k_star
+        # step h backs up each class's 2**B extreme members in [0, H - h], and
+        # step H the zero table alone: every backup r + f' lies in [0, H - h + 1]
+        # within the clip bound 4, so the full tabular class 3 is complete
         mdp = chain_mdp()
         report = diagnose(chain_classes(), mdp, uniform_mu(mdp))
         assert report.conc == pytest.approx(8.0)
-        assert report.approx == [0.25125, 1.868125, 0.25125]
-        assert report.xi == [3.8721875000000003, 1.868125, 0.25125]
-        assert report.k_star is None
+        assert report.approx == [0.18218750000000003, 1.145625, 0.0]
+        assert report.xi == [2.4396875000000002, 1.145625, 0.0]
+        assert report.k_star == 3
 
 
 class TestBaselines:
@@ -201,12 +215,12 @@ class TestBaselines:
 
     def test_holdout_bias_instance_margins(self):
         # the constant class has the larger true Bellman error yet wins
-        # hold-out in expectation (double-sampling variance penalty). The
-        # tabular class's Approx is the clip's, so compare population fits
+        # hold-out in expectation (double-sampling variance penalty); the
+        # tabular class is complete, and its population fit has no error
         mdp, classes, mu = holdout_bias_instance()
-        approx = diagnose(classes, mdp, mu).approx
-        assert approx[0] > 0.01
-        assert approx[1] == 0.275
+        report = diagnose(classes, mdp, mu)
+        assert report.approx == report.xi == [0.025, 0.0]
+        assert report.k_star == 2
         errs = []
         for k in (1, 2):
             seq = fqi_oracle(mdp, mu, classes[k])

@@ -229,32 +229,44 @@ class TestTabularShape:
 
 class TestExtremeMembers:
     def test_members_per_variant(self):
-        # one table per vertex of [0, bound]**B, constant over each block's actions
-        assert [t.tolist() for t in AbstractionClass(np.zeros(2, dtype=int)).extreme_members()] \
-            == [[[0.0], [0.0]], [[1.0], [1.0]]]
+        # one table per vertex of [0, min(bound, clip)]**B, constant over each
+        # block's actions; one zero table at bound 0
+        assert [t.tolist() for t in AbstractionClass(np.zeros(2, dtype=int)).extreme_members(2.5)] \
+            == [[[0.0], [0.0]], [[2.5], [2.5]]]
         blocks = np.array([0, 0, 1])
-        tables = list(AbstractionClass(blocks, 2, clip_high=4.0).extreme_members())
+        tables = list(AbstractionClass(blocks, 2, clip_high=4.0).extreme_members(4.0))
         assert len(tables) == 4 and {t.shape for t in tables} == {(3, 2)}
         assert sorted(tuple(t[[0, 2], 0]) for t in tables) == [
             (0.0, 0.0), (0.0, 4.0), (4.0, 0.0), (4.0, 4.0)]
         assert all(np.array_equal(t, np.repeat(t[[0, 0, 2], :1], 2, axis=1)) for t in tables)
-        # a finite class lists every clipped member, whatever ENUMERATION_CAP
-        finite = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 9.0)), clip_high=2.0)
-        assert [t.tolist() for t in finite.extreme_members()] == [[[0.0]], [[2.0]]]
-        assert LinearClass(ident_features(1), dim=1).extreme_members() is None
+        assert {t.max() for t in AbstractionClass(blocks, 2, clip_high=1.0).extreme_members(3.0)} \
+            == {0.0, 1.0}
+        assert [t.tolist() for t in AbstractionClass(blocks, 2, clip_high=4.0).extreme_members(0.0)] \
+            == [np.zeros((3, 2)).tolist()]
+        # a finite class lists every clipped member in [0, bound], whatever ENUMERATION_CAP
+        finite = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 9.0), np.full((1, 1), 3.0),
+                              np.full((1, 1), -1.0)), clip_high=2.0)
+        assert [t.item() for t in finite.extreme_members(2.0)] == [0.0, 2.0, 2.0, 0.0]
+        assert [t.item() for t in finite.extreme_members(1.5)] == [0.0, 0.0]
+        unclipped = FiniteClass((np.zeros((1, 1)), np.full((1, 1), -1.0), np.full((1, 1), 2.0)))
+        assert [t.item() for t in unclipped.extreme_members(2.0)] == [0.0, 2.0]
+        assert [t.item() for t in unclipped.extreme_members(1.0)] == [0.0]
+        assert LinearClass(ident_features(1), dim=1).extreme_members(1.0) is None
 
     def test_two_to_the_b_members_up_to_the_cap(self):
         cls = AbstractionClass(np.array([2, 0, 1, 1, 2]), 2, clip_high=3.0)
-        tables = list(cls.extreme_members())
+        tables = list(cls.extreme_members(3.0))
         assert len(tables) == 2 ** 3
         assert len({t.tobytes() for t in tables}) == 8
         assert all(set(np.unique(t)) <= {0.0, 3.0} for t in tables)
-        # B = 18: 2**18 exceeds ENUMERATION_CAP, and no 576 kB table is built
+        # B = 18: 2**18 exceeds ENUMERATION_CAP, and no 576 kB table is built,
+        # whatever the bound
         big = AbstractionClass(np.arange(18).repeat(1000), 4, clip_high=4.0)
         assert 2 ** 17 <= ENUMERATION_CAP < 2 ** 18
         tracemalloc.start()
         try:
-            assert big.extreme_members() is None
+            assert big.extreme_members(4.0) is None
+            assert big.extreme_members(0.0) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -265,7 +277,7 @@ class TestExtremeMembers:
         cls = AbstractionClass(np.arange(1088) % 17, 1, clip_high=4.0)
         tracemalloc.start()
         try:
-            first = next(cls.extreme_members())
+            first = next(cls.extreme_members(4.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

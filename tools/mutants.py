@@ -88,11 +88,18 @@ MUTANTS = (
     ("the numpy row check drops the equal slot sizes",
      "if np.any(counts != counts[0]):", "if False:"),
     ("the vertex set drops the zero vertex",
-     "for v in itertools.product((0.0, high), repeat=self.num_blocks))",
-     "for v in itertools.product((0.0, high), repeat=self.num_blocks) if any(v))"),
-    ("an unclipped class's vertex is 2, not 1",
-     "self.clip_high if self.clip_high is not None else 1.0",
-     "self.clip_high if self.clip_high is not None else 2.0"),
+     "for v in itertools.product(sorted({0.0, high}), repeat=self.num_blocks))",
+     "for v in itertools.product(sorted({0.0, high}), repeat=self.num_blocks) if any(v))"),
+    ("an unclipped class's vertex is the bound plus 1",
+     "high = bound if self.clip_high is None", "high = bound + 1 if self.clip_high is None"),
+    ("a clipped class's vertex ignores its clip",
+     "else min(bound, self.clip_high)", "else bound"),
+    ("step H backs up members",
+     "outer.extreme_members(mdp.horizon - h)", "outer.extreme_members(mdp.horizon - h + 1)"),
+    ("a finite member above the range is backed up",
+     "if 0 <= m.clipped.min() <= m.clipped.max() <= bound)", "if 0 <= m.clipped.min())"),
+    ("Approx(F_M) read from the wrong entry of xi",
+     "for c in classes.classes[:-1]] + xi[-1:]", "for c in classes.classes[:-1]] + xi[:1]"),
 )
 
 
