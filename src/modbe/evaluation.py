@@ -41,9 +41,9 @@ def _projection_error(fclass: FunctionClass, target: np.ndarray, weights: np.nda
 
 def _completeness_errors(inners: Sequence[FunctionClass], outer: FunctionClass,
                          mdp: TabularMDP, mu: np.ndarray) -> list:
-    """Per inner class, max over h and outer's extreme members f' in [0, H - h] (so
-    f_{H+1} = 0, as FQI fits) of min over its f of ||f - T*_h f'||^2_mu, each f' backed
-    up once for every inner class; all None when outer has none (every linear class)."""
+    """Per inner class, max over h and outer's extreme members f' in [0, H - h], the
+    range of FQI's f_{h+1} (f_{H+1} = 0), of min over its f of ||f - T*_h f'||^2_mu;
+    each f' is backed up once for all inner classes. All None when outer has none."""
     worst = [0.0] * len(inners)
     for h in range(1, mdp.horizon + 1):
         members = outer.extreme_members(mdp.horizon - h)
