@@ -11,7 +11,7 @@ import numpy as np
 
 from . import basealg, dataset as ds, evaluation as ev, funcclass as fc, mdp as mdp_mod
 from .selection import SCHEDULES, SelectionError, modbe, validation_losses
-from .textfile import float_line, read_lines, write_lines
+from .textfile import float_line, numbers, read_lines, write_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,11 +93,9 @@ def _probabilities(spec: str, mdp: mdp_mod.TabularMDP, uniform, check):
     if spec == "uniform":
         return uniform
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
-    try:        # numpy raises a plain ValueError
-        lines = [text for _, text in read_lines(spec)[1]]
-        probs = np.loadtxt(lines).ravel() if lines else np.zeros(0)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    rows = read_lines(spec)[1]      # the values in any line layout
+    probs = np.array([p for i in range(len(rows))
+                      for p in numbers(spec, rows, i, float, None, "probabilities", CLIError)])
     if probs.size != H * S * A:
         raise CLIError(f"expected H*S*A = {H * S * A} probabilities, found {probs.size}")
     return check(probs.reshape(H, S, A))

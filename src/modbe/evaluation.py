@@ -129,14 +129,13 @@ def chain_mdp() -> TabularMDP:
 
 
 def chain_classes() -> NestedSequence:
-    """Nested abstractions of the chain's 4 states, clipped to its horizon 4:
+    """Nested abstractions of chain_mdp's states, clipped to its horizon:
     single block, halves, then full tabular (complete)."""
-    S, H = 4, 4
-    coarse = np.zeros(S, dtype=int)
-    mid = (np.arange(S) >= S // 2).astype(int)
-    full = np.arange(S)
-    return NestedSequence(tuple(
-        AbstractionClass(b, 2, clip_high=float(H)) for b in (coarse, mid, full)))
+    mdp = chain_mdp()
+    S = mdp.num_states
+    halves = (np.arange(S) >= S // 2).astype(int)
+    return NestedSequence(tuple(AbstractionClass(b, mdp.num_actions, clip_high=float(mdp.horizon))
+                                for b in (np.zeros(S, dtype=int), halves, np.arange(S))))
 
 
 def uniform_mu(mdp: TabularMDP) -> np.ndarray:

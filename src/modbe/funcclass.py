@@ -209,26 +209,25 @@ class AbstractionClass(FunctionClass):
         return (np.repeat(np.array(v)[self.blocks, None], self.num_actions, axis=1)
                 for v in itertools.product(sorted({0.0, high}), repeat=self.num_blocks))
 
-    def erm(self, xs, as_, ys):
-        self._check_samples(xs, ys)
-        xs = np.asarray(xs, dtype=int)
-        as_ = np.asarray(as_, dtype=int)
-        ys = np.asarray(ys, dtype=float)
+    def _block_means(self, cell, values, weights=None) -> TableQ:
+        """The mean of values, weighted if weights are given, on each (block, action)
+        cell = block * A + action (0 on a cell of no weight), spread over the states."""
         B, A = self.num_blocks, self.num_actions
-        cell = self.blocks[xs] * A + as_
-        sums = np.bincount(cell, weights=ys, minlength=B * A)
-        counts = np.bincount(cell, minlength=B * A)
+        sums = np.bincount(cell, weights=values, minlength=B * A)
+        counts = np.bincount(cell, weights=weights, minlength=B * A)
         means = np.divide(sums, counts, out=np.zeros(B * A), where=counts > 0)
         return TableQ(means.reshape(B, A)[self.blocks], self.clip_high)
 
+    def erm(self, xs, as_, ys):
+        self._check_samples(xs, ys)
+        xs, as_ = np.asarray(xs, dtype=int), np.asarray(as_, dtype=int)
+        return self._block_means(self.blocks[xs] * self.num_actions + as_, ys)
+
     def population_erm(self, weights, target):
-        B, A = self.num_blocks, self.num_actions
-        w = np.zeros((B, A))
-        s = np.zeros((B, A))
-        np.add.at(w, self.blocks, weights)
-        np.add.at(s, self.blocks, weights * target)
-        vals = np.divide(s, w, out=np.zeros((B, A)), where=w > 0)
-        return TableQ(vals[self.blocks], self.clip_high)
+        """erm's block mean over the (S, A) grid, each cell weighted by weights."""
+        A = self.num_actions
+        cell = (self.blocks[:, None] * A + np.arange(A)).ravel()
+        return self._block_means(cell, np.ravel(weights * target), np.ravel(weights))
 
 
 @dataclass(frozen=True)

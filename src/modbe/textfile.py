@@ -82,19 +82,20 @@ def float_line(values) -> str:
     return " ".join(repr(float(v)) for v in values) + "\n"
 
 
-def numbers(path: str, rows: list[tuple[int, str]], i: int, convert, count: int, what: str,
-            error: type[Exception]) -> list:
-    """The count whitespace-separated values of data line rows[i], each read
-    by convert; error names the line when it is missing, holds a value that
-    convert rejects, or holds another number of values."""
+def numbers(path: str, rows: list[tuple[int, str]], i: int, convert, count: int | None,
+            what: str, error: type[Exception]) -> list:
+    """The count (with None, any number of) whitespace-separated values of data
+    line rows[i], each read by convert; error names the line when it is missing,
+    holds a value that convert rejects, or holds another number of values."""
     if i >= len(rows):
         raise error(f"{path}:{rows[-1][0]}: file ends here, "
                     f"expected a line of {count} {what} after it")
     lineno, text = rows[i]
+    expected = what if count is None else f"{count} {what}"
     try:
         vals = [convert(t) for t in text.split()]
     except ValueError as exc:
-        raise error(f"{path}:{lineno}: expected {count} {what}: {exc}") from exc
-    if len(vals) != count:
-        raise error(f"{path}:{lineno}: expected {count} {what}")
+        raise error(f"{path}:{lineno}: expected {expected}: {exc}") from exc
+    if count is not None and len(vals) != count:
+        raise error(f"{path}:{lineno}: expected {expected}")
     return vals

@@ -544,6 +544,26 @@ class TestProbabilityFile:
         assert plain[0][0] == 0, plain[1].err
         assert url_like == plain
 
+    @pytest.mark.parametrize("flag", ["--behavior", "--mu"])
+    def test_any_line_layout_reads_alike(self, chain_dir, capsys, flag):
+        values = self.CASES[flag][1].split()
+        (chain_dir / "p.txt").write_text(self.CASES[flag][1])
+        regular = self.run(flag, "p.txt", chain_dir), capsys.readouterr()
+        (chain_dir / "p.txt").write_text(" ".join(values[:3]) + "\n# note\n\n"
+                                         + " ".join(values[3:]) + "\n")
+        rewrapped = self.run(flag, "p.txt", chain_dir), capsys.readouterr()
+        assert regular[0][0] == 0, regular[1].err
+        assert rewrapped == regular
+
+    @pytest.mark.parametrize("flag", ["--behavior", "--mu"])
+    def test_bad_value_names_its_file_line(self, chain_dir, capsys, flag):
+        values = self.CASES[flag][1].split()
+        (chain_dir / "p.txt").write_text("# note\n\n" + " ".join(values[:3]) + "\nabc "
+                                         + " ".join(values[3:]) + "\n")
+        assert self.run(flag, "p.txt", chain_dir) == (1, None)
+        assert capsys.readouterr().err.startswith(
+            f"error: {flag}: p.txt:4: expected probabilities: ")
+
     @pytest.mark.parametrize("spec", ["missing.txt", "http://host/missing.txt", "nul\0.txt"])
     @pytest.mark.parametrize("flag", ["--behavior", "--mu"])
     def test_missing_file_is_usage_error(self, chain_dir, capsys, flag, spec):

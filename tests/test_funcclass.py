@@ -218,6 +218,27 @@ class TestERM:
         target = np.array([[0.0], [1.0]])
         f = cls.population_erm(weights, target)
         assert f.table[0, 0] == pytest.approx(0.75, abs=1e-12)
+        # random partitions, A <= 4, clips and blocks of zero weight, against the
+        # per-(block, action) weighted mean written with loops, summed in state order
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            S, A = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+            B = int(rng.integers(1, S + 1))
+            blocks = rng.permutation(np.concatenate([np.arange(B), rng.integers(0, B, S - B)]))
+            weights = rng.random((S, A))
+            weights[rng.random(B)[blocks] < 0.4] = 0.0
+            target = rng.uniform(-1.0, 5.0, (S, A))
+            want = np.zeros((S, A))
+            for b in range(B):
+                for a in range(A):
+                    w = s = 0.0
+                    for x in np.flatnonzero(blocks == b):
+                        w += weights[x, a]
+                        s += weights[x, a] * target[x, a]
+                    want[blocks == b, a] = s / w if w > 0 else 0.0
+            clip_high = [None, 1.0, 2.0, 4.0][int(rng.integers(4))]
+            f = AbstractionClass(blocks, A, clip_high=clip_high).population_erm(weights, target)
+            assert np.array_equal(f.table, want) and f.clip_high == clip_high
 
 
 class TestTabularShape:

@@ -1,4 +1,4 @@
-# Fuzzing of the four file loaders and the CLI commands that read them. On
+# Fuzzing of the five file loaders and the CLI commands that read them. On
 # any text a loader either parses it or raises its module's error, and the
 # CLI exits 0 or 1, never 2. Inputs are arbitrary text, token soup, and
 # valid files with a few lines dropped, repeated or given a foreign token,
@@ -94,7 +94,8 @@ def valid(files):
             "cls": Path(files["chain.cls"]).read_text(),
             "csv": Path(files["data.csv"]).read_text(),
             "cfg": "instance = chain\nn_list = 5\nseeds = 0\nmethods = modbe, holdout, fixed\n"
-                   "output = out.csv\n"}
+                   "output = out.csv\n",
+            "beh": "0.25 0.75\n" * 16}
 
 
 class TestLoaderFuzz:
@@ -124,6 +125,16 @@ class TestLoaderFuzz:
         loads_or_raises(load_dataset_csv, DatasetError, path)
         for command in ("run-fqi", "run-modbe", "run-holdout"):
             assert cli.main([command, "--data", path, "--classes", files["chain.cls"]]) in (0, 1)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_probability_file(self, files, valid, data):
+        path = fuzz_file(files, "fuzz.txt", data.draw(variants(valid["beh"], " ", NUMBERS)))
+        out = str(files["root"] / "gen.csv")
+        assert cli.main(["gen-data", "--mdp", files["chain.mdp"], "--n", "5", "--out", out,
+                         "--behavior", path]) in (0, 1)
+        assert cli.main(["diagnose", "--mdp", files["chain.mdp"], "--classes", files["zero.cls"],
+                         "--mu", path]) in (0, 1)
 
     @settings(FUZZ, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())

@@ -100,6 +100,17 @@ MUTANTS = (
      "if 0 <= m.clipped.min() <= m.clipped.max() <= bound)", "if 0 <= m.clipped.min())"),
     ("Approx(F_M) read from the wrong entry of xi",
      "for c in classes.classes[:-1]] + xi[-1:]", "for c in classes.classes[:-1]] + xi[:1]"),
+    ("population_erm weighs every cell alike",
+     "np.ravel(weights * target), np.ravel(weights))", "np.ravel(weights * target))"),
+    ("the block mean divides an empty cell's zero sum by its zero count",
+     "out=np.zeros(B * A), where=counts > 0)", "out=np.zeros(B * A), where=counts >= 0)"),
+    ("ERM's block cell ignores the action",
+     "self._block_means(self.blocks[xs] * self.num_actions + as_, ys)",
+     "self._block_means(self.blocks[xs] * self.num_actions, ys)"),
+    ("the probability reader skips the last data line",
+     "for i in range(len(rows))\n", "for i in range(len(rows) - 1)\n"),
+    ("a wrong-length line of a fixed count is accepted",
+     "if count is not None and len(vals) != count:", "if False:"),
 )
 
 
