@@ -60,9 +60,6 @@ class StepData:
     def __len__(self):
         return len(self.x)
 
-    def take(self, idx: np.ndarray) -> "StepData":
-        return StepData(self.x[idx], self.a[idx], self.r[idx], self.x_next[idx])
-
 
 @dataclass(frozen=True)
 class OfflineDataset:
@@ -70,6 +67,7 @@ class OfflineDataset:
 
     steps: tuple
     meta: dict = field(default_factory=dict)
+    arrays: SlotArrays | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         steps = tuple(self.steps)
@@ -95,14 +93,40 @@ class DataSplit:
     valid: OfflineDataset
 
 
-def generate_from_mu(mdp: TabularMDP, mu: np.ndarray, n: int, seed: int) -> OfflineDataset:
-    """n i.i.d. draws per step: (x, a) ~ mu_h, r = r(x, a), x' ~ P_h(.|x, a)."""
+def _columns(horizon: int, n: int) -> tuple:
+    """Unfilled (horizon, n) x, a, r and x_next arrays, in StepData's dtypes."""
+    return tuple(np.empty((horizon, n), dtype) for dtype in (int, int, float, int))
+
+
+class SlotArrays:
+    """The column arrays of a tabular dataset of up to `horizon` steps of up to
+    `capacity` transitions each (`data`) and of its train/validation split
+    (`split`), to be filled again by every dataset of a sweep: generate_from_mu
+    (out=) writes row h of `data` for step h, and split_dataset gathers row h
+    of `split` from it. Each fill overwrites the last."""
+
+    def __init__(self, horizon: int, capacity: int):
+        self.data = _columns(horizon, capacity)
+        self.split = _columns(horizon, capacity)
+
+
+def generate_from_mu(mdp: TabularMDP, mu: np.ndarray, n: int, seed: int,
+                     out: SlotArrays | None = None) -> OfflineDataset:
+    """n i.i.d. draws per step: (x, a) ~ mu_h, r = r(x, a), x' ~ P_h(.|x, a).
+
+    The steps are written into out's data rows, and the dataset carries out,
+    so that split_dataset fills out's split rows; without out, into fresh
+    arrays of n transitions, and the dataset carries none."""
     mu = check_data_distribution(mdp, mu)
     if n < 1:
         raise DatasetError("n must be at least 1")
-    S, A = mdp.num_states, mdp.num_actions
+    S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
+    columns = _columns(H, n) if out is None else out.data
+    if columns[0].shape[0] < H or columns[0].shape[1] < n:
+        raise DatasetError(f"{H} steps of {n} transitions exceed slot arrays of shape "
+                           f"{columns[0].shape}")
     steps = []
-    for h in range(mdp.horizon):
+    for h in range(H):
         rng = stream(seed, _STREAM_GENERATE, h)
         # (x, a) as Generator.choice(S * A, n, p=mu_h) draws it, bit for bit:
         # choice takes one uniform u per draw and returns the number of entries
@@ -115,24 +139,23 @@ def generate_from_mu(mdp: TabularMDP, mu: np.ndarray, n: int, seed: int) -> Offl
         cdf /= cdf[-1]
         cdf = cdf.reshape(S, A)
         u = rng.random(n)
-        xs = np.zeros(n, dtype=np.int64)
+        xs, as_, rs, xn = (column[h, :n] for column in columns)
+        xs[:] = as_[:] = xn[:] = 0      # the counts; reused rows hold an earlier dataset
         for end in cdf[: S - 1, A - 1]:
             xs += end <= u
-        as_ = np.zeros(n, dtype=np.int64)
         for column in cdf[:, : A - 1].T:
             as_ += column[xs] <= u
         flat = xs * A + as_
-        rs = mdp.rewards.reshape(-1)[flat]
+        np.take(mdp.rewards.reshape(-1), flat, out=rs, mode="clip")     # "raise" would buffer
         # x' is the number of CDF entries at or below u. Rows are non-negative,
         # so each CDF is non-decreasing, and counting only its first S - 1
         # columns caps x' at S - 1 when rounding leaves the last entry below u.
         cdf_columns = np.cumsum(mdp.transitions[h], axis=2).reshape(S * A, S).T
         u = rng.random(n)
-        xn = np.zeros(n, dtype=np.int64)
         for column in cdf_columns[: S - 1]:
             xn += column[flat] <= u
         steps.append(StepData(xs, as_, rs, xn))
-    return OfflineDataset(tuple(steps), {"seed": seed, "generator": "mu", "n": n})
+    return OfflineDataset(tuple(steps), {"seed": seed, "generator": "mu", "n": n}, out)
 
 
 def generate_from_behavior(mdp: TabularMDP, behavior: Policy, n: int,
@@ -152,16 +175,23 @@ def generate_from_behavior(mdp: TabularMDP, behavior: Policy, n: int,
 
 
 def split_dataset(dataset: OfflineDataset, seed: int) -> DataSplit:
-    """Per-step random permutation; first ceil(0.8 n) samples train, rest validation."""
+    """Per-step random permutation; first ceil(0.8 n) samples train, rest validation.
+
+    Each column is gathered once by the permutation, into the split rows of
+    the dataset's slot arrays or, when it carries none, of fresh ones; train
+    and validation are the two slices of that gather."""
     n = dataset.n
     if n < MIN_SAMPLES:
         raise DatasetError(f"n = {n} < {MIN_SAMPLES}: validation slot would be empty")
     n_train = math.ceil(0.8 * n)
+    columns = _columns(dataset.horizon, n) if dataset.arrays is None else dataset.arrays.split
     train_steps, valid_steps = [], []
     for h, step in enumerate(dataset.steps):
         perm = stream(seed, _STREAM_SPLIT, h).permutation(n)
-        train_steps.append(step.take(perm[:n_train]))
-        valid_steps.append(step.take(perm[n_train:]))
+        rows = [np.take(values, perm, out=column[h, :n], mode="clip")  # "raise" would buffer
+                for values, column in zip((step.x, step.a, step.r, step.x_next), columns)]
+        train_steps.append(StepData(*(row[:n_train] for row in rows)))
+        valid_steps.append(StepData(*(row[n_train:n] for row in rows)))
     return DataSplit(OfflineDataset(tuple(train_steps), dict(dataset.meta)),
                      OfflineDataset(tuple(valid_steps), dict(dataset.meta)))
 

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basealg import BaseAlgorithm, QSequence, check_delta, make_fqi
-from .dataset import (MAX_SAMPLES, MIN_SAMPLES, OfflineDataset, StepData, generate_from_mu,
-                      split_dataset, stream)
+from .dataset import (MAX_SAMPLES, MIN_SAMPLES, OfflineDataset, SlotArrays, StepData,
+                      generate_from_mu, split_dataset, stream)
 from .funcclass import AbstractionClass, FunctionClass, LinearClass, NestedSequence, greedy_policy
 from .mdp import TabularMDP, bellman_backup, concentrability, regret
 from .selection import SCHEDULES, SelectionTrace, modbe, modbe_discounted, validation_losses
@@ -427,12 +427,15 @@ def tabular_regrets(mdp: TabularMDP, memo: dict, fits: Sequence[QSequence]) -> l
     return scores
 
 
-def run_rl_cell(n: int, seed: int, cfg: ExperimentConfig, instance: tuple) -> list[tuple]:
+def run_rl_cell(n: int, seed: int, cfg: ExperimentConfig, instance: tuple,
+                arrays: SlotArrays | None = None) -> list[tuple]:
     """One (n, seed) cell of a tabular instance (mdp, classes, mu); its rows keep
-    their fits. On the one-action holdout_bias instance only the picked k matters."""
+    their fits. On the one-action holdout_bias instance only the picked k matters.
+    The cell's dataset and split fill arrays (fresh ones when not given), which
+    the next cell given the same arrays overwrites; the fits hold only tables."""
     mdp, classes, mu = instance
     base = make_fqi()
-    dataset = generate_from_mu(mdp, mu, n, seed)
+    dataset = generate_from_mu(mdp, mu, n, seed, out=arrays)
     return _method_rows(seed, cfg.methods, dataset, base, classes,
                         lambda: modbe(dataset, base, classes, cfg.delta, cfg.schedule, seed))
 
@@ -489,12 +492,19 @@ def run_cb_cell(n: int, seed: int, cfg: ExperimentConfig, instance: CBInstance) 
                         lambda: modbe_discounted(data, classes, cfg.delta, cfg.schedule, seed))
 
 
-def run_seed(seed: int, cfg: ExperimentConfig, memo: dict | None = None) -> list[tuple]:
+def _slot_arrays(cfg: ExperimentConfig) -> SlotArrays:
+    """Slot arrays that hold the dataset and split of any cell of a tabular cfg."""
+    return SlotArrays(_tabular_instance(cfg.instance)[0].horizon, max(cfg.n_list))
+
+
+def run_seed(seed: int, cfg: ExperimentConfig, memo: dict | None = None,
+             arrays: SlotArrays | None = None) -> list[tuple]:
     """Every n of one seed: its cells fit first, then one call of the family's
     scorer fills in every fit they kept. The tabular scorer reads and extends
     memo (see tabular_regrets), an empty one when not given; the CB scorer
     makes one pass over the seed's evaluation set. Every CB draw of the seed,
-    training tensor or evaluation chunk, fills the same buffer."""
+    training tensor or evaluation chunk, fills the same buffer, and every
+    tabular cell fills arrays, which are sized for cfg when not given."""
     if cfg.instance == "cb":
         instance = CBInstance(max(max(cfg.n_list), CB_EVAL_CHUNK))
         cell, score = run_cb_cell, lambda fits: cb_policy_regrets(
@@ -502,7 +512,8 @@ def run_seed(seed: int, cfg: ExperimentConfig, memo: dict | None = None) -> list
     else:
         instance = _tabular_instance(cfg.instance)
         memo = {} if memo is None else memo
-        cell, score = run_rl_cell, functools.partial(tabular_regrets, instance[0], memo)
+        cell = functools.partial(run_rl_cell, arrays=arrays or _slot_arrays(cfg))
+        score = functools.partial(tabular_regrets, instance[0], memo)
     cells = [cell(n, seed, cfg, instance) for n in cfg.n_list]
     regrets = iter(score([f for c in cells for f in c[0][4].values()]))
     return [row for c in cells for row in _scored(c, {k: next(regrets) for k in c[0][4]})]
@@ -518,8 +529,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
     one worker per seed, and one seed runs in this process. Seeds are
     independent and may execute in parallel; results are identical for any
     job count (runtimes excepted, which is why record_runtime exists). The
-    tabular regrets of a call are computed once per greedy action table:
-    across all seeds at one job, and within each seed's task in a pool.
+    tabular regrets of a call are computed once per greedy action table, and
+    its tabular cells fill one set of slot arrays: across all seeds at one
+    job, and within each seed's task in a pool.
     """
     cfg = replace(cfg)
     workers = min(jobs, len(cfg.seeds))
@@ -529,7 +541,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
             chunks = list(pool.map(run_seed, cfg.seeds, itertools.repeat(cfg)))
     else:
         memo: dict = {}
-        chunks = [run_seed(seed, cfg, memo) for seed in cfg.seeds]
+        arrays = None if cfg.instance == "cb" else _slot_arrays(cfg)
+        chunks = [run_seed(seed, cfg, memo, arrays) for seed in cfg.seeds]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     if not record_runtime:

@@ -48,7 +48,9 @@ class TestFQI:
         cls = tabular_class(3, 2, clip=3.0)
         ref = fqi(ds.steps, cls)
         perm = rng.permutation(60)
-        shuffled = (ds.steps[0].take(perm),) + ds.steps[1:]
+        first = ds.steps[0]
+        shuffled = (StepData(first.x[perm], first.a[perm], first.r[perm], first.x_next[perm]),)
+        shuffled += ds.steps[1:]
         out = fqi(shuffled, cls)
         xs, as_ = np.divmod(np.arange(6), 2)
         for h in (2, 3):

@@ -248,6 +248,89 @@ class TestSplit:
         for sa, sb in zip(a.train.steps, b.train.steps):
             assert np.array_equal(sa.x, sb.x)
 
+    def test_splits_of_a_dataset_without_arrays_are_independent(self, rng):
+        mdp = random_mdp(rng, 3, 2, 2)
+        ds = generate_from_mu(mdp, np.full((2, 3, 2), 1 / 6), 40, seed=2)
+        assert ds.arrays is None
+        first = split_dataset(ds, seed=5)
+        kept = [step.x.copy() for step in first.train.steps]
+        split_dataset(ds, seed=6)
+        assert all(np.array_equal(step.x, x) for step, x in zip(first.train.steps, kept))
+
+
+def reference_split(ds, seed) -> list:
+    """The split's first formula, per step ((train columns), (validation columns)):
+    take each column at the permutation's first ceil(0.8 n) entries, then at the rest."""
+    n_train = math.ceil(0.8 * ds.n)
+    out = []
+    for h, step in enumerate(ds.steps):
+        perm = dataset.stream(seed, dataset._STREAM_SPLIT, h).permutation(ds.n)
+        out.append(tuple(tuple(getattr(step, c)[idx] for c in COLUMNS)
+                         for idx in (perm[:n_train], perm[n_train:])))
+    return out
+
+
+def assert_same_columns(got: StepData, want) -> None:
+    """got's four columns equal want's bit for bit and dtype for dtype."""
+    for column, ref in zip((getattr(got, c) for c in COLUMNS), want, strict=True):
+        assert column.dtype == ref.dtype
+        assert column.tobytes() == ref.tobytes()
+
+
+class TestSlotArrays:
+    """A sweep's datasets and splits fill one SlotArrays; each equals a fresh
+    call's, whatever an earlier dataset left in the arrays."""
+
+    @staticmethod
+    def stale_arrays(horizon, capacity):
+        arrays = dataset.SlotArrays(horizon, capacity)
+        for column in arrays.data + arrays.split:
+            column.fill(np.nan if column.dtype.kind == "f" else 7)
+        return arrays
+
+    @pytest.mark.parametrize("name", ["chain", "holdout_bias", "random"])
+    def test_reused_arrays_give_the_fresh_draw(self, name):
+        if name == "random":
+            mdp = random_mdp(np.random.default_rng(5), 6, 3, 3)
+            mu = np.random.default_rng(6).dirichlet(np.ones(18), size=3).reshape(3, 6, 3)
+        else:
+            mdp, _, mu = evaluation._tabular_instance(name)
+        arrays = self.stale_arrays(mdp.horizon + 1, 3000)
+        for n, seed in ((3000, 4), (1000, 1), (7, 2), (1, 0), (2999, 4)):  # a larger n first
+            ds = generate_from_mu(mdp, mu, n, seed, out=arrays)
+            assert ds.arrays is arrays
+            fresh = generate_from_mu(mdp, mu, n, seed)
+            for step, fresh_step, want in zip(ds.steps, fresh.steps,
+                                              reference_generate_from_mu(mdp, mu, n, seed),
+                                              strict=True):
+                assert np.shares_memory(step.x, arrays.data[0])
+                assert_same_columns(step, [getattr(fresh_step, c) for c in COLUMNS])
+                assert_same_columns(step, want)
+
+    @pytest.mark.parametrize("n_list", [(2000, 50, 999, 5), (5, 999, 2000)])
+    def test_split_of_an_array_backed_dataset_equals_the_fresh_split(self, n_list):
+        mdp, _, mu = evaluation._tabular_instance("chain")
+        arrays = self.stale_arrays(mdp.horizon, max(n_list))
+        for n in n_list:
+            for seed in (0, 3):
+                ds = generate_from_mu(mdp, mu, n, seed, out=arrays)
+                split = split_dataset(ds, seed)
+                fresh = split_dataset(generate_from_mu(mdp, mu, n, seed), seed)
+                for h, (train, valid) in enumerate(reference_split(ds, seed)):
+                    for got, fresh_slot, want in ((split.train, fresh.train, train),
+                                                  (split.valid, fresh.valid, valid)):
+                        step = got.steps[h]
+                        assert np.shares_memory(step.x, arrays.split[0])
+                        assert_same_columns(step, want)
+                        assert_same_columns(fresh_slot.steps[h], want)
+
+    @pytest.mark.parametrize("horizon, capacity", [(3, 100), (4, 99)])
+    def test_arrays_too_small_rejected(self, horizon, capacity):
+        mdp, _, mu = evaluation._tabular_instance("chain")
+        with pytest.raises(DatasetError, match=r"^4 steps of 100 transitions exceed slot arrays "
+                                               rf"of shape \({horizon}, {capacity}\)$"):
+            generate_from_mu(mdp, mu, 100, 0, out=dataset.SlotArrays(horizon, capacity))
+
 
 class TestStructures:
     def test_unequal_slots_rejected(self):

@@ -31,6 +31,28 @@ def one_cell(n, seed, methods, instance="chain"):
     return run_seed(seed, ExperimentConfig(instance, [n], [seed], methods))
 
 
+def in_process_pool(monkeypatch) -> list:
+    """Make run_experiment's process pool map in this process; returns the
+    list that records each pool's max_workers."""
+    import concurrent.futures
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return started
+
+
 def approx_of(cls, mdp, mu):
     """Approx(F) of a lone class: diagnose on its one-class sequence."""
     return diagnose(NestedSequence((cls,)), mdp, mu).approx[0]
@@ -715,26 +737,41 @@ class TestExperimentPlumbing:
     @pytest.mark.parametrize("seeds, jobs, workers", [
         ([0, 1], 4, 2), ([0, 1, 2], 2, 2), ([0], 4, None), ([0, 1], 1, None)])
     def test_pool_capped_at_seed_count(self, monkeypatch, seeds, jobs, workers):
-        import concurrent.futures
-        started = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        started = in_process_pool(monkeypatch)
         cfg = ExperimentConfig("chain", [100], seeds, ["modbe"])
         rows = run_experiment(cfg, jobs=jobs, record_runtime=False)
         assert started == ([] if workers is None else [workers])
         assert rows == run_experiment(cfg, jobs=1, record_runtime=False)
+
+    @pytest.mark.parametrize("jobs, allocations", [(1, 1), (2, 3)])
+    def test_one_set_of_slot_arrays_per_run_or_task(self, monkeypatch, jobs, allocations):
+        # at jobs 2 each seed's task runs in this process, so the spy sees it
+        in_process_pool(monkeypatch)
+        shapes = []
+
+        class Spy(evaluation.SlotArrays):
+            def __init__(self, horizon, capacity):
+                shapes.append((horizon, capacity))
+                super().__init__(horizon, capacity)
+        monkeypatch.setattr(evaluation, "SlotArrays", Spy)
+        cfg = ExperimentConfig("chain", [100, 1000, 200], [0, 1, 2], ["modbe", "oracle"])
+        rows = run_experiment(cfg, jobs=jobs, record_runtime=False)
+        assert shapes == [(4, 1000)] * allocations
+        assert rows == sorted(r for seed in cfg.seeds for n in cfg.n_list
+                              for r in run_experiment(ExperimentConfig("chain", [n], [seed],
+                                                                       cfg.methods),
+                                                      record_runtime=False))
+
+    @pytest.mark.parametrize("n_list", [[10_000, 100, 1000], [100, 1000, 10_000]])
+    def test_cells_sharing_slot_arrays_give_the_rows_of_fresh_ones(self, n_list):
+        methods = ["modbe", "holdout", "oracle", "fixed"]
+        arrays = evaluation.SlotArrays(4, 10_000)
+        for column in arrays.data + arrays.split:
+            column.fill(np.nan if column.dtype.kind == "f" else 3)
+        cfg = ExperimentConfig("chain", n_list, [5], methods)
+        rows = run_seed(5, cfg, {}, arrays)
+        fresh = [row for n in n_list for row in one_cell(n, 5, methods)]
+        assert [r[:5] for r in rows] == [r[:5] for r in fresh]
 
     def test_cb_eval_set_drawn_once_per_seed(self, monkeypatch):
         seeds = []

@@ -111,6 +111,10 @@ MUTANTS = (
      "for i in range(len(rows))\n", "for i in range(len(rows) - 1)\n"),
     ("a wrong-length line of a fixed count is accepted",
      "if count is not None and len(vals) != count:", "if False:"),
+    ("the reused count arrays are not zeroed",
+     "xs[:] = as_[:] = xn[:] = 0", "pass"),
+    ("the validation slice starts one row off",
+     "row[n_train:n] for row in rows", "row[n_train + 1:n] for row in rows"),
 )
 
 

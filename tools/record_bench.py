@@ -13,9 +13,9 @@ in odd ones. Each side records the median and quartiles of every
 end-to-end metric, with the per-pair values.
 
 Then, once per side, it runs every configs/*.cfg sweep with
-`modbe bench --no-runtime` at --jobs 1 and --jobs 2 (wall seconds and the peak
-RSS of the largest process of the run), and the tier-1 suite (wall seconds and
-pytest's summary line). BLAS is pinned to one thread, as in perfbench/run.py.
+`modbe bench --no-runtime` at --jobs 1 and --jobs 2 (wall seconds, the peak
+RSS of the largest process of the run and the minor page faults of all its
+processes), and the tier-1 suite (wall seconds and pytest's summary line). BLAS is pinned to one thread, as in perfbench/run.py.
 The lines printed last compare the two sides per workload and metric.
 """
 import argparse
@@ -44,15 +44,17 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return values
 
 
-def run_child(argv: list, cwd, tree: Path) -> tuple[float, float, str]:
-    """Wall seconds, peak RSS in MB of the largest process, and the last line
-    of standard output of one command run with the tree's src on the path."""
+def run_child(argv: list, cwd, tree: Path) -> tuple[float, float, int, str]:
+    """Wall seconds, peak RSS in MB of the largest process, minor page faults,
+    and the last line of standard output of one command run with the tree's
+    src on the path."""
     env = dict(ENV, PYTHONPATH=str(tree / "src"))
     start = time.perf_counter()
     proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE, text=True)
     out = proc.stdout.read()
-    # wait4 returns the child's usage; ru_maxrss also covers its waited-for
-    # children (the pool workers), as the largest of them
+    # wait4 returns the child's usage; it also covers the child's waited-for
+    # children (the pool workers): ru_maxrss as the largest of them, ru_minflt
+    # as the sum
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.stdout.close()
@@ -60,7 +62,7 @@ def run_child(argv: list, cwd, tree: Path) -> tuple[float, float, str]:
     if proc.returncode != 0:
         raise RuntimeError(f"{argv} in {cwd} exited {proc.returncode}")
     lines = out.strip().splitlines()
-    return wall, usage.ru_maxrss / 1024.0, lines[-1] if lines else ""
+    return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt, lines[-1] if lines else ""
 
 
 def summary(values: list) -> dict:
@@ -111,15 +113,19 @@ def main(argv=None) -> int:
                 for side, tree in trees.items():
                     cwd = Path(tmp) / f"{side}-{cfg}-{jobs}"
                     cwd.mkdir()
-                    wall, rss, _ = run_child([sys.executable, "-m", "modbe.cli", "bench",
-                                              "--config", str(tree / "configs" / cfg),
-                                              "--jobs", str(jobs), "--no-runtime"], cwd, tree)
+                    wall, rss, faults, _ = run_child(
+                        [sys.executable, "-m", "modbe.cli", "bench", "--config",
+                         str(tree / "configs" / cfg), "--jobs", str(jobs), "--no-runtime"],
+                        cwd, tree)
                     records[side]["sweeps"][f"{cfg} --jobs {jobs}"] = {
-                        "wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1)}
-                    print(f"{cfg} --jobs {jobs} {side}: {wall:.2f} s, {rss:.1f} MB", flush=True)
+                        "wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1),
+                        "minor_faults": faults}
+                    print(f"{cfg} --jobs {jobs} {side}: {wall:.2f} s, {rss:.1f} MB, "
+                          f"{faults} minor faults", flush=True)
     for side, tree in trees.items():
-        wall, _, last = run_child([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                                   "--continue-on-collection-errors"], tree, tree)
+        wall, _, _, last = run_child([sys.executable, "-m", "pytest", "-q", "-p",
+                                      "no:cacheprovider", "--continue-on-collection-errors"],
+                                     tree, tree)
         records[side]["tier1"] = {"wall_s": round(wall, 2), "summary": last}
         print(f"tier-1 {side}: {wall:.1f} s, {last}", flush=True)
 
