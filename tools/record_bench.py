@@ -15,8 +15,9 @@ end-to-end metric, with the per-pair values.
 Then, once per side, it runs every configs/*.cfg sweep with
 `modbe bench --no-runtime` at --jobs 1 and --jobs 2 (wall seconds, the peak
 RSS of the largest process of the run and the minor page faults of all its
-processes), and the tier-1 suite (wall seconds and pytest's summary line). BLAS is pinned to one thread, as in perfbench/run.py.
-The lines printed last compare the two sides per workload and metric.
+processes), and the tier-1 suite (wall seconds and pytest's summary line).
+BLAS is pinned to one thread, as in perfbench/run.py. The lines printed last
+compare the two sides per workload and metric.
 """
 import argparse
 import json
