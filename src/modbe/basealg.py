@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import StepData
-from .funcclass import FunctionClass, QFunction
+from .funcclass import FunctionClass, QFunction, TableQ
 from .mdp import TabularMDP, bellman_backup, check_data_distribution
 
 OMEGA_CONSTANT = 200.0
@@ -119,11 +119,8 @@ def fqi_oracle(mdp: TabularMDP, mu: np.ndarray, fclass: FunctionClass) -> QSeque
     the minimizer is the class's weighted projection of the exact backup.
     """
     mu = check_data_distribution(mdp, mu)
-    H = mdp.horizon
-    funcs: list[QFunction] = [None] * H
-    next_table = None
-    for h in range(H, 0, -1):
-        target = bellman_backup(mdp, h, next_table)
-        funcs[h - 1] = fclass.population_erm(mu[h - 1], target)
-        next_table = funcs[h - 1].clipped
-    return QSequence(tuple(funcs))
+    tables = [None]             # f_{H+1} = 0, then f_H, ..., f_1 in front of it
+    for h in range(mdp.horizon, 0, -1):
+        target = bellman_backup(mdp, h, tables[0])
+        tables.insert(0, fclass.population_erm(mu[h - 1], target[None])[0])
+    return QSequence(tuple(TableQ(t) for t in tables[:-1]))

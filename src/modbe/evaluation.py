@@ -18,7 +18,7 @@ from .basealg import BaseAlgorithm, QSequence, check_delta, make_fqi
 from .dataset import (MAX_SAMPLES, MIN_SAMPLES, OfflineDataset, SlotArrays, StepData,
                       generate_from_mu, split_dataset, stream)
 from .funcclass import AbstractionClass, FunctionClass, LinearClass, NestedSequence, greedy_policy
-from .mdp import TabularMDP, bellman_backup, concentrability, regret
+from .mdp import TabularMDP, concentrability, regret
 from .selection import SCHEDULES, SelectionTrace, modbe, modbe_discounted, validation_losses
 from .textfile import read_lines, write_lines
 
@@ -33,26 +33,25 @@ class EvalError(ValueError):
 # Completeness diagnostics
 
 
-def _projection_error(fclass: FunctionClass, target: np.ndarray, weights: np.ndarray) -> float:
-    """min_{f in class} ||f - target||^2_weights over clipped values, exactly."""
-    table = fclass.population_erm(weights, target).clipped
-    return float((weights * (table - target) ** 2).sum())
+def _backup_chunk(mdp: TabularMDP, h: int, maxima: np.ndarray) -> np.ndarray:
+    """bellman_backup at step h of each row of a C-ordered (m, S) stack, bit for bit."""
+    return mdp.rewards + (mdp.transitions[h - 1] @ maxima[:, None, :, None])[..., 0]
 
 
 def _completeness_errors(inners: Sequence[FunctionClass], outer: FunctionClass,
                          mdp: TabularMDP, mu: np.ndarray) -> list:
     """Per inner class, max over h and outer's extreme members f' in [0, H - h], the
     range of FQI's f_{h+1} (f_{H+1} = 0), of min over its f of ||f - T*_h f'||^2_mu;
-    each f' is backed up once for all inner classes. All None when outer has none."""
+    each chunk of f' is backed up once for all inner classes. All None if outer has none."""
     worst = [0.0] * len(inners)
     for h in range(1, mdp.horizon + 1):
-        members = outer.extreme_members(mdp.horizon - h)
-        if members is None:
+        chunks = outer.extreme_members(mdp.horizon - h)
+        if chunks is None:
             return [None] * len(inners)
-        for table in members:
-            backup = bellman_backup(mdp, h, table)
-            worst = [max(w, _projection_error(inner, backup, mu[h - 1]))
-                     for w, inner in zip(worst, inners)]
+        for maxima in chunks:
+            backups, w = _backup_chunk(mdp, h, maxima), mu[h - 1]
+            worst = [float(np.max((w * (c.population_erm(w, backups) - backups) ** 2)
+                                  .sum(axis=(1, 2)), initial=x)) for x, c in zip(worst, inners)]
     return worst
 
 

@@ -5,7 +5,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -18,6 +17,7 @@ from .textfile import float_line, numbers, read_lines, write_lines
 
 ABSTRACTION_QUANTUM = 1.0 / 16.0   # declared value grid for complexity accounting
 ENUMERATION_CAP = 200_000          # largest member set backed up for Approx / xi
+CHUNK_CELLS = 2 ** 16              # (member, state, action) cells of one backed-up chunk
 RIDGE_SCALE = 1e-6                 # lambda = scale * n
 
 
@@ -95,17 +95,23 @@ class FunctionClass:
         raise NotImplementedError
 
     def extreme_members(self, bound: float) -> Iterator[np.ndarray] | None:
-        """Clipped member tables with values in [0, bound] whose backups attain
-        Approx and xi, one at a time, or None."""
+        """(m, S) chunks (see _chunks) of the row maxima of the clipped members in [0, bound]
+        whose backups attain Approx and xi, or None. Each chunk is C-ordered: numpy backs
+        up a Fortran-ordered stack by another kernel, which can change the last bits."""
         return None
+
+    def _chunks(self, rows: np.ndarray) -> Iterator[np.ndarray]:
+        """rows in consecutive slices of max(1, CHUNK_CELLS // (S * A)) rows each."""
+        step = max(1, CHUNK_CELLS // (self.shape[0] * self.shape[1]))
+        return (rows[i:i + step] for i in range(0, len(rows), step))
 
     def erm(self, xs, as_, ys) -> QFunction:
         """Member minimizing the empirical squared loss of its clipped values;
         ties break to the lowest member index."""
         raise NotImplementedError
 
-    def population_erm(self, weights: np.ndarray, target: np.ndarray) -> QFunction:
-        """Minimizer of the weights-weighted squared distance to an (S, A) target."""
+    def population_erm(self, weights: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """The clipped member nearest each target of an (m, S, A) stack under weights."""
         raise NotImplementedError
 
     def _check_samples(self, xs, ys):
@@ -117,7 +123,7 @@ class FunctionClass:
 
 @dataclass(frozen=True)
 class FiniteClass(FunctionClass):
-    """Explicit members; `members` (not a field) holds them as TableQs, clipped once."""
+    """Explicit members; not fields: `members` as TableQs, `clipped` stacked (K, S, A)."""
     tables: tuple                     # member (S, A) tables, index order fixed
     clip_high: float | None = None
     variant: str = field(default="finite", init=False)
@@ -135,6 +141,7 @@ class FiniteClass(FunctionClass):
             t.setflags(write=False)
         object.__setattr__(self, "tables", tabs)
         object.__setattr__(self, "members", tuple(TableQ(t, self.clip_high) for t in tabs))
+        object.__setattr__(self, "clipped", np.stack([m.clipped for m in self.members]))
         object.__setattr__(self, "shape", shape)
 
     @property
@@ -147,8 +154,9 @@ class FiniteClass(FunctionClass):
                 raise FunctionClassError("finite classes are not nested (missing member)")
 
     def extreme_members(self, bound):
-        # every member in [0, bound], whatever ENUMERATION_CAP; the zero member always is
-        return (m.clipped for m in self.members if 0 <= m.clipped.min() <= m.clipped.max() <= bound)
+        c = self.clipped    # every member in [0, bound] whatever ENUMERATION_CAP; zero is one
+        in_range = (c.min(axis=(1, 2)) >= 0) & (c.max(axis=(1, 2)) <= bound)
+        return self._chunks(c.max(axis=2)[in_range])
 
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)
@@ -156,9 +164,9 @@ class FiniteClass(FunctionClass):
         losses = [float(np.mean((m.values(xs, as_) - ys) ** 2)) for m in self.members]
         return self.members[int(np.argmin(losses))]
 
-    def population_erm(self, weights, target):
-        losses = [float((weights * (m.clipped - target) ** 2).sum()) for m in self.members]
-        return self.members[int(np.argmin(losses))]
+    def population_erm(self, weights, targets):
+        losses = [(weights * (c - targets) ** 2).sum(axis=(1, 2)) for c in self.clipped]
+        return self.clipped[np.argmin(losses, axis=0)]      # ties -> lowest member index
 
 
 @dataclass(frozen=True)
@@ -198,36 +206,36 @@ class AbstractionClass(FunctionClass):
                 raise FunctionClassError("abstraction partitions do not refine in order")
 
     def extreme_members(self, bound):
-        """The 2**B tables equal on each block to 0 or to high = min(bound, clip),
-        every action alike (one zero table at high 0); None beyond ENUMERATION_CAP.
-        A backup is affine in a member's block maxima in [0, high]**B, and the inner
-        class (same variant) projects onto a convex set, so the squared distance is
-        convex in those maxima and peaks at one of these vertices."""
+        """Row maxima of the 2**B tables equal on each block to 0 or to high = min(bound,
+        clip), every action alike (one zero table at high 0): vertex i is high on block b if
+        bit B - 1 - b of i is set. None beyond ENUMERATION_CAP. A backup's squared distance
+        to the inner class is convex in the block maxima on [0, high]**B, so peaks here."""
         if 2 ** self.num_blocks > ENUMERATION_CAP:
             return None
         high = bound if self.clip_high is None else min(bound, self.clip_high)
-        return (np.repeat(np.array(v)[self.blocks, None], self.num_actions, axis=1)
-                for v in itertools.product(sorted({0.0, high}), repeat=self.num_blocks))
-
-    def _block_means(self, cell, values, weights=None) -> TableQ:
-        """The mean of values, weighted if weights are given, on each (block, action)
-        cell = block * A + action (0 on a cell of no weight), spread over the states."""
-        B, A = self.num_blocks, self.num_actions
-        sums = np.bincount(cell, weights=values, minlength=B * A)
-        counts = np.bincount(cell, weights=weights, minlength=B * A)
-        means = np.divide(sums, counts, out=np.zeros(B * A), where=counts > 0)
-        return TableQ(means.reshape(B, A)[self.blocks], self.clip_high)
+        return (np.where(i[:, None] >> (self.num_blocks - 1 - self.blocks) & 1, high, 0.0)
+                for i in self._chunks(np.arange(2 ** self.num_blocks if high else 1)))
 
     def erm(self, xs, as_, ys):
         self._check_samples(xs, ys)
-        xs, as_ = np.asarray(xs, dtype=int), np.asarray(as_, dtype=int)
-        return self._block_means(self.blocks[xs] * self.num_actions + as_, ys)
+        B, A = self.num_blocks, self.num_actions
+        cell = self.blocks[np.asarray(xs, dtype=int)] * A + np.asarray(as_, dtype=int)
+        sums = np.bincount(cell, weights=ys, minlength=B * A)
+        counts = np.bincount(cell, minlength=B * A)
+        means = np.divide(sums, counts, out=np.zeros(B * A), where=counts > 0)
+        return TableQ(means.reshape(B, A)[self.blocks], self.clip_high)
 
-    def population_erm(self, weights, target):
-        """erm's block mean over the (S, A) grid, each cell weighted by weights."""
-        A = self.num_actions
+    def population_erm(self, weights, targets):
+        """Each target's weights-weighted mean on each (block, action) cell, clipped, by one
+        np.bincount over cells offset by j * B * A for target j; np.take keeps C order."""
+        B, A = self.num_blocks, self.num_actions
         cell = (self.blocks[:, None] * A + np.arange(A)).ravel()
-        return self._block_means(cell, np.ravel(weights * target), np.ravel(weights))
+        counts = np.bincount(cell, weights=np.ravel(weights))
+        sums = np.bincount((B * A * np.arange(len(targets))[:, None] + cell).ravel(),
+                           weights=(weights * targets).ravel()).reshape(len(targets), -1)
+        means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+        tables = np.take(means.reshape(-1, B, A), self.blocks, axis=1)
+        return tables if self.clip_high is None else tables.clip(0.0, self.clip_high)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ class MDPError(ValueError):
 def _check_prob_rows(arr: np.ndarray, name: str) -> None:
     if np.any(arr < 0):
         raise MDPError(f"{name} has negative entries")
-    dev = np.abs(arr.sum(axis=-1) - 1.0).max(initial=0.0)
+    with np.errstate(over="ignore"):       # a row of huge entries sums to inf and fails
+        dev = np.abs(arr.sum(axis=-1) - 1.0).max(initial=0.0)
     if not dev <= PROB_ATOL:    # NaN fails too; an array with no rows passes
         raise MDPError(f"{name} rows do not sum to 1 (max dev {dev:.3e})")
 

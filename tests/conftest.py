@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from modbe import FiniteClass, NestedSequence, Policy, QFunction, TabularMDP
-from modbe.evaluation import _projection_error, uniform_mu
+from modbe.evaluation import uniform_mu
 from modbe.funcclass import ABSTRACTION_QUANTUM, ENUMERATION_CAP, FunctionClassError
 from modbe.mdp import bellman_backup
 
@@ -97,13 +97,19 @@ def grid_members(fclass, bound: float) -> list | None:
 
 def grid_completeness_error(inner, outer, mdp: TabularMDP, mu: np.ndarray) -> float | None:
     """max over h and the grid members f' of outer in [0, H - h] of min over inner f
-    of ||f - T*_h f'||^2_mu, by enumeration; None when a grid is too large."""
+    of ||f - T*_h f'||^2_mu, by enumeration; None when a grid is too large. Each
+    f' is backed up alone by bellman_backup and projected by inner.population_erm."""
     H = mdp.horizon
     members = [grid_members(outer, H - h) for h in range(1, H + 1)]
     if any(m is None for m in members):
         return None
-    return max(_projection_error(inner, bellman_backup(mdp, h, table), mu[h - 1])
-               for h in range(1, H + 1) for table in members[h - 1])
+    worst = 0.0
+    for h in range(1, H + 1):
+        for table in members[h - 1]:
+            backup = bellman_backup(mdp, h, table)
+            fit = inner.population_erm(mu[h - 1], backup[None])[0]
+            worst = max(worst, float((mu[h - 1] * (fit - backup) ** 2).sum()))
+    return worst
 
 
 def rollout_values(mdp: TabularMDP, policy: Policy, n_rollouts: int,

@@ -581,6 +581,24 @@ class TestProbabilityFile:
         assert capsys.readouterr().err == (f"error: {flag}: expected H*S*A = 32 probabilities, "
                                            f"found {found}\n")
 
+    @pytest.mark.filterwarnings("error")     # a numpy warning must not reach stderr
+    @pytest.mark.parametrize("flag", ["--behavior", "--mu", "--mdp"])
+    def test_huge_probabilities_rejected_without_overflow(self, chain_dir, capsys, flag):
+        # each row's sum overflows to inf: 32 values of 1e308, or two in one transition row
+        (chain_dir / "p.txt").write_text("1e308\n" * 32)
+        lines = (chain_dir / "chain.mdp").read_text().splitlines()
+        lines[2] = "1e308 1e308 0.0 0.0"        # P_1(. | x = 0, a = 0)
+        (chain_dir / "huge.mdp").write_text("\n".join(lines) + "\n")
+        if flag == "--mdp":
+            argv = ["diagnose", "--mdp", "huge.mdp", "--classes", "chain.classes"]
+            assert (cli.main(argv), None) == (1, None)
+        else:
+            assert self.run(flag, "p.txt", chain_dir) == (1, None)
+        name = {"--behavior": "policy", "--mu": "data distribution",
+                "--mdp": "transition table"}[flag]
+        assert capsys.readouterr().err == (f"error: {flag}: {name} rows do not sum to 1 "
+                                           "(max dev inf)\n")
+
 
 class TestExitCodes:
     """Each module's error class exits 1 with 'error: ...'; any other

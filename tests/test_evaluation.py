@@ -7,11 +7,11 @@ import pytest
 
 from modbe import (AbstractionClass, FiniteClass, NestedSequence, TabularMDP,
                    generate_from_mu, greedy_policy, make_fqi, modbe, regret, split_dataset)
-from modbe import basealg, evaluation, selection
+from modbe import basealg, evaluation, funcclass, selection
 from modbe.basealg import fqi
 from modbe.dataset import MAX_SAMPLES, stream
 from modbe.basealg import fqi_oracle
-from modbe.mdp import squared_bellman_errors
+from modbe.mdp import bellman_backup, squared_bellman_errors
 from modbe.selection import validation_losses
 from modbe.evaluation import (CB_DIMS, CB_EVAL_CHUNK, CB_EVAL_CONTEXTS, CB_MAX_CONTEXTS,
                               CBInstance, EvalError,
@@ -114,10 +114,11 @@ class TestApproxError:
             assert approx_of(cls, mdp, uniform_mu(mdp)) == 0.5625
 
     def test_finite_projection_on_clipped_values(self):
-        # the 7.5 member evaluates to the clip bound 2, which is the target
-        cls = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 7.5)), clip_high=2.0)
-        target = np.full((1, 1), 2.0)
-        assert evaluation._projection_error(cls, target, np.ones((1, 1))) == 0.0
+        # H = 1, r = 1: the one backup is T*(0) = 1, and the 7.5 member evaluates to
+        # the clip bound 1, which is that target (unclipped, it would be 42.25 away)
+        cls = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 7.5)), clip_high=1.0)
+        mdp = TabularMDP(np.ones((1, 1, 1, 1)), np.ones((1, 1)), np.ones(1))
+        assert approx_of(cls, mdp, uniform_mu(mdp)) == 0.0
 
     def test_vertices_equal_the_grid_reference(self, rng):
         # the 2**B extreme members give the grid's Approx and xi on random
@@ -172,17 +173,20 @@ class TestGlobalXi:
     def test_each_member_backed_up_once(self, monkeypatch):
         # one backup per h of each member of every F_k, k < M, for Approx, and
         # of each member of F_M for all of xi, each once: 2**B_k at every step
-        # but H, whose one member is f_{H+1} = 0, so sum_k (2**B_k * (H - 1) + 1)
+        # but H, whose one member is f_{H+1} = 0, so sum_k (2**B_k * (H - 1) + 1).
+        # Each class's members at a step fit one chunk: one stacked backup each
         calls = []
-        real = evaluation.bellman_backup
-        monkeypatch.setattr(evaluation, "bellman_backup",
-                            lambda *args: calls.append(args[1]) or real(*args))
+        real = evaluation._backup_chunk
+        monkeypatch.setattr(evaluation, "_backup_chunk",
+                            lambda mdp, h, maxima: calls.append((h, len(maxima)))
+                            or real(mdp, h, maxima))
         mdp, classes = chain_mdp(), chain_classes()
         diagnose(classes, mdp, uniform_mu(mdp))
         H, blocks = mdp.horizon, [classes[k].num_blocks for k in (1, 2, 3)]
         assert blocks == [1, 2, 4]
-        assert len(calls) == sum(2 ** b * (H - 1) + 1 for b in blocks) == 69
-        assert calls.count(H) == len(blocks)
+        assert sum(m for _, m in calls) == sum(2 ** b * (H - 1) + 1 for b in blocks) == 69
+        assert len(calls) == H * len(blocks)
+        assert [m for h, m in calls if h == H] == [1] * len(blocks)
 
 
 class TestDiagnose:
@@ -204,6 +208,63 @@ class TestDiagnose:
         assert report.approx == [0.18218750000000003, 1.145625, 0.0]
         assert report.xi == [2.4396875000000002, 1.145625, 0.0]
         assert report.k_star == 3
+
+
+def random_b5_instance():
+    """A random pair of abstraction classes with B = (2, 5), S = 7, A = 2, H = 3,
+    and a full-support mu: 32 extreme members at every step but H."""
+    rng = np.random.default_rng(5)
+    S, A, H = 7, 2, 3
+    fine = rng.permutation(np.arange(S) % 5)
+    coarse = rng.permutation(np.arange(5) % 2)[fine]
+    classes = NestedSequence(tuple(AbstractionClass(b, A, float(H)) for b in (coarse, fine)))
+    return random_mdp(rng, S, A, H), classes, random_full_support_mu(rng, S, A, H)
+
+
+class TestChunkedDiagnose:
+    """diagnose backs up and projects the extreme members a chunk at a time; the
+    report does not depend on where the chunks end."""
+
+    @pytest.mark.parametrize("instance", ["chain", "holdout_bias", "random_b5"])
+    def test_report_alike_for_any_chunk_size(self, instance, monkeypatch):
+        # 16, 32 and 32 members per step in one chunk, then in chunks of 1, 3 and 7
+        # members, the last of 3 and of 7 a partial one
+        mdp, classes, mu = {"chain": evaluation.chain_instance,
+                            "holdout_bias": holdout_bias_instance,
+                            "random_b5": random_b5_instance}[instance]()
+        one_chunk = diagnose(classes, mdp, mu).to_text()
+        S, A = mdp.num_states, mdp.num_actions
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(funcclass, "CHUNK_CELLS", rows * S * A)
+            assert diagnose(classes, mdp, mu).to_text() == one_chunk
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_chunk_backups_equal_bellman_backup_bit_for_bit(self, seed, monkeypatch):
+        # random S in 1..100 and each A in 1..3, abstraction and finite classes, chunks
+        # of random length: each row of a stacked backup is bellman_backup's of that
+        # member, bit for bit, and every chunk is C-ordered
+        rng = np.random.default_rng(seed)
+        for A in (1, 2, 3):
+            S, H = int(rng.integers(1, 101)), 3
+            B = int(rng.integers(1, min(S, 6) + 1))
+            mdp = random_mdp(rng, S, A, H)
+            tables = (np.zeros((S, A)),) + tuple(rng.random((8, S, A)))
+            classes = (AbstractionClass(rng.permutation(np.arange(S) % B), A, clip_high=2.0),
+                       FiniteClass(tables, clip_high=2.0))
+            monkeypatch.setattr(funcclass, "CHUNK_CELLS", int(rng.integers(1, 10)) * S * A)
+            for cls in classes:
+                for h in range(1, H + 1):
+                    for chunk in cls.extreme_members(H - h):
+                        assert chunk.flags.c_contiguous
+                        backups = evaluation._backup_chunk(mdp, h, chunk)
+                        for row, maxima in zip(backups, chunk):
+                            table = np.repeat(maxima[:, None], A, axis=1)
+                            assert row.tobytes() == bellman_backup(mdp, h, table).tobytes()
+            # a finite member's backup from its own clipped table, not its row maxima
+            members = np.concatenate(list(classes[1].extreme_members(1.0)))
+            assert len(members) == len(tables)
+            for row, table in zip(evaluation._backup_chunk(mdp, 2, members), tables):
+                assert row.tobytes() == bellman_backup(mdp, 2, table).tobytes()
 
 
 class TestBaselines:

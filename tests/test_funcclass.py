@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from modbe import (AbstractionClass, FiniteClass, LinearClass, NestedSequence,
                    greedy_policy, load_sequence, save_sequence)
+from modbe import funcclass
 from modbe.funcclass import ABSTRACTION_QUANTUM, ENUMERATION_CAP, FunctionClassError, TableQ
 
 from conftest import empirical_sq_loss, reference_one_hot
@@ -106,8 +107,8 @@ class TestERM:
         cls = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 7.5)), clip_high=2.0)
         f = cls.erm([0, 0], [0, 0], [2.0, 2.0])
         assert f.values([0], [0])[0] == 2.0
-        g = cls.population_erm(np.ones((1, 1)), np.full((1, 1), 2.0))
-        assert np.array_equal(g.table, np.full((1, 1), 7.5))
+        g = cls.population_erm(np.ones((1, 1)), np.full((1, 1, 1), 2.0))
+        assert np.array_equal(g, np.full((1, 1, 1), 2.0))     # the 7.5 member, clipped
 
     def test_linear_constant_feature_mean(self):
         # d=1, phi == 1: ridge with tiny lambda -> near the sample mean 3
@@ -140,8 +141,12 @@ class TestERM:
         assert f.values([0, 1], [0, 0]).tolist() == [1.0, 1.0]
         assert f.clipped.tolist() == [[1.0], [1.0]]
         assert f.table.tolist() == [[4.0], [4.0]]   # the stored table is the unclipped mean
-        g = cls.population_erm(np.full((2, 1), 0.5), np.array([[3.0], [5.0]]))
-        assert g.clipped.tolist() == [[1.0], [1.0]] and g.table.tolist() == [[4.0], [4.0]]
+        # population_erm returns the clipped mean; unclipped, it is the mean
+        g = cls.population_erm(np.full((2, 1), 0.5), np.array([[[3.0], [5.0]]]))
+        assert g.tolist() == [[[1.0], [1.0]]]
+        unclipped = AbstractionClass(np.zeros(2, dtype=int), num_actions=1)
+        assert unclipped.population_erm(np.full((2, 1), 0.5), np.array([[[3.0], [5.0]]])).tolist() \
+            == [[[4.0], [4.0]]]
 
     def test_empty_samples_rejected(self):
         with pytest.raises(FunctionClassError):
@@ -180,12 +185,13 @@ class TestERM:
             f = cls.erm(list(xs), list(as_), list(ys))
             assert f is cls.members[best]
             assert np.array_equal(f.table, tables[best]) and f.clip_high == clip_high
+            # population_erm ranks a stack of targets at once, each as on its own
             weights = rng.random((S, A))
-            target = rng.choice(levels, (S, A))
-            best = int(np.argmin([float((weights * (c - target) ** 2).sum()) for c in clipped]))
-            g = cls.population_erm(weights, target)
-            assert g is cls.members[best]
-            assert np.array_equal(g.table, tables[best]) and g.clip_high == clip_high
+            targets = rng.choice(levels, (5, S, A))
+            best = [int(np.argmin([float((weights * (c - t) ** 2).sum()) for c in clipped]))
+                    for t in targets]
+            g = cls.population_erm(weights, targets)
+            assert np.array_equal(g, np.stack([clipped[b] for b in best]))
 
     def test_linear_minimality_against_perturbations(self, rng):
         cls = LinearClass(ident_features(4), dim=4, num_actions=1)
@@ -216,10 +222,11 @@ class TestERM:
         cls = AbstractionClass(np.zeros(2, dtype=int), num_actions=1)
         weights = np.array([[0.25], [0.75]])
         target = np.array([[0.0], [1.0]])
-        f = cls.population_erm(weights, target)
-        assert f.table[0, 0] == pytest.approx(0.75, abs=1e-12)
-        # random partitions, A <= 4, clips and blocks of zero weight, against the
-        # per-(block, action) weighted mean written with loops, summed in state order
+        f = cls.population_erm(weights, target[None])
+        assert f[0, 0, 0] == pytest.approx(0.75, abs=1e-12)
+        # random partitions, A <= 4, clips, blocks of zero weight and stacks of 1 to 3
+        # targets, against the per-(block, action) weighted mean of each target written
+        # with loops, summed in state order, then clipped
         rng = np.random.default_rng(0)
         for _ in range(200):
             S, A = int(rng.integers(1, 13)), int(rng.integers(1, 5))
@@ -227,18 +234,20 @@ class TestERM:
             blocks = rng.permutation(np.concatenate([np.arange(B), rng.integers(0, B, S - B)]))
             weights = rng.random((S, A))
             weights[rng.random(B)[blocks] < 0.4] = 0.0
-            target = rng.uniform(-1.0, 5.0, (S, A))
-            want = np.zeros((S, A))
-            for b in range(B):
-                for a in range(A):
-                    w = s = 0.0
-                    for x in np.flatnonzero(blocks == b):
-                        w += weights[x, a]
-                        s += weights[x, a] * target[x, a]
-                    want[blocks == b, a] = s / w if w > 0 else 0.0
+            targets = rng.uniform(-1.0, 5.0, (int(rng.integers(1, 4)), S, A))
+            want = np.zeros(targets.shape)
+            for j, target in enumerate(targets):
+                for b in range(B):
+                    for a in range(A):
+                        w = s = 0.0
+                        for x in np.flatnonzero(blocks == b):
+                            w += weights[x, a]
+                            s += weights[x, a] * target[x, a]
+                        want[j, blocks == b, a] = s / w if w > 0 else 0.0
             clip_high = [None, 1.0, 2.0, 4.0][int(rng.integers(4))]
-            f = AbstractionClass(blocks, A, clip_high=clip_high).population_erm(weights, target)
-            assert np.array_equal(f.table, want) and f.clip_high == clip_high
+            f = AbstractionClass(blocks, A, clip_high=clip_high).population_erm(weights, targets)
+            assert f.flags.c_contiguous
+            assert np.array_equal(f, want if clip_high is None else want.clip(0.0, clip_high))
 
 
 class TestTabularShape:
@@ -248,38 +257,44 @@ class TestTabularShape:
         assert LinearClass(ident_features(1), dim=1).shape is None
 
 
+def stacked(chunks) -> np.ndarray:
+    """The row maxima of extreme_members' chunks, in order, as one (m, S) array."""
+    return np.concatenate(list(chunks))
+
+
 class TestExtremeMembers:
     def test_members_per_variant(self):
-        # one table per vertex of [0, min(bound, clip)]**B, constant over each
-        # block's actions; one zero table at bound 0
-        assert [t.tolist() for t in AbstractionClass(np.zeros(2, dtype=int)).extreme_members(2.5)] \
-            == [[[0.0], [0.0]], [[2.5], [2.5]]]
+        # the row maxima of one table per vertex of [0, min(bound, clip)]**B, in
+        # itertools.product order (block 0 varies slowest); one zero table at bound 0
+        assert stacked(AbstractionClass(np.zeros(2, dtype=int)).extreme_members(2.5)).tolist() \
+            == [[0.0, 0.0], [2.5, 2.5]]
         blocks = np.array([0, 0, 1])
-        tables = list(AbstractionClass(blocks, 2, clip_high=4.0).extreme_members(4.0))
-        assert len(tables) == 4 and {t.shape for t in tables} == {(3, 2)}
-        assert sorted(tuple(t[[0, 2], 0]) for t in tables) == [
-            (0.0, 0.0), (0.0, 4.0), (4.0, 0.0), (4.0, 4.0)]
-        assert all(np.array_equal(t, np.repeat(t[[0, 0, 2], :1], 2, axis=1)) for t in tables)
-        assert {t.max() for t in AbstractionClass(blocks, 2, clip_high=1.0).extreme_members(3.0)} \
-            == {0.0, 1.0}
-        assert [t.tolist() for t in AbstractionClass(blocks, 2, clip_high=4.0).extreme_members(0.0)] \
-            == [np.zeros((3, 2)).tolist()]
+        assert stacked(AbstractionClass(blocks, 2, clip_high=4.0).extreme_members(4.0)).tolist() \
+            == [[0.0, 0.0, 0.0], [0.0, 0.0, 4.0], [4.0, 4.0, 0.0], [4.0, 4.0, 4.0]]
+        assert stacked(AbstractionClass(blocks, 2, clip_high=1.0).extreme_members(3.0)).tolist() \
+            == [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]
+        assert stacked(AbstractionClass(blocks, 2, clip_high=4.0).extreme_members(0.0)).tolist() \
+            == [[0.0, 0.0, 0.0]]
         # a finite class lists every clipped member in [0, bound], whatever ENUMERATION_CAP
         finite = FiniteClass((np.zeros((1, 1)), np.full((1, 1), 9.0), np.full((1, 1), 3.0),
                               np.full((1, 1), -1.0)), clip_high=2.0)
-        assert [t.item() for t in finite.extreme_members(2.0)] == [0.0, 2.0, 2.0, 0.0]
-        assert [t.item() for t in finite.extreme_members(1.5)] == [0.0, 0.0]
+        assert stacked(finite.extreme_members(2.0)).tolist() == [[0.0], [2.0], [2.0], [0.0]]
+        assert stacked(finite.extreme_members(1.5)).tolist() == [[0.0], [0.0]]
         unclipped = FiniteClass((np.zeros((1, 1)), np.full((1, 1), -1.0), np.full((1, 1), 2.0)))
-        assert [t.item() for t in unclipped.extreme_members(2.0)] == [0.0, 2.0]
-        assert [t.item() for t in unclipped.extreme_members(1.0)] == [0.0]
+        assert stacked(unclipped.extreme_members(2.0)).tolist() == [[0.0], [2.0]]
+        assert stacked(unclipped.extreme_members(1.0)).tolist() == [[0.0]]
+        # a member's row maxima: the largest clipped value in each row
+        rows = FiniteClass((np.zeros((2, 3)), np.array([[0.5, 3.0, 1.0], [0.0, 0.25, -1.0]])),
+                           clip_high=2.0)
+        assert stacked(rows.extreme_members(2.0)).tolist() == [[0.0, 0.0], [2.0, 0.25]]
         assert LinearClass(ident_features(1), dim=1).extreme_members(1.0) is None
 
     def test_two_to_the_b_members_up_to_the_cap(self):
         cls = AbstractionClass(np.array([2, 0, 1, 1, 2]), 2, clip_high=3.0)
-        tables = list(cls.extreme_members(3.0))
-        assert len(tables) == 2 ** 3
-        assert len({t.tobytes() for t in tables}) == 8
-        assert all(set(np.unique(t)) <= {0.0, 3.0} for t in tables)
+        maxima = stacked(cls.extreme_members(3.0))
+        assert maxima.shape == (2 ** 3, 5)
+        assert len({row.tobytes() for row in maxima}) == 8
+        assert set(np.unique(maxima)) == {0.0, 3.0}
         # B = 18: 2**18 exceeds ENUMERATION_CAP, and no 576 kB table is built,
         # whatever the bound
         big = AbstractionClass(np.arange(18).repeat(1000), 4, clip_high=4.0)
@@ -293,8 +308,9 @@ class TestExtremeMembers:
             tracemalloc.stop()
         assert peak < 18_000 * 4 * 8 // 8
 
-    def test_members_stream_one_at_a_time(self):
-        # B = 17: the first of 2**17 tables comes back before the others are built
+    def test_members_stream_in_chunks(self):
+        # B = 17: the first chunk of 2**17 members' row maxima, 2**16 // (S * A) = 60 rows,
+        # comes back before the others are built; only the 2**17 vertex indices are whole
         cls = AbstractionClass(np.arange(1088) % 17, 1, clip_high=4.0)
         tracemalloc.start()
         try:
@@ -302,8 +318,28 @@ class TestExtremeMembers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert first.shape == (1088, 1) and not first.any()
-        assert peak < 4 * first.nbytes
+        assert first.shape == (60, 1088) and first.flags.c_contiguous
+        # vertex 0 is the zero table, vertex 1 is high on the last block alone
+        assert not first[0].any()
+        assert first[1].tolist() == np.where(np.arange(1088) % 17 == 16, 4.0, 0.0).tolist()
+        assert peak < 2 ** 17 * 8 + 4 * first.nbytes
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chunks_cover_every_member_in_order(self, seed, monkeypatch):
+        # the chunks concatenate to the one-chunk stack, each C-ordered and at most
+        # CHUNK_CELLS // (S * A) rows long, whatever CHUNK_CELLS
+        rng = np.random.default_rng(seed)
+        S, A = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        blocks = rng.permutation(np.arange(S) % int(rng.integers(1, S + 1)))
+        finite = FiniteClass((np.zeros((S, A)),) + tuple(rng.uniform(-1.0, 3.0, (9, S, A))), 2.0)
+        for cls in (AbstractionClass(blocks, A, clip_high=2.0), finite):
+            whole = [stacked(cls.extreme_members(bound)) for bound in (0.0, 1.0, 3.0)]
+            for rows in (1, 2, 3, 7):
+                monkeypatch.setattr(funcclass, "CHUNK_CELLS", rows * S * A)
+                for bound, want in zip((0.0, 1.0, 3.0), whole):
+                    chunks = list(cls.extreme_members(bound))
+                    assert all(c.flags.c_contiguous and 1 <= len(c) <= rows for c in chunks)
+                    assert np.array_equal(np.concatenate(chunks), want)
 
 
 class TestComplexity:

@@ -88,8 +88,8 @@ MUTANTS = (
     ("the numpy row check drops the equal slot sizes",
      "if np.any(counts != counts[0]):", "if False:"),
     ("the vertex set drops the zero vertex",
-     "for v in itertools.product(sorted({0.0, high}), repeat=self.num_blocks))",
-     "for v in itertools.product(sorted({0.0, high}), repeat=self.num_blocks) if any(v))"),
+     "np.arange(2 ** self.num_blocks if high else 1)",
+     "np.arange(1, 2 ** self.num_blocks if high else 1)"),
     ("an unclipped class's vertex is the bound plus 1",
      "high = bound if self.clip_high is None", "high = bound + 1 if self.clip_high is None"),
     ("a clipped class's vertex ignores its clip",
@@ -97,16 +97,21 @@ MUTANTS = (
     ("step H backs up members",
      "outer.extreme_members(mdp.horizon - h)", "outer.extreme_members(mdp.horizon - h + 1)"),
     ("a finite member above the range is backed up",
-     "if 0 <= m.clipped.min() <= m.clipped.max() <= bound)", "if 0 <= m.clipped.min())"),
+     "in_range = (c.min(axis=(1, 2)) >= 0) & (c.max(axis=(1, 2)) <= bound)",
+     "in_range = c.min(axis=(1, 2)) >= 0"),
+    ("the last partial chunk is dropped",
+     "range(0, len(rows), step)", "range(0, len(rows) - len(rows) % step, step)"),
     ("Approx(F_M) read from the wrong entry of xi",
      "for c in classes.classes[:-1]] + xi[-1:]", "for c in classes.classes[:-1]] + xi[:1]"),
     ("population_erm weighs every cell alike",
-     "np.ravel(weights * target), np.ravel(weights))", "np.ravel(weights * target))"),
+     "counts = np.bincount(cell, weights=np.ravel(weights))", "counts = np.bincount(cell)"),
     ("the block mean divides an empty cell's zero sum by its zero count",
+     "out=np.zeros_like(sums), where=counts > 0)", "out=np.zeros_like(sums), where=counts >= 0)"),
+    ("ERM's block mean divides an empty cell's zero sum by its zero count",
      "out=np.zeros(B * A), where=counts > 0)", "out=np.zeros(B * A), where=counts >= 0)"),
     ("ERM's block cell ignores the action",
-     "self._block_means(self.blocks[xs] * self.num_actions + as_, ys)",
-     "self._block_means(self.blocks[xs] * self.num_actions, ys)"),
+     "cell = self.blocks[np.asarray(xs, dtype=int)] * A + np.asarray(as_, dtype=int)",
+     "cell = self.blocks[np.asarray(xs, dtype=int)] * A"),
     ("the probability reader skips the last data line",
      "for i in range(len(rows))\n", "for i in range(len(rows) - 1)\n"),
     ("a wrong-length line of a fixed count is accepted",

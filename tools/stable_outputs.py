@@ -16,6 +16,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 
 # configs bench must reject before any cell runs: (name, key, value)
 BAD_CONFIGS = (("lava", "instance", "lava"), ("bogus_method", "methods", "bogus"),
@@ -36,6 +38,19 @@ def write_inputs(out: Path):
     tabs = [0 * q[0]] + [q[h] for h in range(4)] + [q[h] / 2 for h in range(4)]
     funcclass.save_sequence(funcclass.NestedSequence(tuple(
         funcclass.FiniteClass(tuple(tabs[:m])) for m in (3, 5, 9))), str(out / "finite.classes"))
+    # a seeded random B = (1, 4, 12), S = 14, A = 2, H = 4 sequence with full-support mu:
+    # its 4096 extreme members at step 1 span more than one chunk
+    rng = np.random.default_rng(7)
+    S, A, H = 14, 2, 4
+    fine = rng.permutation(np.arange(S) % 12)
+    blocks = (np.zeros(S, dtype=int), rng.permutation(np.arange(12) % 4)[fine], fine)
+    funcclass.save_sequence(funcclass.NestedSequence(tuple(
+        funcclass.AbstractionClass(b, A) for b in blocks)), str(out / "random.classes"))
+    mdp.save_mdp(mdp.TabularMDP(rng.dirichlet(np.ones(S), size=(H, S, A)), rng.random((S, A)),
+                                rng.dirichlet(np.ones(S))), str(out / "random.mdp"))
+    mu = rng.dirichlet(np.ones(S * A), size=H) + 1e-4
+    (out / "random_mu.txt").write_text("".join(
+        textfile.float_line(m) for m in mu / mu.sum(axis=1, keepdims=True)))
     # a non-uniform behavior policy: P(a = 0 | h, x) = (1 + (h + x) % 3) / 4
     probs = [(1 + (h + x) % 3) / 4 for h in range(4) for x in range(4)]
     (out / "behavior.txt").write_text("".join(f"{p!r} {1 - p!r}\n" for p in probs))
@@ -105,6 +120,8 @@ def main(tree: Path, out: Path):
     cli(*diag, "finite.classes", stdout="diagnose_finite.txt")
     cli("diagnose", "--mdp", "bias.mdp", "--classes", "bias.classes", "--mu", "bias_mu.txt",
         stdout="diagnose_bias.txt")
+    cli("diagnose", "--mdp", "random.mdp", "--classes", "random.classes", "--mu", "random_mu.txt",
+        stdout="diagnose_random.txt")
     cli("run-fqi", *finite, "--k", "2", "--out", "qtables_finite.txt", stdout="fqi_finite.txt")
     cli("run-modbe", *finite, "--schedule", "practical", "--trace", "trace_finite.txt",
         stdout="modbe_finite.txt")
