@@ -201,7 +201,7 @@ class CBInstance:
     supported on the first 30 coordinates.
 
     With a capacity, every draw fills the front of one buffer of that many
-    contexts, so a seed's draws reuse the same pages; without one, each draw
+    contexts, so a run's draws reuse the same pages; without one, each draw
     is a fresh array."""
 
     ambient_dim = 200
@@ -415,7 +415,7 @@ def _scored(rows: list[tuple], regrets: dict[int, float]) -> list[tuple]:
 def tabular_regrets(mdp: TabularMDP, memo: dict, fits: Sequence[QSequence]) -> list[float]:
     """Regret on mdp of each fit's greedy policy. A fit's regret depends only
     on its greedy action table, so memo maps each table scored so far (as
-    bytes) to its regret; the cells of one run_experiment call share it."""
+    bytes) to its regret; the cells of one run_seeds call share it."""
     scores = []
     for fseq in fits:
         # the argmax greedy_policy takes; ties break to the lowest action in both
@@ -427,11 +427,11 @@ def tabular_regrets(mdp: TabularMDP, memo: dict, fits: Sequence[QSequence]) -> l
 
 
 def run_rl_cell(n: int, seed: int, cfg: ExperimentConfig, instance: tuple,
-                arrays: SlotArrays | None = None) -> list[tuple]:
+                arrays: SlotArrays) -> list[tuple]:
     """One (n, seed) cell of a tabular instance (mdp, classes, mu); its rows keep
     their fits. On the one-action holdout_bias instance only the picked k matters.
-    The cell's dataset and split fill arrays (fresh ones when not given), which
-    the next cell given the same arrays overwrites; the fits hold only tables."""
+    The cell's dataset and split fill arrays, which the next cell given the same
+    arrays overwrites; the fits hold only tables."""
     mdp, classes, mu = instance
     base = make_fqi()
     dataset = generate_from_mu(mdp, mu, n, seed, out=arrays)
@@ -478,7 +478,7 @@ def cb_policy_regrets(instance: CBInstance, seed: int, weights: Sequence) -> lis
 
 def run_cb_cell(n: int, seed: int, cfg: ExperimentConfig, instance: CBInstance) -> list[tuple]:
     """One (n, seed) cell of the contextual bandit; its rows keep their fits. A
-    kept fit's features live in the seed's buffer, which the next draw overwrites;
+    kept fit's features live in the run's buffer, which the next draw overwrites;
     after that draw only the scorer reads the fit, and only its weights."""
     rng = stream(seed, 0, n)
     feats = instance.sample_features(n, rng)
@@ -491,31 +491,27 @@ def run_cb_cell(n: int, seed: int, cfg: ExperimentConfig, instance: CBInstance) 
                         lambda: modbe_discounted(data, classes, cfg.delta, cfg.schedule, seed))
 
 
-def _slot_arrays(cfg: ExperimentConfig) -> SlotArrays:
-    """Slot arrays that hold the dataset and split of any cell of a tabular cfg."""
-    return SlotArrays(_tabular_instance(cfg.instance)[0].horizon, max(cfg.n_list))
-
-
-def run_seed(seed: int, cfg: ExperimentConfig, memo: dict | None = None,
-             arrays: SlotArrays | None = None) -> list[tuple]:
-    """Every n of one seed: its cells fit first, then one call of the family's
-    scorer fills in every fit they kept. The tabular scorer reads and extends
-    memo (see tabular_regrets), an empty one when not given; the CB scorer
-    makes one pass over the seed's evaluation set. Every CB draw of the seed,
-    training tensor or evaluation chunk, fills the same buffer, and every
-    tabular cell fills arrays, which are sized for cfg when not given."""
+def run_seeds(seeds: Sequence[int], cfg: ExperimentConfig) -> list[tuple]:
+    """Every n of each seed, seed by seed, on one run state built for the call:
+    the CB's feature buffer, which every draw fills, or the tabular slot arrays,
+    which every cell fills, and regret memo (see tabular_regrets). A seed's cells
+    fit first; then one call of the family's scorer fills in every fit they kept,
+    the CB's in one pass over the seed's evaluation set."""
     if cfg.instance == "cb":
         instance = CBInstance(max(max(cfg.n_list), CB_EVAL_CHUNK))
-        cell, score = run_cb_cell, lambda fits: cb_policy_regrets(
+        cell, score = run_cb_cell, lambda seed, fits: cb_policy_regrets(
             instance, seed, [f.func(1).weights for f in fits])
     else:
-        instance = _tabular_instance(cfg.instance)
-        memo = {} if memo is None else memo
-        cell = functools.partial(run_rl_cell, arrays=arrays or _slot_arrays(cfg))
-        score = functools.partial(tabular_regrets, instance[0], memo)
-    cells = [cell(n, seed, cfg, instance) for n in cfg.n_list]
-    regrets = iter(score([f for c in cells for f in c[0][4].values()]))
-    return [row for c in cells for row in _scored(c, {k: next(regrets) for k in c[0][4]})]
+        instance, memo = _tabular_instance(cfg.instance), {}
+        cell = functools.partial(run_rl_cell,
+                                 arrays=SlotArrays(instance[0].horizon, max(cfg.n_list)))
+        score = lambda _seed, fits: tabular_regrets(instance[0], memo, fits)
+    rows = []
+    for seed in seeds:
+        cells = [cell(n, seed, cfg, instance) for n in cfg.n_list]
+        regrets = iter(score(seed, [f for c in cells for f in c[0][4].values()]))
+        rows += [row for c in cells for row in _scored(c, {k: next(regrets) for k in c[0][4]})]
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
@@ -523,25 +519,22 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
     """Run every (n, seed) cell; output rows sorted deterministically.
 
     The config is checked again first, as if built anew, so a field set
-    after construction cannot reach a cell unchecked. The seed is the unit of
-    work: one task runs all of a seed's n values, so the pool gets at most
-    one worker per seed, and one seed runs in this process. Seeds are
-    independent and may execute in parallel; results are identical for any
-    job count (runtimes excepted, which is why record_runtime exists). The
-    tabular regrets of a call are computed once per greedy action table, and
-    its tabular cells fill one set of slot arrays: across all seeds at one
-    job, and within each seed's task in a pool.
+    after construction cannot reach a cell unchecked. The seeds are dealt
+    into one interleaved group per worker, at most one worker per seed, and
+    each group is one run_seeds call: in this process for one worker, one
+    pool task each for more. Seeds are independent, so results are
+    identical for any job count (runtimes excepted, which is why
+    record_runtime exists).
     """
     cfg = replace(cfg)
     workers = min(jobs, len(cfg.seeds))
+    groups = [cfg.seeds[i::workers] for i in range(workers)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_seed, cfg.seeds, itertools.repeat(cfg)))
+            chunks = list(pool.map(run_seeds, groups, itertools.repeat(cfg)))
     else:
-        memo: dict = {}
-        arrays = None if cfg.instance == "cb" else _slot_arrays(cfg)
-        chunks = [run_seed(seed, cfg, memo, arrays) for seed in cfg.seeds]
+        chunks = [run_seeds(cfg.seeds, cfg)]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     if not record_runtime:

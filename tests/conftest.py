@@ -188,3 +188,31 @@ def never_overshoot_instance():
     f3 = FiniteClass((zero, u, backup_of(u), w, backup_of(w)), clip_high=float(H))
     classes = NestedSequence((f1, f2, f3))
     return mdp, classes, uniform_mu(mdp)
+
+
+def rejecting_instance():
+    """MDP plus M = 3 nested finite classes where F_2 is complete, F_1 is not,
+    and a test of class 1 against class 2 has a loss gap to find.
+
+    Self-loops and rewards r = 1 on state 0, 0 on state 1, so the optimal
+    backup is T f = r + max_a f(x, .) on every action. F_1 = {0, r} lacks T r;
+    F_2 adds it, F_3 adds w and T w. mu puts 0.8 of each step on state 0,
+    which widens the gap between class 1's and class 2's validation losses.
+    """
+    S, A, H = 2, 2, 2
+    P = np.zeros((H, S, A, S))
+    for x in range(S):
+        P[:, x, :, x] = 1.0
+    r = np.array([[1.0, 1.0], [0.0, 0.0]])
+    mdp = TabularMDP(P, r, np.full(S, 1.0 / S))
+
+    def backup_of(t):
+        return r + np.repeat(t.max(axis=1, keepdims=True), A, axis=1)
+
+    zero = np.zeros((S, A))
+    w = np.array([[0.2, 0.5], [0.9, 0.1]])
+    f1 = FiniteClass((zero, r), clip_high=float(H))
+    f2 = FiniteClass((zero, r, backup_of(r)), clip_high=float(H))
+    f3 = FiniteClass((zero, r, backup_of(r), w, backup_of(w)), clip_high=float(H))
+    mu = np.tile(np.array([[0.4, 0.4], [0.1, 0.1]]), (H, 1, 1))
+    return mdp, NestedSequence((f1, f2, f3)), mu

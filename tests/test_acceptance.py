@@ -12,13 +12,14 @@ from modbe import (AbstractionClass, FiniteClass, LinearClass, NestedSequence,
                    generate_from_mu, make_fqi, modbe)
 from modbe.basealg import fqi, fqi_oracle, omega_fqi
 from modbe.evaluation import (ExperimentConfig, chain_classes, chain_mdp, diagnose,
-                              run_experiment, run_seed, uniform_mu, write_results_csv)
+                              run_experiment, run_seeds, uniform_mu, write_results_csv)
 from modbe.mdp import (concentrability, greedy_policy_from_tables, max_reach,
                        optimal_q, perf_diff_bound, policy_value, regret)
 from modbe.selection import ToleranceSchedule, zeta
 
 from conftest import (ENUMERABLE_SHAPES, brute_max_reach, brute_optimal_value,
-                      never_overshoot_instance, random_full_support_mu, random_mdp)
+                      never_overshoot_instance, random_full_support_mu, random_mdp,
+                      rejecting_instance)
 
 
 def report(capsys, num, name, ok, detail=""):
@@ -95,17 +96,29 @@ def test_criterion_3_fqi_consistency(capsys):
            f"oracle gap {oracle_gap:.2e}")
 
 
-def test_criterion_4_never_overshoot(capsys):
-    mdp, classes, mu = never_overshoot_instance()
+def _never_overshoot_runs(instance, n):
+    """k* and 50 theoretical-schedule ModBE traces at n on (mdp, classes, mu)."""
+    mdp, classes, mu = instance
     k_star = diagnose(classes, mdp, mu).k_star
     assert k_star is not None, "diagnose names no complete class"
     base = make_fqi()
-    traces = [modbe(generate_from_mu(mdp, mu, 1000, seed), base, classes,
-                    0.1, "theoretical", seed) for seed in range(50)]
+    return k_star, [modbe(generate_from_mu(mdp, mu, n, seed), base, classes,
+                          0.1, "theoretical", seed) for seed in range(50)]
+
+
+def test_criterion_4_never_overshoot(capsys):
+    # every loss on the zero-reward instance is 0.0, so no rule rejects there;
+    # on the rewarded one, class 1 is incomplete and its loss gap can be found
+    k_star, traces = _never_overshoot_runs(never_overshoot_instance(), 1000)
     hits = sum(t.k_hat <= k_star for t in traces)
     rejecting = sum(any(e.reject for e in t.events) for t in traces)
-    report(capsys, 4, "never-overshoot", hits >= 48,
-           f"k_hat <= k* = {k_star} in {hits}/50 runs, a class rejected in {rejecting}/50")
+    live_k_star, live = _never_overshoot_runs(rejecting_instance(), 100_000)
+    live_hits = sum(t.k_hat <= live_k_star for t in live)
+    rejects_1 = sum(any(e.k == 1 and e.reject for e in t.events) for t in live)
+    report(capsys, 4, "never-overshoot", hits >= 48 and live_hits >= 48 and rejects_1 >= 48,
+           f"zero rewards: k_hat <= k* = {k_star} in {hits}/50 runs, a class rejected in "
+           f"{rejecting}/50; rewards on state 0: k_hat <= k* = {live_k_star} in "
+           f"{live_hits}/50 runs, class 1 rejected in {rejects_1}/50")
 
 
 def test_criterion_5_oracle_inequality(capsys):
@@ -116,7 +129,7 @@ def test_criterion_5_oracle_inequality(capsys):
         regrets: dict[str, list] = {}
         for seed in range(20):
             cfg = ExperimentConfig("chain", [n], [seed], ["modbe", "fixed"])
-            for _n, _s, method, _k, reg, _ms in run_seed(seed, cfg):
+            for _n, _s, method, _k, reg, _ms in run_seeds([seed], cfg):
                 regrets.setdefault(method, []).append(reg)
         modbe_mean = float(np.mean(regrets["modbe"]))
         best_fixed = min(float(np.mean(v)) for m, v in regrets.items()
@@ -134,7 +147,7 @@ def test_criterion_6_cb_replication(capsys):
     for seed in range(10):
         cfg = ExperimentConfig("cb", list(n_list), [seed], ["modbe", "oracle", "fixed-1"],
                                delta=0.1)
-        for n, _s, method, _k, reg, _ms in run_seed(seed, cfg):
+        for n, _s, method, _k, reg, _ms in run_seeds([seed], cfg):
             cells[method, n].append(reg)
     for m in means:
         for n in n_list:
@@ -154,7 +167,7 @@ def test_criterion_7_holdout_failure_mode(capsys):
     modbe_picks_biased = 0
     for seed in range(20):
         cfg = ExperimentConfig("holdout_bias", [2000], [seed], ["modbe", "holdout"])
-        for _n, _s, method, k, _reg, _ms in run_seed(seed, cfg):
+        for _n, _s, method, k, _reg, _ms in run_seeds([seed], cfg):
             if method == "holdout" and k == 1:
                 holdout_picks_biased += 1
             if method == "modbe" and k == 1:

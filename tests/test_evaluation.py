@@ -19,7 +19,7 @@ from modbe.evaluation import (CB_DIMS, CB_EVAL_CHUNK, CB_EVAL_CONTEXTS, CB_MAX_C
                               chain_classes, chain_mdp, diagnose,
                               holdout_bias_instance, holdout_select, oracle_select,
                               parse_config,
-                              run_experiment, run_seed, summarize,
+                              run_experiment, run_seeds, summarize,
                               uniform_mu, write_results_csv)
 
 from conftest import (grid_completeness_error, never_overshoot_instance, random_full_support_mu,
@@ -27,8 +27,8 @@ from conftest import (grid_completeness_error, never_overshoot_instance, random_
 
 
 def one_cell(n, seed, methods, instance="chain"):
-    """The scored rows of one (n, seed) cell: run_seed on a one-cell config."""
-    return run_seed(seed, ExperimentConfig(instance, [n], [seed], methods))
+    """The scored rows of one (n, seed) cell: run_seeds on a one-cell config."""
+    return run_seeds([seed], ExperimentConfig(instance, [n], [seed], methods))
 
 
 def in_process_pool(monkeypatch) -> list:
@@ -337,7 +337,7 @@ class TestCBInstance:
 
     def test_fixed_15_regret_floor(self):
         # missing active features: regret cannot vanish no matter the n
-        rows = run_seed(0, ExperimentConfig("cb", [5000], [0], ["fixed-1"]))
+        rows = run_seeds([0], ExperimentConfig("cb", [5000], [0], ["fixed-1"]))
         assert rows[0][4] > 0.1
 
     def test_class_dims_match_spec_family(self):
@@ -471,14 +471,14 @@ class TestCBFeatureBuffer:
                     self.buffer.fill(fill)
         return Instance
 
-    def test_run_seed_ignores_stale_buffer_contents(self, monkeypatch):
+    def test_run_seeds_ignores_stale_buffer_contents(self, monkeypatch):
         # a larger n first leaves stale contexts beyond every later draw
         cfg = ExperimentConfig("cb", [1500, 200, 500], [0],
                                ["modbe", "holdout", "oracle", "fixed-1", "fixed-6"])
         monkeypatch.setattr(evaluation, "CBInstance", self._instance_class(None))
-        fresh = run_seed(0, cfg)
+        fresh = run_seeds([0], cfg)
         monkeypatch.setattr(evaluation, "CBInstance", self._instance_class(np.nan))
-        assert [r[:5] for r in run_seed(0, cfg)] == [r[:5] for r in fresh]
+        assert [r[:5] for r in run_seeds([0], cfg)] == [r[:5] for r in fresh]
 
     def test_every_draw_of_a_seed_shares_one_buffer(self, monkeypatch):
         draws = []
@@ -489,7 +489,7 @@ class TestCBFeatureBuffer:
             draws.append((inst, n, feats))
             return feats
         monkeypatch.setattr(CBInstance, "sample_features", recording)
-        run_seed(0, ExperimentConfig("cb", [200, 2000], [0], ["fixed-1"]))
+        run_seeds([0], ExperimentConfig("cb", [200, 2000], [0], ["fixed-1"]))
         assert [n for _inst, n, _feats in draws] == [200, 2000] + [CB_EVAL_CHUNK] * 10
         assert len({id(inst) for inst, _n, _feats in draws}) == 1
         buffer = draws[0][0].buffer
@@ -542,7 +542,7 @@ class TestFitAndScoreOnlyWhatRowsRead:
         self._counted(monkeypatch, basealg, "fitted_q_discounted", counts, "fits")
         self._counted(monkeypatch, evaluation, "cb_policy_regrets", counts, "scores",
                       lambda _inst, _seed, kept: len(kept))
-        rows = run_seed(0, ExperimentConfig("cb", [500], [0], methods))
+        rows = run_seeds([0], ExperimentConfig("cb", [500], [0], methods))
         assert counts == {"fits": rows[0][3] if fits == "k_hat" else fits, "scores": scores}
 
     def test_cb_fits_go_through_fqi(self, monkeypatch):
@@ -551,7 +551,7 @@ class TestFitAndScoreOnlyWhatRowsRead:
         self._counted(monkeypatch, basealg, "fqi", counts, "fqi")
         self._counted(monkeypatch, basealg, "fitted_q_discounted", counts,
                       "fitted_q_discounted")
-        run_seed(0, ExperimentConfig("cb", [500], [0], ["modbe", "holdout", "oracle"]))
+        run_seeds([0], ExperimentConfig("cb", [500], [0], ["modbe", "holdout", "oracle"]))
         assert counts["fqi"] == counts["fitted_q_discounted"] == len(CB_DIMS)
 
     def test_rows_do_not_depend_on_the_other_methods(self):
@@ -561,7 +561,7 @@ class TestFitAndScoreOnlyWhatRowsRead:
         assert [r[:5] for r in alone] == [r[:5] for r in both]
         cfg = ExperimentConfig("cb", [200], [0], ["modbe", "holdout", "oracle", "fixed-1",
                                                  "fixed-6"])
-        both = run_seed(0, cfg)
+        both = run_seeds([0], cfg)
         alone = [row for m in cfg.methods for row in one_cell(200, 0, [m], "cb")]
         assert [r[:5] for r in alone] == [r[:5] for r in both]
 
@@ -639,7 +639,7 @@ class TestComputeOnce:
         assert calls == {name: 2 * count for name, count in once.items()}
 
     def test_direct_cell_calls_each_score(self, monkeypatch):
-        # a run_seed call without a memo starts an empty one
+        # each run_seeds call starts an empty memo
         calls = {"regret": 0}
         self._spy(monkeypatch, evaluation, "regret", calls)
         one_cell(1000, 1, ["fixed-3"])
@@ -783,11 +783,11 @@ class TestExperimentPlumbing:
             run_experiment(ExperimentConfig(instance, [100], [0], ["modbe", method]))
 
     def test_jobs_do_not_change_results(self):
-        cfg = ExperimentConfig("chain", [100], [0, 1, 2, 3], ["modbe", "fixed"],
-                               schedule="practical")
-        a = run_experiment(cfg, jobs=1, record_runtime=False)
-        b = run_experiment(cfg, jobs=4, record_runtime=False)
-        assert a == b
+        for seeds, jobs in ((4, 4), (5, 2), (5, 3)):
+            cfg = ExperimentConfig("chain", [100], list(range(seeds)), ["modbe", "fixed"],
+                                   schedule="practical")
+            a = run_experiment(cfg, jobs=1, record_runtime=False)
+            assert run_experiment(cfg, jobs=jobs, record_runtime=False) == a, (seeds, jobs)
 
     def test_cb_jobs_do_not_change_results(self):
         cfg = ExperimentConfig("cb", [200, 500], [0, 1], ["modbe", "oracle", "fixed-1"])
@@ -804,9 +804,9 @@ class TestExperimentPlumbing:
         assert started == ([] if workers is None else [workers])
         assert rows == run_experiment(cfg, jobs=1, record_runtime=False)
 
-    @pytest.mark.parametrize("jobs, allocations", [(1, 1), (2, 3)])
+    @pytest.mark.parametrize("jobs, allocations", [(1, 1), (2, 2), (3, 3)])
     def test_one_set_of_slot_arrays_per_run_or_task(self, monkeypatch, jobs, allocations):
-        # at jobs 2 each seed's task runs in this process, so the spy sees it
+        # in a pool each group's task runs in this process, so the spy sees it
         in_process_pool(monkeypatch)
         shapes = []
 
@@ -815,7 +815,7 @@ class TestExperimentPlumbing:
                 shapes.append((horizon, capacity))
                 super().__init__(horizon, capacity)
         monkeypatch.setattr(evaluation, "SlotArrays", Spy)
-        cfg = ExperimentConfig("chain", [100, 1000, 200], [0, 1, 2], ["modbe", "oracle"])
+        cfg = ExperimentConfig("chain", [100, 1000, 200], [0, 1, 2, 3, 4], ["modbe", "oracle"])
         rows = run_experiment(cfg, jobs=jobs, record_runtime=False)
         assert shapes == [(4, 1000)] * allocations
         assert rows == sorted(r for seed in cfg.seeds for n in cfg.n_list
@@ -823,15 +823,36 @@ class TestExperimentPlumbing:
                                                                        cfg.methods),
                                                       record_runtime=False))
 
+    @pytest.mark.parametrize("jobs, allocations", [(1, 1), (2, 2)])
+    def test_one_cb_buffer_per_run_or_task(self, monkeypatch, jobs, allocations):
+        in_process_pool(monkeypatch)
+        capacities = []
+
+        class Spy(CBInstance):
+            def __init__(self, capacity=0):
+                capacities.append(capacity)
+                super().__init__(capacity)
+        monkeypatch.setattr(evaluation, "CBInstance", Spy)
+        # the spy counts buffers, so the seeds' evaluation sets need not be drawn
+        monkeypatch.setattr(evaluation, "cb_policy_regrets", lambda _i, _s, fits: [0.0] * len(fits))
+        rows = run_experiment(ExperimentConfig("cb", [200], [0, 1, 2], ["fixed-1"]), jobs=jobs,
+                              record_runtime=False)
+        assert capacities == [CB_EVAL_CHUNK] * allocations
+        assert [r[1] for r in rows] == [0, 1, 2]
+
     @pytest.mark.parametrize("n_list", [[10_000, 100, 1000], [100, 1000, 10_000]])
-    def test_cells_sharing_slot_arrays_give_the_rows_of_fresh_ones(self, n_list):
+    def test_cells_sharing_slot_arrays_give_the_rows_of_fresh_ones(self, monkeypatch, n_list):
         methods = ["modbe", "holdout", "oracle", "fixed"]
-        arrays = evaluation.SlotArrays(4, 10_000)
-        for column in arrays.data + arrays.split:
-            column.fill(np.nan if column.dtype.kind == "f" else 3)
-        cfg = ExperimentConfig("chain", n_list, [5], methods)
-        rows = run_seed(5, cfg, {}, arrays)
         fresh = [row for n in n_list for row in one_cell(n, 5, methods)]
+
+        class Stale(evaluation.SlotArrays):
+            def __init__(self, horizon, capacity):
+                super().__init__(horizon, capacity)
+                for column in self.data + self.split:
+                    column.fill(np.nan if column.dtype.kind == "f" else 3)
+        monkeypatch.setattr(evaluation, "SlotArrays", Stale)
+        cfg = ExperimentConfig("chain", n_list, [5], methods)
+        rows = run_seeds([5], cfg)
         assert [r[:5] for r in rows] == [r[:5] for r in fresh]
 
     def test_cb_eval_set_drawn_once_per_seed(self, monkeypatch):

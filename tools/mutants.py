@@ -30,6 +30,8 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypot
 MUTANTS = (
     ("generalization test rejects on an exact tie",
      "return loss_g < loss_f - tol", "return loss_g <= loss_f - tol"),
+    ("the generalization test never rejects",
+     "return loss_g < loss_f - tol", "return False"),
     ("ridge lambda 1e-5 * n",
      "RIDGE_SCALE = 1e-6", "RIDGE_SCALE = 1e-5"),
     ("abstraction partitions need not refine",
@@ -68,6 +70,8 @@ MUTANTS = (
     ("the shared regret memo never stores a regret",
      "memo[key] = regret(mdp, greedy_policy(fseq.funcs))",
      "memo = {key: regret(mdp, greedy_policy(fseq.funcs))}"),
+    ("pool groups skip seeds",
+     "cfg.seeds[i::workers]", "cfg.seeds[i::workers + 1]"),
     ("hold-out reads ModBE's loss_g in place of loss_f",
      "losses.setdefault(e.k, []).append(e.loss_f)", "losses.setdefault(e.k, []).append(e.loss_g)"),
     # str(float) is repr(float), so the mutant a float line can fail by is a lossy format
