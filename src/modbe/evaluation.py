@@ -494,9 +494,9 @@ def run_cb_cell(n: int, seed: int, cfg: ExperimentConfig, instance: CBInstance) 
 def run_seeds(seeds: Sequence[int], cfg: ExperimentConfig) -> list[tuple]:
     """Every n of each seed, seed by seed, on one run state built for the call:
     the CB's feature buffer, which every draw fills, or the tabular slot arrays,
-    which every cell fills, and regret memo (see tabular_regrets). A seed's cells
-    fit first; then one call of the family's scorer fills in every fit they kept,
-    the CB's in one pass over the seed's evaluation set."""
+    which every cell fills, and the regret memo (see tabular_regrets). A seed's
+    cells fit first; then one call of the family's scorer fills in every fit they
+    kept, the CB's in one pass over the seed's evaluation set."""
     if cfg.instance == "cb":
         instance = CBInstance(max(max(cfg.n_list), CB_EVAL_CHUNK))
         cell, score = run_cb_cell, lambda seed, fits: cb_policy_regrets(

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from modbe import FiniteClass, NestedSequence, Policy, QFunction, TabularMDP
-from modbe.evaluation import uniform_mu
 from modbe.funcclass import ABSTRACTION_QUANTUM, ENUMERATION_CAP, FunctionClassError
 from modbe.mdp import bellman_backup
 
@@ -164,46 +163,17 @@ def empirical_sq_loss(f: QFunction, xs, as_, ys) -> float:
     return float(np.mean((f.values(xs, as_) - ys) ** 2))
 
 
-def never_overshoot_instance():
-    """MDP plus M = 3 nested finite classes where F_2 is complete but F_1 is not.
+def _self_loop_instance(r: np.ndarray, u: np.ndarray, mu: np.ndarray):
+    """S = A = H = 2 MDP with self-loop transitions and rewards r, plus M = 3
+    nested finite classes F_1 = {0, u}, F_2 = F_1 + {T u}, F_3 = F_2 + {w, T w}.
 
-    Self-loop transitions and zero rewards make the optimal backup the
-    per-state action max, which is idempotent, so closing a finite set under
-    it stays finite.
+    Self-loops make the optimal backup T f = r + max_a f(x, .) on every
+    action, so the backups stay in closed form.
     """
     S, A, H = 2, 2, 2
     P = np.zeros((H, S, A, S))
     for x in range(S):
         P[:, x, :, x] = 1.0
-    mdp = TabularMDP(P, np.zeros((S, A)), np.full(S, 1.0 / S))
-
-    def backup_of(t):           # T* f = max_a f(x, a), broadcast over actions
-        return np.repeat(t.max(axis=1, keepdims=True), A, axis=1)
-
-    zero = np.zeros((S, A))
-    u = np.array([[0.0, 0.7], [0.3, 0.0]])
-    w = np.array([[0.2, 0.5], [0.9, 0.1]])
-    f1 = FiniteClass((zero, u), clip_high=float(H))
-    f2 = FiniteClass((zero, u, backup_of(u)), clip_high=float(H))
-    f3 = FiniteClass((zero, u, backup_of(u), w, backup_of(w)), clip_high=float(H))
-    classes = NestedSequence((f1, f2, f3))
-    return mdp, classes, uniform_mu(mdp)
-
-
-def rejecting_instance():
-    """MDP plus M = 3 nested finite classes where F_2 is complete, F_1 is not,
-    and a test of class 1 against class 2 has a loss gap to find.
-
-    Self-loops and rewards r = 1 on state 0, 0 on state 1, so the optimal
-    backup is T f = r + max_a f(x, .) on every action. F_1 = {0, r} lacks T r;
-    F_2 adds it, F_3 adds w and T w. mu puts 0.8 of each step on state 0,
-    which widens the gap between class 1's and class 2's validation losses.
-    """
-    S, A, H = 2, 2, 2
-    P = np.zeros((H, S, A, S))
-    for x in range(S):
-        P[:, x, :, x] = 1.0
-    r = np.array([[1.0, 1.0], [0.0, 0.0]])
     mdp = TabularMDP(P, r, np.full(S, 1.0 / S))
 
     def backup_of(t):
@@ -211,8 +181,23 @@ def rejecting_instance():
 
     zero = np.zeros((S, A))
     w = np.array([[0.2, 0.5], [0.9, 0.1]])
-    f1 = FiniteClass((zero, r), clip_high=float(H))
-    f2 = FiniteClass((zero, r, backup_of(r)), clip_high=float(H))
-    f3 = FiniteClass((zero, r, backup_of(r), w, backup_of(w)), clip_high=float(H))
-    mu = np.tile(np.array([[0.4, 0.4], [0.1, 0.1]]), (H, 1, 1))
+    f1 = FiniteClass((zero, u), clip_high=float(H))
+    f2 = FiniteClass((zero, u, backup_of(u)), clip_high=float(H))
+    f3 = FiniteClass((zero, u, backup_of(u), w, backup_of(w)), clip_high=float(H))
     return mdp, NestedSequence((f1, f2, f3)), mu
+
+
+def never_overshoot_instance():
+    """F_2 complete, F_1 not, and every reward 0: the per-state action max is
+    idempotent, so closing a finite set under it stays finite; every
+    validation loss is 0.0, so no test can reject."""
+    u = np.array([[0.0, 0.7], [0.3, 0.0]])
+    return _self_loop_instance(np.zeros((2, 2)), u, np.full((2, 2, 2), 0.25))
+
+
+def rejecting_instance():
+    """F_2 complete, F_1 = {0, r} not, with r = 1 on state 0 and 0 on state 1.
+    mu puts 0.8 of each step on state 0, which widens the gap between class
+    1's and class 2's validation losses, so a test can reject class 1."""
+    r = np.array([[1.0, 1.0], [0.0, 0.0]])
+    return _self_loop_instance(r, r, np.tile([[0.4, 0.4], [0.1, 0.1]], (2, 1, 1)))
